@@ -34,7 +34,6 @@ class CauchyConvergenceError(RuntimeError):
 class CauchyEvalConfig:
     panel_budget: int = 16          # Gauss order on refined local panels
     near_axis_threshold: float = 0.3  # switch distance (fraction of dense width)
-    jacobi_panels_at_origin: bool = True
     check_accuracy: bool = True
 
     def __post_init__(self):

@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import specfun
 from .bessel_limits import LimitKernelId, limit_kernel
-from .cauchy import CauchyEvalConfig, cauchy_transform
-from .equilibrium import solve_equilibrium, variational_residuals
+from .cauchy import CauchyConvergenceError, cauchy_transform
+from .equilibrium import EquilibriumError, solve_equilibrium, variational_residuals
 from .finite_kernels import KernelFamily, w_kernel
 from .oracle import (
+    OracleError,
     average_char_poly,
     average_inverse_pair,
     average_product_pair,
@@ -30,6 +30,7 @@ from .oracle import (
 )
 from .orthopoly import (
     PotentialSpec,
+    PrecisionError,
     RecurrenceTable,
     WeightSpec,
     build_recurrence,
@@ -38,6 +39,7 @@ from .orthopoly import (
 from .parametrix import PsiSector, check_gamma2_jump, psi_alpha
 from .scaled import ScaledComplex
 from .universality import (
+    ScaleCancellationError,
     Theorem,
     TheoremCase,
     convergence_study,
@@ -87,14 +89,6 @@ def _parse_int_list(text: str):
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise UsageError(f"invalid integer list {text!r}") from exc
-
-
-def _threads() -> int:
-    raw = os.environ.get("RMT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _print_scaled(label: str, v: ScaledComplex):
@@ -432,11 +426,14 @@ def main(argv=None) -> int:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
         np.random.seed(args.seed)
-        os.environ.setdefault("OMP_NUM_THREADS", str(_threads()))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (CauchyConvergenceError, PrecisionError, EquilibriumError,
+            OracleError, ScaleCancellationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
     except SystemExit as exc:
         return int(exc.code or 0)
 

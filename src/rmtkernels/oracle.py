@@ -1,10 +1,14 @@
-"""Brute-force averages over the joint eigenvalue density at tiny n.
+"""Averages over the joint eigenvalue density at tiny n, independent of the recurrence.
 
-Everything here is direct tensor-product quadrature of
+Everything here is tensor-product quadrature of
 P(x_1..x_n) = prod w(x_j) * Vandermonde(x)^2 / Z_n with n <= 3, evaluated
-at two quadrature budgets that must agree.  The averages give independent
-values for the characteristic-polynomial identities that the kernel
-modules compute through recurrences and Cauchy transforms.
+at two quadrature budgets that must agree.  Each average has an integrand
+prod_j g(x_j) that factors over the eigenvalues, so Andreief's identity
+evaluates the n-fold tensor sum exactly on the same nodes as an n x n
+determinant of 1-D moments.  Nothing here uses the Stieltjes recurrence or
+the Cauchy transforms, so the averages give independent values for the
+characteristic-polynomial identities that the kernel modules compute
+through them.
 """
 
 from __future__ import annotations
@@ -40,22 +44,15 @@ def _grid_1d(w: WeightSpec, budget):
     return g.x, wv, ls
 
 
-def _sum_weighted(x, wv, n, f):
-    """sum over the tensor grid of f * Vandermonde^2 * prod(weights)."""
-    if n == 1:
-        return complex(np.sum(wv * f((x,))))
-    if n == 2:
-        x1, x2 = x[:, None], x[None, :]
-        base = wv[:, None] * wv[None, :] * (x1 - x2) ** 2
-        return complex(np.sum(base * f((x1, x2))))
-    x2, x3 = x[:, None], x[None, :]
-    base = wv[:, None] * wv[None, :] * (x2 - x3) ** 2
-    total = 0j
-    for i in range(x.size):
-        x1 = x[i]
-        gap = (x1 - x2) ** 2 * (x1 - x3) ** 2
-        total += wv[i] * complex(np.sum(base * gap * f((x1, x2, x3))))
-    return total
+def _andreief_sum(x, wv, n, g):
+    """sum over the n-fold tensor grid of prod_i wv_i g_i * Vandermonde^2.
+
+    Andreief's identity: equals n! det[sum_k wv_k g_k x_k^(p+q)], p, q < n,
+    for the factor values g on the 1-D nodes x.
+    """
+    P = np.vander(x, n, increasing=True)
+    moments = (P * (wv * g)[:, None]).T @ P
+    return complex(math.factorial(n) * np.linalg.det(moments))
 
 
 @dataclass
@@ -76,7 +73,7 @@ def make_joint_density(w: WeightSpec) -> JointDensitySpec:
     z_raw = []
     z_vals = []
     for x, wv, ls in grids:
-        raw = _sum_weighted(x, wv, n, lambda _: 1.0)
+        raw = _andreief_sum(x, wv, n, 1.0)
         if not (raw.real > 0):
             raise OracleError("partition function not positive")
         z_raw.append(raw)
@@ -89,14 +86,15 @@ def make_joint_density(w: WeightSpec) -> JointDensitySpec:
     return JointDensitySpec(w=w, n=n, z_n=z_n, _grids=grids, _z_raw=z_raw)
 
 
-def _average(d: JointDensitySpec, f, rel_tol: float) -> ScaledComplex:
-    """mean of f under the joint density, with the two-budget consistency check."""
+def _average(d: JointDensitySpec, g, rel_tol: float) -> ScaledComplex:
+    """mean of prod_j g(x_j) under the joint density, with the two-budget check."""
     vals = []
     mags = []
     for (x, wv, _), z_raw in zip(d._grids, d._z_raw):
-        vals.append(_sum_weighted(x, wv, d.n, f) / z_raw)
-        mags.append(abs(_sum_weighted(x, wv, d.n, lambda xs: abs(f(xs))) / z_raw))
-    # |f| mass sets the floor so near-perfect cancellation is not flagged
+        gx = g(x)
+        vals.append(_andreief_sum(x, wv, d.n, gx) / z_raw)
+        mags.append(abs(_andreief_sum(x, wv, d.n, np.abs(gx)) / z_raw))
+    # |g| mass sets the floor so near-perfect cancellation is not flagged
     scale = max(max(abs(v) for v in vals), 1e-10 * max(mags))
     if scale > 0 and abs(vals[0] - vals[1]) / scale > rel_tol:
         raise OracleError(
@@ -105,23 +103,16 @@ def _average(d: JointDensitySpec, f, rel_tol: float) -> ScaledComplex:
     return ScaledComplex.from_complex(vals[1])
 
 
-def _char(z, xs):
-    out = 1.0 + 0j
-    for xj in xs:
-        out = out * (z - xj)
-    return out
-
-
 def average_char_poly(d: JointDensitySpec, x) -> ScaledComplex:
     """<det(x - M)>: equals the degree-n monic orthogonal polynomial at x."""
     x = complex(x)
-    return _average(d, lambda xs: _char(x, xs), 1e-6)
+    return _average(d, lambda s: x - s, 1e-6)
 
 
 def average_product_pair(d: JointDensitySpec, x, y) -> ScaledComplex:
     """<det(x - M) det(y - M)>."""
     x, y = complex(x), complex(y)
-    return _average(d, lambda xs: _char(x, xs) * _char(y, xs), 1e-5)
+    return _average(d, lambda s: (x - s) * (y - s), 1e-5)
 
 
 def average_ratio(d: JointDensitySpec, x, y) -> ScaledComplex:
@@ -129,7 +120,7 @@ def average_ratio(d: JointDensitySpec, x, y) -> ScaledComplex:
     x, y = complex(x), complex(y)
     if x.imag == 0.0:
         raise OracleError("average_ratio requires Im x != 0")
-    return _average(d, lambda xs: _char(y, xs) / _char(x, xs), 1e-5)
+    return _average(d, lambda s: (y - s) / (x - s), 1e-5)
 
 
 def average_inverse_pair(d: JointDensitySpec, x1, x2) -> ScaledComplex:
@@ -139,4 +130,4 @@ def average_inverse_pair(d: JointDensitySpec, x1, x2) -> ScaledComplex:
         raise OracleError("average_inverse_pair needs n = 3")
     if x1.imag == 0.0 or x2.imag == 0.0:
         raise OracleError("average_inverse_pair requires Im x1, Im x2 != 0")
-    return _average(d, lambda xs: 1.0 / (_char(x1, xs) * _char(x2, xs)), 1e-4)
+    return _average(d, lambda s: 1.0 / ((x1 - s) * (x2 - s)), 1e-4)

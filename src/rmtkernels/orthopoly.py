@@ -57,9 +57,6 @@ class PotentialSpec:
     def derivative(self, x):
         return self.poly().deriv()(x)
 
-    def is_even(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs[1::2])
-
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -166,7 +163,8 @@ def build_recurrence(
         s_prev = sj
 
     # orthogonality self-check on the full Gram matrix (scale-invariant)
-    G = np.einsum("ik,k,jk->ij", U, qw, U)
+    U *= np.sqrt(qw)  # in place, so no second (K+1) x N array; U is dead after this
+    G = U @ U.T
     d = np.sqrt(np.abs(np.diag(G)))
     R = np.abs(G) / np.outer(d, d)
     np.fill_diagonal(R, 0.0)

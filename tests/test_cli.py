@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from rmtkernels import cli
+from rmtkernels.cauchy import CauchyConvergenceError
 from rmtkernels.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
@@ -75,6 +77,34 @@ def test_oracle_inverse_requires_n3(capsys):
     assert main(["oracle", "--check", "inverse", "--n", "2", "--alpha", "0.0",
                  "--potential", "0,0,1"]) == EXIT_USAGE
     assert "n 3" in capsys.readouterr().err
+
+
+def _assert_one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_oracle_beyond_cap_is_tolerance_error(capsys):
+    assert main(["oracle", "--check", "heine", "--n", "4", "--alpha", "0",
+                 "--potential", "0,0,1"]) == EXIT_TOLERANCE
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_cauchy_convergence_failure_is_tolerance_error(tmp_path, capsys,
+                                                       monkeypatch):
+    table = tmp_path / "table.json"
+    assert main(["recurrence", "--alpha", "0.3", "--potential", "0,0,2",
+                 "--n", "4", "--max-degree", "6", "--out", str(table)]) == EXIT_OK
+    capsys.readouterr()
+
+    def no_convergence(t, j, z):
+        raise CauchyConvergenceError("refinement did not converge")
+
+    monkeypatch.setattr(cli, "cauchy_transform", no_convergence)
+    assert main(["cauchy", "--table", str(table), "--j", "3",
+                 "--z", "0.4,0.3"]) == EXIT_TOLERANCE
+    _assert_one_error_line(capsys.readouterr().err)
 
 
 def test_parametrix_jump_subcommand(capsys):

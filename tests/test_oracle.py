@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from rmtkernels.finite_kernels import KernelFamily, w_kernel
 from rmtkernels.oracle import (
+    _BUDGETS,
     OracleError,
+    _andreief_sum,
+    _grid_1d,
     average_char_poly,
     average_inverse_pair,
     average_product_pair,
@@ -25,6 +29,60 @@ V_2X2 = PotentialSpec((0.0, 0.0, 2.0))
 
 def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
+
+
+def _char(z, xs):
+    out = 1.0 + 0j
+    for xj in xs:
+        out = out * (z - xj)
+    return out
+
+
+def _tensor_sum(x, wv, n, f):
+    """Reference: direct sum over the tensor grid of f * Vandermonde^2 * prod(weights)."""
+    if n == 2:
+        x1, x2 = x[:, None], x[None, :]
+        base = wv[:, None] * wv[None, :] * (x1 - x2) ** 2
+        return complex(np.sum(base * f((x1, x2))))
+    x2, x3 = x[:, None], x[None, :]
+    base = wv[:, None] * wv[None, :] * (x2 - x3) ** 2
+    total = 0j
+    for i in range(x.size):
+        x1 = x[i]
+        gap = (x1 - x2) ** 2 * (x1 - x3) ** 2
+        total += wv[i] * complex(np.sum(base * gap * f((x1, x2, x3))))
+    return total
+
+
+# (per-eigenvalue factor g, full integrand f = prod_j g(x_j)) for Z and the
+# four averages, at off-axis points so every integrand is finite
+_X, _Y = 0.5 + 0.4j, -0.3 - 0.6j
+_INTEGRANDS = {
+    "partition": (lambda s: np.ones_like(s), lambda xs: 1.0),
+    "char_poly": (lambda s: _X - s, lambda xs: _char(_X, xs)),
+    "product_pair": (lambda s: (_X - s) * (_Y - s),
+                     lambda xs: _char(_X, xs) * _char(_Y, xs)),
+    "ratio": (lambda s: (_Y - s) / (_X - s),
+              lambda xs: _char(_Y, xs) / _char(_X, xs)),
+    "inverse_pair": (lambda s: 1.0 / ((_X - s) * (_Y - s)),
+                     lambda xs: 1.0 / (_char(_X, xs) * _char(_Y, xs))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_andreief_sum_matches_tensor_sum_n2(alpha, budget, name):
+    # raw sums, not ratios, so a wrong factorial or moment range shows
+    x, wv, _ = _grid_1d(WeightSpec(alpha, 2, V_X2), budget)
+    g, f = _INTEGRANDS[name]
+    assert _rel(_andreief_sum(x, wv, 2, g(x)), _tensor_sum(x, wv, 2, f)) < 1e-10
+
+
+def test_andreief_sum_matches_tensor_sum_n3():
+    x, wv, _ = _grid_1d(WeightSpec(0.3, 3, V_2X2), _BUDGETS[0])
+    for name, (g, f) in _INTEGRANDS.items():
+        assert _rel(_andreief_sum(x, wv, 3, g(x)), _tensor_sum(x, wv, 3, f)) < 1e-10, name
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
