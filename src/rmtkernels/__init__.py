@@ -17,12 +17,7 @@ from .orthopoly import (
     eval_weight,
 )
 from .scaled import ScaledComplex
-from .cauchy import (
-    CauchyEvalConfig,
-    cauchy_transform,
-    cauchy_transform_derivative,
-    plemelj_jump_check,
-)
+from .cauchy import cauchy_transform, cauchy_transform_derivative, plemelj_jump_check
 from .finite_kernels import KernelFamily, YColumns, w_kernel, y_matrix
 from .bessel_limits import LimitKernelId, limit_kernel
 from .equilibrium import EquilibriumMeasure, solve_equilibrium, variational_residuals
@@ -39,7 +34,6 @@ from .parametrix import PsiSector, check_gamma2_jump, psi_alpha
 __version__ = "0.1.0"
 
 __all__ = [
-    "CauchyEvalConfig",
     "ConvergenceReport",
     "EquilibriumMeasure",
     "KernelFamily",

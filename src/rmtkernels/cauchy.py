@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import RecurrenceTable, eval_weight, monic_values_scaled
+from .orthopoly import RecurrenceTable, _check_degree, eval_weight, monic_values_scaled
 from .quadrature import legendre_panel
 from .scaled import ScaledComplex
 
 _INV_2PI_I = -0.5j / math.pi  # 1/(2 pi i), kept in the mantissa
+_PANEL_BUDGET = 16  # Gauss order on refined local panels (the check adds 8)
+_NEAR_AXIS_THRESHOLD = 0.3  # near-branch distance, as a fraction of the dense width
 
 
 class CauchyDomainError(ValueError):
@@ -28,22 +30,6 @@ class CauchyDomainError(ValueError):
 
 class CauchyConvergenceError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class CauchyEvalConfig:
-    panel_budget: int = 16          # Gauss order on refined local panels
-    near_axis_threshold: float = 0.3  # switch distance (fraction of dense width)
-    check_accuracy: bool = True
-
-    def __post_init__(self):
-        if self.panel_budget < 16:
-            raise ValueError("panel_budget must be at least 16")
-        if self.near_axis_threshold <= 0:
-            raise ValueError("near_axis_threshold must be positive")
-
-
-DEFAULT_CONFIG = CauchyEvalConfig()
 
 
 def _local_region(t: RecurrenceTable, x0: float, halfwidth: float):
@@ -100,7 +86,7 @@ def _quad_sum(values, log_weights, qw, kernel):
     return complex(np.sum(terms)), float(np.sum(np.abs(terms))), lw_max
 
 
-def _transform(t: RecurrenceTable, j: int, z: complex, cfg: CauchyEvalConfig,
+def _transform(t: RecurrenceTable, j: int, z: complex,
                power: int, order: int, width_divisor: float) -> ScaledComplex:
     g = t.grid
     w = t.weight
@@ -110,7 +96,7 @@ def _transform(t: RecurrenceTable, j: int, z: complex, cfg: CauchyEvalConfig,
 
     near = (
         g.dense_lo - 0.2 * dense_width < x0 < g.dense_hi + 0.2 * dense_width
-        and d < cfg.near_axis_threshold * dense_width
+        and d < _NEAR_AXIS_THRESHOLD * dense_width
     )
 
     total = 0j
@@ -156,28 +142,23 @@ def _transform(t: RecurrenceTable, j: int, z: complex, cfg: CauchyEvalConfig,
     return ScaledComplex.from_parts(total * pref, total_log), mass_log
 
 
-def cauchy_transform(t: RecurrenceTable, j: int, z,
-                     cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """h_j(z), including the 1/(2 pi i) prefactor; requires Im z != 0."""
-    return _transform_checked(t, j, z, cfg, power=1)
+    return _transform_checked(t, j, z, power=1)
 
 
-def cauchy_transform_derivative(t: RecurrenceTable, j: int, z,
-                                cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+def cauchy_transform_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """d/dz h_j(z) = 1/(2 pi i) * integral pi_j w / (x-z)^2 dx."""
-    return _transform_checked(t, j, z, cfg, power=2)
+    return _transform_checked(t, j, z, power=2)
 
 
-def _transform_checked(t, j, z, cfg, power):
+def _transform_checked(t, j, z, power):
     z = complex(z)
     if z.imag == 0.0:
         raise CauchyDomainError("Cauchy transform requires Im z != 0")
-    if not (0 <= j <= t.max_degree):
-        raise IndexError(f"degree {j} outside table range 0..{t.max_degree}")
-    coarse, _ = _transform(t, j, z, cfg, power, order=cfg.panel_budget, width_divisor=4.0)
-    if not cfg.check_accuracy:
-        return coarse
-    fine, mass_log = _transform(t, j, z, cfg, power, order=cfg.panel_budget + 8,
+    _check_degree(t, j)
+    coarse, _ = _transform(t, j, z, power, order=_PANEL_BUDGET, width_divisor=4.0)
+    fine, mass_log = _transform(t, j, z, power, order=_PANEL_BUDGET + 8,
                                 width_divisor=8.0)
     diff_log = (coarse - fine).log_abs()
     # near a zero of h_j no quadrature reaches pure relative accuracy, so the
@@ -200,8 +181,7 @@ class JumpReport:
     extrapolated_residual: float
 
 
-def plemelj_jump_check(t: RecurrenceTable, j: int, x: float, eps_list,
-                       cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> JumpReport:
+def plemelj_jump_check(t: RecurrenceTable, j: int, x: float, eps_list) -> JumpReport:
     """|h_j(x + i eps) - h_j(x - i eps) - pi_j(x) w(x)|, extrapolated to eps -> 0.
 
     The Poisson-kernel error of the jump has a full power series in eps, so
@@ -216,8 +196,8 @@ def plemelj_jump_check(t: RecurrenceTable, j: int, x: float, eps_list,
     jumps = []
     residuals = []
     for eps in eps_list:
-        hp = cauchy_transform(t, j, complex(x, eps), cfg)
-        hm = cauchy_transform(t, j, complex(x, -eps), cfg)
+        hp = cauchy_transform(t, j, complex(x, eps))
+        hm = cauchy_transform(t, j, complex(x, -eps))
         jump = (hp - hm).to_complex()
         jumps.append(jump)
         residuals.append(abs(jump - target) / t_abs if t_abs > 0 else abs(jump))
@@ -241,25 +221,3 @@ def _pi_w(t: RecurrenceTable, j: int, x: float) -> ScaledComplex:
     from .orthopoly import eval_monic
 
     return eval_monic(t, j, x) * eval_weight(t.weight, x)
-
-
-def second_kind_recurrence(t: RecurrenceTable, z: complex, jmax: int,
-                           cfg: CauchyEvalConfig = DEFAULT_CONFIG):
-    """q_j(z) by the forward recurrence seeded with quadrature q_0.
-
-    Cross-validates cauchy_transform for moderate j; the forward direction
-    is unstable for j beyond ~n/2 near the support, which callers must
-    respect (documented, not asserted).
-    """
-    q_prev = cauchy_transform(t, 0, z, cfg)
-    out = [q_prev]
-    if jmax == 0:
-        return out
-    m0 = ScaledComplex.from_parts(_INV_2PI_I, t.log_norm_sq[0])
-    q_cur = m0 + ScaledComplex.from_complex(z - t.a[0]) * q_prev
-    out.append(q_cur)
-    for k in range(1, jmax):
-        q_nxt = ScaledComplex.from_complex(z - t.a[k]) * q_cur - t.b[k] * q_prev
-        q_prev, q_cur = q_cur, q_nxt
-        out.append(q_cur)
-    return out

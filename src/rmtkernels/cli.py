@@ -17,7 +17,7 @@ import numpy as np
 
 from . import specfun
 from .bessel_limits import LimitKernelId, limit_kernel
-from .cauchy import CauchyConvergenceError, cauchy_transform
+from .cauchy import CauchyConvergenceError, CauchyDomainError, cauchy_transform
 from .equilibrium import EquilibriumError, solve_equilibrium, variational_residuals
 from .finite_kernels import KernelFamily, w_kernel
 from .oracle import (
@@ -29,15 +29,18 @@ from .oracle import (
     make_joint_density,
 )
 from .orthopoly import (
+    DegreeError,
     PotentialSpec,
     PrecisionError,
     RecurrenceTable,
+    WeightDomainError,
     WeightSpec,
     build_recurrence,
     eval_monic,
 )
-from .parametrix import PsiSector, check_gamma2_jump, psi_alpha
+from .parametrix import PsiSector, SectorError, check_gamma2_jump, psi_alpha
 from .scaled import ScaledComplex
+from .specfun import SpecfunDomainError
 from .universality import (
     ScaleCancellationError,
     Theorem,
@@ -114,9 +117,12 @@ def _load_table(path: str) -> RecurrenceTable:
         doc = json.load(fh)
     w = WeightSpec(doc["alpha"], doc["n"], PotentialSpec(tuple(doc["coeffs"])))
     t = build_recurrence(w, doc["max_degree"])
-    stored = np.asarray(doc["a"])
-    if np.max(np.abs(stored - t.a)) > 1e-9 * (1 + np.max(np.abs(stored))):
-        raise UsageError(f"table file {path} does not match a rebuilt table")
+    for key in ("a", "b", "log_norm_sq"):
+        stored = np.asarray(doc[key], dtype=float)
+        rebuilt = getattr(t, key)
+        if stored.shape != rebuilt.shape or \
+                np.max(np.abs(stored - rebuilt)) > 1e-9 * (1 + np.max(np.abs(stored))):
+            raise UsageError(f"table file {path}: stored {key} does not match a rebuilt table")
     return t
 
 
@@ -306,8 +312,6 @@ def _cmd_specfun_selftest(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="rmtkernels")
     p.add_argument("--config", help="JSON file preloading flag values")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized point selection")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("recurrence")
@@ -351,7 +355,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--potential", required=True)
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--n", default="8,16,32,64")
-    sp.add_argument("--grid", default="default", choices=["default"])
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_universality)
 
@@ -425,9 +428,9 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        np.random.seed(args.seed)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DegreeError, CauchyDomainError, WeightDomainError,
+            SpecfunDomainError, SectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CauchyConvergenceError, PrecisionError, EquilibriumError,

@@ -11,14 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cauchy import (
-    CauchyDomainError,
-    CauchyEvalConfig,
-    DEFAULT_CONFIG,
-    cauchy_transform,
-    cauchy_transform_derivative,
-)
-from .orthopoly import RecurrenceTable, eval_monic, eval_monic_derivative
+from .cauchy import CauchyDomainError, cauchy_transform, cauchy_transform_derivative
+from .orthopoly import DegreeError, RecurrenceTable, eval_monic, eval_monic_derivative
 from .scaled import ScaledComplex
 
 TWO_PI_I = 2j * 3.141592653589793
@@ -47,72 +41,78 @@ def confluence_threshold(zeta: complex) -> float:
     return 1e-4 * max(1.0, abs(zeta))
 
 
-def _values(family: KernelFamily, t, deg, z, side, cfg, derivative=False):
+def _values(family: KernelFamily, t, deg, z, side, derivative=False):
     """F_deg(z) for the function family owning the given kernel slot."""
     use_h = (family is KernelFamily.II and side == 0) or family is KernelFamily.III
     if use_h:
         if derivative:
-            return cauchy_transform_derivative(t, deg, z, cfg)
-        return cauchy_transform(t, deg, z, cfg)
+            return cauchy_transform_derivative(t, deg, z)
+        return cauchy_transform(t, deg, z)
     if derivative:
         return eval_monic_derivative(t, deg, z)
     return eval_monic(t, deg, z)
 
 
-def w_kernel(family: KernelFamily, t: RecurrenceTable, m: int, zeta, eta,
-             cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
-    """W_{family, n+m}(zeta, eta) = (F_{n+m}(zeta) G_{n+m-1}(eta) - F_{n+m-1}(zeta) G_{n+m}(eta)) / (zeta - eta)."""
-    zeta, eta = complex(zeta), complex(eta)
+def _degrees(family: KernelFamily, t: RecurrenceTable, m: int, zeta: complex, eta: complex):
+    """Degrees (n+m, n+m-1) of the kernel, after the degree and domain checks."""
     n = t.weight.n
     hi, lo = n + m, n + m - 1
     if lo < 0 or hi > t.max_degree:
-        raise IndexError(f"kernel degrees ({lo},{hi}) outside table range")
+        raise DegreeError(f"kernel degrees ({lo},{hi}) outside table range")
     if family in (KernelFamily.II, KernelFamily.III) and zeta.imag == 0.0:
         raise CauchyDomainError("family II/III kernels need Im zeta != 0")
     if family is KernelFamily.III and eta.imag == 0.0:
         raise CauchyDomainError("family III kernels need Im eta != 0")
+    return hi, lo
 
+
+def _numerator_terms(family, t, hi, lo, zeta, eta):
+    """F_hi(zeta) G_lo(eta) and F_lo(zeta) G_hi(eta); the numerator is their difference."""
+    return (_values(family, t, hi, zeta, 0) * _values(family, t, lo, eta, 1),
+            _values(family, t, lo, zeta, 0) * _values(family, t, hi, eta, 1))
+
+
+def w_kernel(family: KernelFamily, t: RecurrenceTable, m: int, zeta, eta) -> ScaledComplex:
+    """W_{family, n+m}(zeta, eta) = (F_{n+m}(zeta) G_{n+m-1}(eta) - F_{n+m-1}(zeta) G_{n+m}(eta)) / (zeta - eta)."""
+    zeta, eta = complex(zeta), complex(eta)
+    hi, lo = _degrees(family, t, m, zeta, eta)
     diagonal = family in (KernelFamily.I, KernelFamily.III)
     if diagonal and abs(zeta - eta) < confluence_threshold(zeta):
-        return _confluent(family, t, hi, lo, zeta, cfg)
+        return _confluent(family, t, hi, lo, zeta)
+    if family is KernelFamily.II and zeta == eta:
+        raise CauchyDomainError(
+            "W_II has a pole at zeta = eta; use w_kernel_times_gap for (zeta - eta) W_II"
+        )
 
-    f_hi = _values(family, t, hi, zeta, 0, cfg)
-    f_lo = _values(family, t, lo, zeta, 0, cfg)
-    g_hi = _values(family, t, hi, eta, 1, cfg)
-    g_lo = _values(family, t, lo, eta, 1, cfg)
-    num = f_hi * g_lo - f_lo * g_hi
+    hi_lo, lo_hi = _numerator_terms(family, t, hi, lo, zeta, eta)
+    num = hi_lo - lo_hi
     if diagonal:
         # guard against catastrophic cancellation just outside the threshold
-        mags = max(abs(f_hi * g_lo), abs(f_lo * g_hi))
+        mags = max(abs(hi_lo), abs(lo_hi))
         if mags > 0 and abs(num) < 1e-12 * mags:
-            return _confluent(family, t, hi, lo, zeta, cfg)
+            return _confluent(family, t, hi, lo, zeta)
     return num / ScaledComplex.from_complex(zeta - eta)
 
 
-def _confluent(family, t, hi, lo, zeta, cfg) -> ScaledComplex:
+def _confluent(family, t, hi, lo, zeta) -> ScaledComplex:
     """Diagonal limit F'_{hi} F_{lo} - F'_{lo} F_{hi} at zeta."""
-    f_hi = _values(family, t, hi, zeta, 0, cfg)
-    f_lo = _values(family, t, lo, zeta, 0, cfg)
-    d_hi = _values(family, t, hi, zeta, 0, cfg, derivative=True)
-    d_lo = _values(family, t, lo, zeta, 0, cfg, derivative=True)
+    f_hi = _values(family, t, hi, zeta, 0)
+    f_lo = _values(family, t, lo, zeta, 0)
+    d_hi = _values(family, t, hi, zeta, 0, derivative=True)
+    d_lo = _values(family, t, lo, zeta, 0, derivative=True)
     return d_hi * f_lo - d_lo * f_hi
 
 
-def w_kernel_times_gap(family: KernelFamily, t: RecurrenceTable, m: int, zeta, eta,
-                       cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> ScaledComplex:
+def w_kernel_times_gap(family: KernelFamily, t: RecurrenceTable, m: int,
+                       zeta, eta) -> ScaledComplex:
     """(zeta - eta) * W_{family,n+m}(zeta, eta), finite on the diagonal for family II."""
     zeta, eta = complex(zeta), complex(eta)
-    n = t.weight.n
-    hi, lo = n + m, n + m - 1
-    f_hi = _values(family, t, hi, zeta, 0, cfg)
-    f_lo = _values(family, t, lo, zeta, 0, cfg)
-    g_hi = _values(family, t, hi, eta, 1, cfg)
-    g_lo = _values(family, t, lo, eta, 1, cfg)
-    return f_hi * g_lo - f_lo * g_hi
+    hi, lo = _degrees(family, t, m, zeta, eta)
+    hi_lo, lo_hi = _numerator_terms(family, t, hi, lo, zeta, eta)
+    return hi_lo - lo_hi
 
 
-def y_matrix(t: RecurrenceTable, m: int, z,
-             cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> YColumns:
+def y_matrix(t: RecurrenceTable, m: int, z) -> YColumns:
     """The RH solution matrix: polynomials in column 1, Cauchy transforms in column 2."""
     z = complex(z)
     n = t.weight.n
@@ -123,6 +123,6 @@ def y_matrix(t: RecurrenceTable, m: int, z,
     return YColumns(
         y11=eval_monic(t, hi, z),
         y21=factor * eval_monic(t, lo, z),
-        y12=cauchy_transform(t, hi, z, cfg),
-        y22=factor * cauchy_transform(t, lo, z, cfg),
+        y12=cauchy_transform(t, hi, z),
+        y22=factor * cauchy_transform(t, lo, z),
     )

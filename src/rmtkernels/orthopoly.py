@@ -5,12 +5,16 @@ on the composite Gauss grid of :mod:`rmtkernels.quadrature`.  All inner
 products carry the weight in log form: the working arrays hold
 pi_j(x) * sqrt(w(x)) rescaled by one per-degree exponent, which keeps every
 intermediate O(1) even though norms decay like e^(-c*n).
+
+Polynomial values and derivatives off the grid come from one vectorized
+evaluator, :func:`monic_values_scaled`, which carries a shared log scale;
+:func:`eval_monic` and :func:`eval_monic_derivative` wrap it for one point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +28,10 @@ class PrecisionError(RuntimeError):
 
 class WeightDomainError(ValueError):
     pass
+
+
+class DegreeError(IndexError):
+    """A polynomial degree outside the range of a recurrence table."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,6 @@ class WeightSpec:
 class QuadratureConfig:
     dense_panels: int = 48
     order: int = 20
-    jacobi_at_origin: bool = True
 
 
 def eval_weight(w: WeightSpec, x: float) -> ScaledComplex:
@@ -104,7 +111,6 @@ class RecurrenceTable:
     log_norm_sq: np.ndarray    # log ||pi_j||^2, j = 0..K
     grid: WeightGrid
     orthogonality_residual: float = 0.0
-    _scales: np.ndarray = field(default=None, repr=False)  # per-degree log scale of pi_j sqrt(w) on grid
 
     def log_gamma_sq(self, j: int) -> float:
         """log gamma_j^2 = -log ||pi_j||^2 (orthonormal leading coefficient squared)."""
@@ -125,7 +131,6 @@ def build_recurrence(
         w.potential.coeffs,
         dense_panels=dense_panels,
         order=quad.order,
-        jacobi_at_origin=quad.jacobi_at_origin,
     )
     x, qw, logw = grid.x, grid.qw, grid.logw
     K = max_degree
@@ -184,76 +189,65 @@ def build_recurrence(
         log_norm_sq=log_norm_sq,
         grid=grid,
         orthogonality_residual=residual,
-        _scales=scales,
     )
 
 
 def eval_monic(t: RecurrenceTable, j: int, z) -> ScaledComplex:
-    """pi_j(z) by the forward three-term recurrence in scaled arithmetic."""
-    _check_degree(t, j)
-    z = complex(z)
-    if j == 0:
-        return ScaledComplex.one()
-    prev = ScaledComplex.one()
-    cur = ScaledComplex.from_complex(z - t.a[0])
-    for k in range(1, j):
-        nxt = ScaledComplex.from_complex(z - t.a[k]) * cur - t.b[k] * prev
-        prev, cur = cur, nxt
-    return cur
+    """pi_j(z) at one point, by :func:`monic_values_scaled`."""
+    vals, s = monic_values_scaled(t, [j], np.array([complex(z)]))[j]
+    return ScaledComplex.from_parts(vals[0], s)
 
 
 def eval_monic_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
-    """pi'_j(z) via the differentiated recurrence."""
-    _check_degree(t, j)
-    z = complex(z)
-    if j == 0:
-        return ScaledComplex.zero()
-    p_prev, p_cur = ScaledComplex.one(), ScaledComplex.from_complex(z - t.a[0])
-    d_prev, d_cur = ScaledComplex.zero(), ScaledComplex.one()
-    for k in range(1, j):
-        zm = ScaledComplex.from_complex(z - t.a[k])
-        d_nxt = p_cur + zm * d_cur - t.b[k] * d_prev
-        p_nxt = zm * p_cur - t.b[k] * p_prev
-        p_prev, p_cur = p_cur, p_nxt
-        d_prev, d_cur = d_cur, d_nxt
-    return d_cur
+    """pi'_j(z) at one point, by :func:`monic_values_scaled`."""
+    _, ders, s = monic_values_scaled(t, [j], np.array([complex(z)]), derivative=True)[j]
+    return ScaledComplex.from_parts(ders[0], s)
 
 
-def monic_values_scaled(t: RecurrenceTable, degrees, x: np.ndarray):
+def monic_values_scaled(t: RecurrenceTable, degrees, x: np.ndarray, derivative=False):
     """pi_j at many (real or complex) points for each j in ``degrees``.
 
     Returns {j: (values, log_scale)} with values O(1); vectorized over x.
+    With ``derivative`` it also runs the differentiated recurrence
+    pi'_{k+1} = pi_k + (x - a_k) pi'_k - b_k pi'_{k-1} under the same log
+    scale, rescaled by the max over both arrays, and returns
+    {j: (values, derivatives, log_scale)}.
     """
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
     x = np.asarray(x)
-    out = {}
-    jmax = degrees[-1]
+
+    def pack(vals, ders, s):
+        return (vals.copy(), ders.copy(), s) if derivative else (vals.copy(), s)
+
     prev = np.ones_like(x, dtype=complex)
-    s_prev = 0.0
-    if 0 in degrees:
-        out[0] = (prev.copy(), 0.0)
-    if jmax == 0:
-        return out
     cur = x - t.a[0]
-    s_cur = 0.0
-    if 1 in degrees:
-        out[1] = (cur.copy(), 0.0)
-    for k in range(1, jmax):
-        nxt = (x - t.a[k]) * cur - t.b[k] * math.exp(s_prev - s_cur) * prev
-        s_nxt = s_cur
-        m = float(np.abs(nxt).max())
+    dprev, dcur = (np.zeros_like(prev), np.ones_like(prev)) if derivative else (None, None)
+    s_prev = s_cur = 0.0
+    out = {0: pack(prev, dprev, 0.0)} if 0 in degrees else {}
+    for k in range(1, degrees[-1] + 1):
+        m = float(np.abs(cur).max())
+        if derivative:
+            m = max(m, float(np.abs(dcur).max()))
+        # rescaled before it meets x - a_k, so no product overflows for |x| < 1e250
         if m > 1e50 or (0 < m < 1e-50):
-            nxt = nxt / m
-            s_nxt = s_cur + math.log(m)
-        prev, cur = cur, nxt
-        s_prev, s_cur = s_cur, s_nxt
-        if k + 1 in degrees:
-            out[k + 1] = (cur.copy(), s_cur)
+            cur = cur / m
+            s_cur += math.log(m)
+            if derivative:
+                dcur = dcur / m
+        if k in degrees:
+            out[k] = pack(cur, dcur, s_cur)
+        if k < degrees[-1]:
+            xa, r = x - t.a[k], t.b[k] * math.exp(s_prev - s_cur)
+            nxt = xa * cur - r * prev
+            if derivative:
+                dprev, dcur = dcur, cur + xa * dcur - r * dprev
+            prev, cur = cur, nxt
+            s_prev = s_cur
     return out
 
 
 def _check_degree(t: RecurrenceTable, j: int):
     if not (0 <= j <= t.max_degree):
-        raise IndexError(f"degree {j} outside table range 0..{t.max_degree}")
+        raise DegreeError(f"degree {j} outside table range 0..{t.max_degree}")

@@ -3,9 +3,10 @@
 The weight spans hundreds of orders of magnitude across the integration
 range, so every grid stores the smooth part of the weight in log form:
 the panels integrate  f -> sum qw * e^(logw) * f(x),  where for ordinary
-Gauss-Legendre panels logw = 2a log|x| - nV(x), and for the optional
-Gauss-Jacobi panels touching the origin the |x|^(2a) factor is absorbed
-into the quadrature weights qw and logw = -nV(x).
+Gauss-Legendre panels logw = 2a log|x| - nV(x).  The two panels touching
+the origin are always Gauss-Jacobi with exponent 2a (Gauss-Legendre at
+a = 0), so the |x|^(2a) factor is absorbed into the quadrature weights qw
+and logw = -nV(x) there.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class Panel:
     b: float
     start: int  # node index range [start, stop) in the flat grid arrays
     stop: int
-    jacobi: bool = False
 
 
 @dataclass
@@ -56,16 +56,6 @@ class WeightGrid:
     hi: float = 0.0
     dense_lo: float = 0.0
     dense_hi: float = 0.0
-
-
-def geometric_edges(outer: float, inner: float, ratio: float = 2.0):
-    """Edges from |outer| down toward |inner| (same sign), geometric widths."""
-    edges = [outer]
-    cur = outer
-    while abs(cur) > abs(inner) * (1 + 1e-12):
-        cur = cur / ratio if abs(cur) / ratio > abs(inner) else inner
-        edges.append(cur)
-    return edges
 
 
 def _tail_edges(start: float, end: float, ratio: float = 1.7):
@@ -120,7 +110,6 @@ def build_weight_grid(
     vcoeffs,
     dense_panels: int,
     order: int = 20,
-    jacobi_at_origin: bool = True,
     jacobi_order: int = 48,
 ) -> WeightGrid:
     v = np.polynomial.Polynomial(vcoeffs)
@@ -148,7 +137,7 @@ def build_weight_grid(
         ws.append(qw)
         lws.append(-n * v(x))
         a, b = (d, 0.0) if d < 0 else (0.0, d)
-        panels.append(Panel(a, b, start, start + len(x), jacobi=True))
+        panels.append(Panel(a, b, start, start + len(x)))
 
     lo = -cutoff_radius(n, alpha, vcoeffs, -1.0)
     hi = cutoff_radius(n, alpha, vcoeffs, +1.0)
@@ -157,15 +146,7 @@ def build_weight_grid(
 
     for sgn, dense_edge, far_edge in ((-1.0, lo_d, lo), (+1.0, hi_d, hi)):
         inner = abs(dense_edge) / dense_panels
-        if jacobi_at_origin and alpha != 0.0:
-            push_jac(sgn * inner, jacobi_order)
-        else:
-            # resolve |x|^2a by geometric refinement toward 0
-            edges = geometric_edges(sgn * inner, sgn * inner * 1e-10, ratio=3.0)
-            edges.append(0.0)
-            for a, b in zip(edges[1:], edges[:-1]):
-                aa, bb = (a, b) if a < b else (b, a)
-                push_leg(aa, bb, max(8, order // 2))
+        push_jac(sgn * inner, jacobi_order)
         # uniform dense panels
         dense_bounds = np.linspace(sgn * inner, dense_edge, dense_panels)
         for a, b in zip(dense_bounds[:-1], dense_bounds[1:]):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel_limits import LimitKernelId, limit_kernel, _SPEC, _power, _PI
-from .cauchy import CauchyEvalConfig, DEFAULT_CONFIG
 from .equilibrium import solve_equilibrium
 from .finite_kernels import KernelFamily, w_kernel, w_kernel_times_gap
 from .orthopoly import PotentialSpec, WeightSpec, build_recurrence
@@ -141,8 +140,7 @@ def _cached_equilibrium(coeffs: tuple):
     return solve_equilibrium(PotentialSpec(coeffs))
 
 
-def normalized_lhs(case: TheoremCase, n: int, zeta, eta,
-                   cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> complex:
+def normalized_lhs(case: TheoremCase, n: int, zeta, eta) -> complex:
     """Finite-kernel side with the scaling and exponential prefactor removed."""
     zeta, eta = complex(zeta), complex(eta)
     t = _cached_table(case.alpha, case.potential.coeffs, n)
@@ -155,10 +153,10 @@ def normalized_lhs(case: TheoremCase, n: int, zeta, eta,
     log_amp = 2.0 * case.alpha * math.log(s) + n * eq.v_at_0
 
     if fam is KernelFamily.II:
-        core = g2 * w_kernel_times_gap(fam, t, case.m, zs, es, cfg)
+        core = g2 * w_kernel_times_gap(fam, t, case.m, zs, es)
         pref = sc_exp(complex(0.0, 0.0) - drift * (zeta - eta))
     else:
-        core = g2 * w_kernel(fam, t, case.m, zs, es, cfg) / ScaledComplex.from_complex(s)
+        core = g2 * w_kernel(fam, t, case.m, zs, es) / ScaledComplex.from_complex(s)
         if fam is KernelFamily.I:
             pref = sc_exp(log_amp + drift * (zeta + eta))
         else:
@@ -183,8 +181,7 @@ def limit_target(case: TheoremCase, zeta, eta) -> complex:
     return val
 
 
-def convergence_study(case: TheoremCase,
-                      cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> ConvergenceReport:
+def convergence_study(case: TheoremCase) -> ConvergenceReport:
     start = time.time()
     errors = []
     worst = []
@@ -194,7 +191,7 @@ def convergence_study(case: TheoremCase,
         w_pt = None
         for zeta in case.zeta_grid:
             for eta in case.eta_grid:
-                lhs = normalized_lhs(case, n, zeta, eta, cfg)
+                lhs = normalized_lhs(case, n, zeta, eta)
                 tgt = limit_target(case, zeta, eta)
                 err = abs(lhs - tgt)
                 records.append((n, zeta, eta, lhs, tgt, err))
@@ -215,8 +212,7 @@ def convergence_study(case: TheoremCase,
 
 
 def ratio_convergence_check(alpha: float, p: PotentialSpec, zeta,
-                            n_list=DEFAULT_N_LIST,
-                            cfg: CauchyEvalConfig = DEFAULT_CONFIG) -> ConvergenceReport:
+                            n_list=DEFAULT_N_LIST) -> ConvergenceReport:
     """2 pi i gamma^2 (zeta - eta) W_II at eta = zeta after origin scaling.
 
     The value is identically 1 at every finite n (it is the average of a
@@ -233,7 +229,7 @@ def ratio_convergence_check(alpha: float, p: PotentialSpec, zeta,
     for n in n_list:
         t = _cached_table(alpha, p.coeffs, n)
         zs = zeta / (n * eq.psi0)
-        core = w_kernel_times_gap(KernelFamily.II, t, 0, zs, zs, cfg)
+        core = w_kernel_times_gap(KernelFamily.II, t, 0, zs, zs)
         val = (ScaledComplex.from_parts(2j * _PI, t.log_gamma_sq(n - 1)) * core).to_complex()
         values.append(val)
         errors.append(abs(val - 1.0))

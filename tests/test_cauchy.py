@@ -6,23 +6,36 @@ from scipy.integrate import quad
 
 from rmtkernels.cauchy import (
     CauchyDomainError,
-    CauchyEvalConfig,
     cauchy_transform,
     cauchy_transform_derivative,
     plemelj_jump_check,
-    second_kind_recurrence,
 )
 from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence
 from rmtkernels.quadrature import legendre_panel
+from rmtkernels.scaled import ScaledComplex
 
 V_X2 = PotentialSpec((0.0, 0.0, 1.0))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        CauchyEvalConfig(panel_budget=8)
-    with pytest.raises(ValueError):
-        CauchyEvalConfig(near_axis_threshold=0.0)
+def second_kind_recurrence(t, z, jmax):
+    """q_j(z), j = 0..jmax, by the forward recurrence seeded with quadrature q_0.
+
+    Not an independent reference: q_0 is cauchy_transform's own value.  It
+    checks the higher degrees for moderate j; the forward direction is
+    unstable for j beyond ~n/2 near the support.
+    """
+    q_prev = cauchy_transform(t, 0, z)
+    out = [q_prev]
+    if jmax == 0:
+        return out
+    m0 = ScaledComplex.from_parts(-0.5j / math.pi, t.log_norm_sq[0])
+    q_cur = m0 + ScaledComplex.from_complex(z - t.a[0]) * q_prev
+    out.append(q_cur)
+    for k in range(1, jmax):
+        q_nxt = ScaledComplex.from_complex(z - t.a[k]) * q_cur - t.b[k] * q_prev
+        q_prev, q_cur = q_cur, q_nxt
+        out.append(q_cur)
+    return out
 
 
 def test_domain_and_range_errors(table_gauss_n1):

@@ -85,6 +85,46 @@ def _assert_one_error_line(err):
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def table_file(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    assert main(["recurrence", "--alpha", "0.3", "--potential", "0,0,2",
+                 "--n", "6", "--max-degree", "12", "--out", str(table)]) == EXIT_OK
+    capsys.readouterr()
+    return str(table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cauchy", "--table", "{table}", "--j", "20", "--z", "0.4,0.3"],
+    ["kernel", "--family", "I", "--table", "{table}", "--m", "9",
+     "--zeta", "0.3,0", "--eta", "0.2,0"],
+    ["cauchy", "--table", "{table}", "--j", "3", "--z", "0.3,0"],
+    ["kernel", "--family", "II", "--table", "{table}",
+     "--zeta", "0.3,0.2", "--eta", "0.3,0.2"],
+    ["recurrence", "--alpha", "-1", "--potential", "0,0,2", "--n", "4",
+     "--max-degree", "6"],
+    ["limit-kernel", "--kernel", "II+", "--alpha", "0.3",
+     "--zeta", "0.5,-0.1", "--eta", "0.2,0"],
+    ["parametrix", "--alpha", "0.3", "--zeta", "0,0", "--sector", "1"],
+], ids=["cauchy-degree", "kernel-degree", "cauchy-real-z", "kernel-II-diagonal",
+        "recurrence-alpha", "limit-kernel-half-plane", "parametrix-origin"])
+def test_domain_error_is_usage_error(argv, table_file, capsys):
+    argv = [a.replace("{table}", table_file) for a in argv]
+    assert main(argv) == EXIT_USAGE
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_tampered_table_rejected(table_file, capsys):
+    with open(table_file) as fh:
+        doc = json.load(fh)
+    doc["b"][5] *= 1.001
+    with open(table_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["cauchy", "--table", table_file, "--j", "3",
+                 "--z", "0.4,0.3"]) == EXIT_USAGE
+    assert "stored b" in capsys.readouterr().err
+
+
 def test_oracle_beyond_cap_is_tolerance_error(capsys):
     assert main(["oracle", "--check", "heine", "--n", "4", "--alpha", "0",
                  "--potential", "0,0,1"]) == EXIT_TOLERANCE
@@ -154,6 +194,8 @@ def test_config_file_preloads_flags(tmp_path, capsys):
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nonsense": 1}))
-    assert main(["--config", str(cfg), "specfun-selftest"]) == EXIT_USAGE
-    assert "unknown config key" in capsys.readouterr().err
+    # seed and grid were flags that did nothing; they are unknown keys now
+    for key in ("nonsense", "seed", "grid"):
+        cfg.write_text(json.dumps({key: 1}))
+        assert main(["--config", str(cfg), "specfun-selftest"]) == EXIT_USAGE
+        assert "unknown config key" in capsys.readouterr().err

@@ -33,6 +33,15 @@ def test_domain_errors(table_n6):
         w_kernel(KernelFamily.I, table_n6, 99, 0.5, 0.1)
 
 
+def test_family_II_pole_on_diagonal(table_n6):
+    # W_II has a simple pole at zeta = eta; only (zeta - eta) W_II is finite there
+    t = table_n6
+    zeta = 0.3 + 0.2j
+    with pytest.raises(CauchyDomainError, match="w_kernel_times_gap"):
+        w_kernel(KernelFamily.II, t, 0, zeta, zeta)
+    assert w_kernel_times_gap(KernelFamily.II, t, 0, zeta, zeta).log_abs() > -math.inf
+
+
 def test_confluence_continuity(table_n6):
     # quotient and derivative forms agree across the switching annulus
     # quotient form at separation g vs derivative form at the midpoint: the

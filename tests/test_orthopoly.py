@@ -15,6 +15,7 @@ from rmtkernels.orthopoly import (
     eval_weight,
     monic_values_scaled,
 )
+from rmtkernels.scaled import ScaledComplex
 
 V_X2 = PotentialSpec((0.0, 0.0, 1.0))
 V_2X2 = PotentialSpec((0.0, 0.0, 2.0))
@@ -120,10 +121,13 @@ def test_monic_degree_two_at_zero(table_gauss_n1):
 
 
 def test_monic_leading_behavior(table_gauss_n1):
-    z = 1e6
-    for j in (3, 6):
-        ratio = eval_monic(table_gauss_n1, j, z) / ScaledPow(z, j)
-        assert abs(ratio.to_complex() - 1.0) < 1e-5
+    # at 1e200, pi_1 = z - a_0 must be rescaled before it is multiplied by z
+    for z in (1e6, 1e200):
+        for j in (3, 6):
+            ratio = eval_monic(table_gauss_n1, j, z) / ScaledPow(z, j)
+            assert abs(ratio.to_complex() - 1.0) < 1e-5
+            d = eval_monic_derivative(table_gauss_n1, j, z) / ScaledPow(z, j - 1)
+            assert abs(d.to_complex() - j) < 1e-4
 
 
 def ScaledPow(z, j):
@@ -156,15 +160,55 @@ def test_derivative_vs_finite_difference(table_a03_n8):
             )
 
 
+def _scalar_recurrence(t, j, z):
+    """(pi_j(z), pi'_j(z)) by the forward recurrence, one ScaledComplex per step.
+
+    Reference for the vectorized evaluator: every step is normalized on its
+    own, so it shares no scaling logic with monic_values_scaled.
+    """
+    z = complex(z)
+    if j == 0:
+        return ScaledComplex.one(), ScaledComplex.zero()
+    p_prev, p_cur = ScaledComplex.one(), ScaledComplex.from_complex(z - t.a[0])
+    d_prev, d_cur = ScaledComplex.zero(), ScaledComplex.one()
+    for k in range(1, j):
+        zm = ScaledComplex.from_complex(z - t.a[k])
+        d_nxt = p_cur + zm * d_cur - t.b[k] * d_prev
+        p_nxt = zm * p_cur - t.b[k] * p_prev
+        p_prev, p_cur = p_cur, p_nxt
+        d_prev, d_cur = d_cur, d_nxt
+    return p_cur, d_cur
+
+
 def test_vectorized_matches_scalar(table_a03_n8):
     t = table_a03_n8
-    xs = np.array([-1.2, -0.3, 0.2, 0.9])
-    out = monic_values_scaled(t, [0, 3, 9], xs)
-    for j, (vals, s) in out.items():
-        for x, v in zip(xs, vals):
-            assert v * math.exp(s) == pytest.approx(
-                eval_monic(t, j, x).to_complex(), rel=1e-12, abs=1e-12
-            )
+    xs = np.array([-1.2, -0.3, 0.2, 0.9, 0.5 + 0.4j])
+    for derivative in (False, True):
+        out = monic_values_scaled(t, [0, 3, 9, 16], xs, derivative=derivative)
+        assert sorted(out) == [0, 3, 9, 16]
+        for j, res in out.items():
+            vals, s = res[0], res[-1]
+            for i, x in enumerate(xs):
+                p, d = _scalar_recurrence(t, j, x)
+                assert vals[i] * math.exp(s) == pytest.approx(
+                    p.to_complex(), rel=1e-12, abs=1e-12
+                )
+                if derivative:
+                    assert res[1][i] * math.exp(s) == pytest.approx(
+                        d.to_complex(), rel=1e-12, abs=1e-12
+                    )
+
+
+def test_appell_derivative_identity():
+    # alpha = 0, V = x^2: scaled Hermite polynomials, so pi'_j = j pi_{j-1};
+    # at z = 1e5+3e4i, log|pi'_72| is about 825, past double range, so value
+    # and derivative must share the evaluator's rescaling
+    t = build_recurrence(WeightSpec(0.0, 64, V_X2), 72)
+    for z in (0.05 + 0.01j, 1 - 0.5j, 1e5 + 3e4j):
+        for j in (1, 2, 37, 71, 72):
+            d = eval_monic_derivative(t, j, z)
+            want = j * eval_monic(t, j - 1, z)
+            assert abs(((d - want) / want).to_complex()) < 1e-12
 
 
 def test_precision_error_on_excessive_degree():
