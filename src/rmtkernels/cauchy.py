@@ -6,6 +6,12 @@ geometric-series cancellation for |z| large is then inherited to rounding
 accuracy.  Near the real axis the base panels around Re z are replaced by
 panels refined geometrically down to width |Im z|/4, so the quadrature
 resolves the near-pole without principal-value machinery.
+
+Each transform is checked by computing the refined local part twice, at two
+refinements; the sum over the kept base nodes does not depend on the
+refinement and is computed once for both.  It reads pi_j on the whole grid
+from the table's cache, so the recurrence runs over the grid once per
+degree and table, not once per point.
 """
 
 from __future__ import annotations
@@ -32,20 +38,7 @@ class CauchyConvergenceError(RuntimeError):
     pass
 
 
-def _local_region(t: RecurrenceTable, x0: float, halfwidth: float):
-    """Base panels overlapping [x0 - hw, x0 + hw]; returns (kept mask, lo, hi)."""
-    g = t.grid
-    keep = np.ones(g.x.size, dtype=bool)
-    lo = hi = None
-    for p in g.panels:
-        if p.b >= x0 - halfwidth and p.a <= x0 + halfwidth:
-            keep[p.start:p.stop] = False
-            lo = p.a if lo is None else min(lo, p.a)
-            hi = p.b if hi is None else max(hi, p.b)
-    return keep, lo, hi
-
-
-def _refined_nodes(t: RecurrenceTable, lo, hi, x0, min_width, order):
+def _refined_nodes(lo, hi, x0, min_width, order):
     """Panels on [lo, hi] refined geometrically toward x0 (and split at 0)."""
     breaks = {lo, hi}
     if lo <= 0.0 <= hi:
@@ -64,15 +57,21 @@ def _refined_nodes(t: RecurrenceTable, lo, hi, x0, min_width, order):
         while cur > min_width:
             cur *= 0.5
             breaks.add(x0 + math.copysign(cur, side_end - x0))
-    edges = sorted(breaks)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
-        xn, wn = legendre_panel(a, b, order)
-        xs.append(xn)
-        ws.append(wn)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.array(sorted(breaks))
+    a, b = edges[:-1, None], edges[1:, None]
+    # every panel at once: one row of legendre_panel's nodes per panel
+    xn, wn = legendre_panel(a, b, order)
+    return xn.ravel(), wn.ravel()
+
+
+def _grid_column(t: RecurrenceTable, j: int):
+    """pi_j on the table's whole grid as (values, log_scale), computed once per table."""
+    def compute():
+        vals, s = monic_values_scaled(t, [j], t.grid.x)[j]
+        vals.setflags(write=False)
+        return vals, s
+
+    return t.memo(("grid", j), compute)
 
 
 def _quad_sum(values, log_weights, qw, kernel):
@@ -86,57 +85,67 @@ def _quad_sum(values, log_weights, qw, kernel):
     return complex(np.sum(terms)), float(np.sum(np.abs(terms))), lw_max
 
 
-def _transform(t: RecurrenceTable, j: int, z: complex,
-               power: int, order: int, width_divisor: float) -> ScaledComplex:
+def _near_region(t: RecurrenceTable, z: complex):
+    """(kept base-node mask, (lo, hi) of the base panels to refine, or None) for z."""
     g = t.grid
-    w = t.weight
+    keep = np.ones(g.x.size, dtype=bool)
     d = abs(z.imag)
     dense_width = g.dense_hi - g.dense_lo
-    x0 = z.real
-
     near = (
-        g.dense_lo - 0.2 * dense_width < x0 < g.dense_hi + 0.2 * dense_width
+        g.dense_lo - 0.2 * dense_width < z.real < g.dense_hi + 0.2 * dense_width
         and d < _NEAR_AXIS_THRESHOLD * dense_width
     )
+    if not near:
+        return keep, None
+    halfwidth = max(4.0 * d, 1.5 * dense_width / max(len(g.panels), 8))
+    hit = [p for p in g.panels if p.b >= z.real - halfwidth and p.a <= z.real + halfwidth]
+    for p in hit:
+        keep[p.start:p.stop] = False
+    return keep, ((min(p.a for p in hit), max(p.b for p in hit)) if hit else None)
 
+
+def _base_sum(t: RecurrenceTable, j: int, z: complex, power: int, keep):
+    """The kept base nodes' part of the sum, as [(value, mass, log scale)] or []."""
+    g = t.grid
+    if not keep.any():
+        return []
+    vals, s = _grid_column(t, j)
+    xb = g.x[keep]
+    kern = 1.0 / (xb - z) ** power
+    val, amp, lg = _quad_sum(vals[keep], g.logw[keep], g.qw[keep], kern)
+    return [(val, amp, lg + s)]
+
+
+def _local_sum(t: RecurrenceTable, j: int, z: complex, power: int, region,
+               order: int, width_divisor: float):
+    """The refined panels' part of the sum, as [(value, mass, log scale)] or []."""
+    if region is None:
+        return []
+    w = t.weight
+    xl, wl = _refined_nodes(*region, z.real, max(abs(z.imag) / width_divisor, 1e-14), order)
+    vals, s = monic_values_scaled(t, [j], xl)[j]
+    logw = 2.0 * w.alpha * np.log(np.abs(xl)) - w.n * w.potential(xl)
+    kern = 1.0 / (xl - z) ** power
+    val, amp, lg = _quad_sum(vals, logw, wl, kern)
+    return [(val, amp, lg + s)]
+
+
+def _combine(parts, power: int):
+    """Adds (value, mass, log scale) parts in order; returns (h, log of the absolute mass)."""
     total = 0j
     mass = 0.0
     total_log = -math.inf
-
-    def accumulate(val, amp, lg):
-        nonlocal total, mass, total_log
+    for val, amp, lg in parts:
         if val == 0 and amp == 0:
-            return
+            continue
         if mass == 0:
             total, mass, total_log = val, amp, lg
-            return
-        if lg > total_log:
+        elif lg > total_log:
             shift = math.exp(total_log - lg)
             total, mass, total_log = total * shift + val, mass * shift + amp, lg
         else:
             shift = math.exp(lg - total_log)
             total, mass = total + val * shift, mass + amp * shift
-
-    if near:
-        halfwidth = max(4.0 * d, 1.5 * dense_width / max(len(g.panels), 8))
-        keep, lo, hi = _local_region(t, x0, halfwidth)
-        if lo is not None:
-            xl, wl = _refined_nodes(t, lo, hi, x0, max(d / width_divisor, 1e-14), order)
-            vals, s = monic_values_scaled(t, [j], xl)[j]
-            logw = 2.0 * w.alpha * np.log(np.abs(xl)) - w.n * w.potential(xl)
-            kern = 1.0 / (xl - z) ** power
-            val, amp, lg = _quad_sum(vals, logw, wl, kern)
-            accumulate(val, amp, lg + s)
-    else:
-        keep = np.ones(g.x.size, dtype=bool)
-
-    xb = g.x[keep]
-    if xb.size:
-        vals, s = monic_values_scaled(t, [j], xb)[j]
-        kern = 1.0 / (xb - z) ** power
-        val, amp, lg = _quad_sum(vals, g.logw[keep], g.qw[keep], kern)
-        accumulate(val, amp, lg + s)
-
     pref = _INV_2PI_I * (1.0 if power == 1 else float(power - 1))
     mass_log = total_log + (math.log(mass * abs(pref)) if mass > 0 else -math.inf)
     return ScaledComplex.from_parts(total * pref, total_log), mass_log
@@ -157,9 +166,13 @@ def _transform_checked(t, j, z, power):
     if z.imag == 0.0:
         raise CauchyDomainError("Cauchy transform requires Im z != 0")
     _check_degree(t, j)
-    coarse, _ = _transform(t, j, z, power, order=_PANEL_BUDGET, width_divisor=4.0)
-    fine, mass_log = _transform(t, j, z, power, order=_PANEL_BUDGET + 8,
-                                width_divisor=8.0)
+    keep, region = _near_region(t, z)
+    # the kept base nodes do not depend on the refinement, so both passes share their sum
+    base = _base_sum(t, j, z, power, keep)
+    coarse, _ = _combine(
+        _local_sum(t, j, z, power, region, _PANEL_BUDGET, 4.0) + base, power)
+    fine, mass_log = _combine(
+        _local_sum(t, j, z, power, region, _PANEL_BUDGET + 8, 8.0) + base, power)
     diff_log = (coarse - fine).log_abs()
     # near a zero of h_j no quadrature reaches pure relative accuracy, so the
     # comparison scale is floored by a small multiple of the absolute mass

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 from .orthopoly import PotentialSpec
 from .quadrature import legendre_panel
@@ -43,6 +42,8 @@ class EquilibriumMeasure:
 
     def psi(self, x):
         """Equilibrium density on (b0, a1); zero outside."""
+        from scipy import special as _sp  # on first use: importing the package stays scipy-free
+
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.radius
         inside = np.abs(u) <= 1.0

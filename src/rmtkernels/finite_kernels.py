@@ -42,15 +42,18 @@ def confluence_threshold(zeta: complex) -> float:
 
 
 def _values(family: KernelFamily, t, deg, z, side, derivative=False):
-    """F_deg(z) for the function family owning the given kernel slot."""
+    """F_deg(z) for the function family owning the given kernel slot.
+
+    Each value is computed once per table: it is cached on ``t`` under
+    (kind, derivative, degree, z), so a kernel grid evaluates every column
+    once per point instead of once per pair.
+    """
     use_h = (family is KernelFamily.II and side == 0) or family is KernelFamily.III
     if use_h:
-        if derivative:
-            return cauchy_transform_derivative(t, deg, z)
-        return cauchy_transform(t, deg, z)
-    if derivative:
-        return eval_monic_derivative(t, deg, z)
-    return eval_monic(t, deg, z)
+        fn = cauchy_transform_derivative if derivative else cauchy_transform
+    else:
+        fn = eval_monic_derivative if derivative else eval_monic
+    return t.memo(("h" if use_h else "pi", derivative, deg, z), lambda: fn(t, deg, z))
 
 
 def _degrees(family: KernelFamily, t: RecurrenceTable, m: int, zeta: complex, eta: complex):

@@ -14,7 +14,7 @@ evaluator, :func:`monic_values_scaled`, which carries a shared log scale;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,9 +100,13 @@ def eval_weight(w: WeightSpec, x: float) -> ScaledComplex:
     return ScaledComplex.from_parts(1.0, log_scale)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecurrenceTable:
-    """Monic recurrence pi_{j+1} = (x - a_j) pi_j - b_j pi_{j-1}, with norms in log form."""
+    """Monic recurrence pi_{j+1} = (x - a_j) pi_j - b_j pi_{j-1}, with norms in log form.
+
+    The arrays are read-only, so values derived from them and cached on the
+    table by :meth:`memo` cannot go stale.
+    """
 
     weight: WeightSpec
     max_degree: int
@@ -111,6 +115,15 @@ class RecurrenceTable:
     log_norm_sq: np.ndarray    # log ||pi_j||^2, j = 0..K
     grid: WeightGrid
     orthogonality_residual: float = 0.0
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key, compute):
+        """compute() cached on this table under ``key``; a raised error is not cached."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     def log_gamma_sq(self, j: int) -> float:
         """log gamma_j^2 = -log ||pi_j||^2 (orthonormal leading coefficient squared)."""
@@ -180,6 +193,8 @@ def build_recurrence(
             f"orthogonality residual {residual:.3e} at degrees ({i},{j}) "
             f"exceeds 1e-7; increase the quadrature budget or lower max_degree"
         )
+    for arr in (a, b, log_norm_sq):
+        arr.setflags(write=False)
 
     return RecurrenceTable(
         weight=w,

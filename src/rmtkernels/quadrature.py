@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 
 @functools.lru_cache(maxsize=256)
@@ -26,8 +25,21 @@ def _leggauss(order: int):
 
 @functools.lru_cache(maxsize=256)
 def _jacgauss(order: int, beta: float):
-    # nodes/weights for integral over [-1,1] of (1+t)^beta f(t)
-    return _sp.roots_jacobi(order, 0.0, beta)
+    """Nodes/weights for the integral over [-1, 1] of (1+t)^beta f(t).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials P^(0, beta), the weights mu_0 times the squared first
+    components of its eigenvectors.
+    """
+    k = np.arange(1, order, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.empty(order)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = np.sqrt(4.0 * k * k * (k + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (beta + 1.0) / (beta + 1.0)
+    return x, mu0 * v[0] ** 2
 
 
 def legendre_panel(a: float, b: float, order: int):
@@ -117,7 +129,7 @@ def build_weight_grid(
 
     def push_leg(a, b, p_order):
         x, w = legendre_panel(a, b, p_order)
-        start = sum(len(c) for c in xs)
+        start = panels[-1].stop if panels else 0
         xs.append(x)
         ws.append(w)
         lws.append(2.0 * alpha * np.log(np.abs(x)) - n * v(x))
@@ -132,7 +144,7 @@ def build_weight_grid(
         if d < 0:
             x = -x[::-1]
             qw = qw[::-1]
-        start = sum(len(c) for c in xs)
+        start = panels[-1].stop if panels else 0
         xs.append(x)
         ws.append(qw)
         lws.append(-n * v(x))
@@ -162,6 +174,8 @@ def build_weight_grid(
     x = np.concatenate(xs)
     qw = np.concatenate(ws)
     logw = np.concatenate(lws)
+    for arr in (x, qw, logw):
+        arr.setflags(write=False)
     panels.sort(key=lambda p: p.a)
     return WeightGrid(x=x, qw=qw, logw=logw, panels=panels,
                       lo=lo, hi=hi, dense_lo=lo_d, dense_hi=hi_d)

@@ -13,7 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
+
+
+def _sp():
+    """scipy.special, imported on first use so that importing the package does not load scipy."""
+    from scipy import special
+
+    return special
 
 
 class SpecfunDomainError(ValueError):
@@ -54,38 +60,38 @@ def bessel_j(order, z) -> complex:
         if nu < 0:
             raise SpecfunDomainError("J_nu(0) undefined for nu < 0")
         return 1 + 0j if nu == 0 else 0j
-    return complex(_sp.jv(nu, z))
+    return complex(_sp().jv(nu, z))
 
 
 def bessel_y(order, z) -> complex:
     """Y_nu(z) for z off (-inf, 0]."""
     nu = _nu(order)
     z = _check_z(z, avoid_cut=True)
-    return complex(_sp.yv(nu, z))
+    return complex(_sp().yv(nu, z))
 
 
 def hankel1(order, z) -> complex:
     nu = _nu(order)
     z = _check_z(z, avoid_cut=True)
-    return complex(_sp.hankel1(nu, z))
+    return complex(_sp().hankel1(nu, z))
 
 
 def hankel2(order, z) -> complex:
     nu = _nu(order)
     z = _check_z(z, avoid_cut=True)
-    return complex(_sp.hankel2(nu, z))
+    return complex(_sp().hankel2(nu, z))
 
 
 def bessel_i(order, z) -> complex:
     nu = _nu(order)
     z = _check_z(z, avoid_cut=False)
-    return complex(_sp.iv(nu, z))
+    return complex(_sp().iv(nu, z))
 
 
 def bessel_k(order, z) -> complex:
     nu = _nu(order)
     z = _check_z(z, avoid_cut=True)
-    return complex(_sp.kv(nu, z))
+    return complex(_sp().kv(nu, z))
 
 
 def bessel_j_derivative(order, z) -> complex:
@@ -121,7 +127,7 @@ def bessel_j_series(nu: float, z: complex, terms: int = 60) -> complex:
     # principal branch of (z/2)^nu
     import cmath
 
-    prefactor = cmath.exp(nu * cmath.log(half)) / _sp.gamma(nu + 1.0)
+    prefactor = cmath.exp(nu * cmath.log(half)) / _sp().gamma(nu + 1.0)
     total = 0j
     term = 1 + 0j
     q = half * half

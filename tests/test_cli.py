@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmtkernels
 from rmtkernels import cli
 from rmtkernels.cauchy import CauchyConvergenceError
 from rmtkernels.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
@@ -199,3 +204,21 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         cfg.write_text(json.dumps({key: 1}))
         assert main(["--config", str(cfg), "specfun-selftest"]) == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
+
+
+def test_cold_start_does_not_import_scipy():
+    # the CLI's cold start and a table build need numpy only
+    code = (
+        "import sys, rmtkernels\n"
+        "from rmtkernels import cli\n"
+        "from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence\n"
+        "cli.build_parser()\n"
+        "build_recurrence(WeightSpec(0.3, 4, PotentialSpec((0, 0, 2))), 8)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(rmtkernels.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from rmtkernels.cauchy import CauchyDomainError, cauchy_transform, plemelj_jump_check
+from rmtkernels.cauchy import (
+    CauchyConvergenceError,
+    CauchyDomainError,
+    cauchy_transform,
+    plemelj_jump_check,
+)
 from rmtkernels.finite_kernels import (
     KernelFamily,
     TWO_PI_I,
@@ -142,3 +147,14 @@ def test_kernel_schwarz_symmetry(table_n6):
     a = w_kernel(KernelFamily.III, t, 0, zeta.conjugate(), eta3.conjugate()).to_complex()
     b = w_kernel(KernelFamily.III, t, 0, zeta, eta3).to_complex().conjugate()
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_convergence_failure_is_not_cached():
+    # h_8(-2+i) fails the coarse/fine check at n = 8; a kernel that needs it
+    # must fail again on a repeated call, not return a cached value
+    t = build_recurrence(WeightSpec(0.0, 8, PotentialSpec((0.0, 0.0, 2.0))), 16)
+    for _ in range(2):
+        with pytest.raises(CauchyConvergenceError):
+            cauchy_transform(t, 8, -2 + 1j)
+        with pytest.raises(CauchyConvergenceError):
+            w_kernel(KernelFamily.III, t, 0, -2 + 1j, 0.5 - 0.3j)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -216,3 +217,13 @@ def test_precision_error_on_excessive_degree():
     with pytest.raises(PrecisionError):
         build_recurrence(WeightSpec(0.0, 2, V_X2), 200,
                          QuadratureConfig(dense_panels=8, order=6))
+
+
+def test_table_is_read_only(table_n8):
+    # values cached on a table cannot go stale: its arrays and fields are fixed
+    t = table_n8
+    for arr in (t.a, t.b, t.log_norm_sq, t.grid.x, t.grid.qw, t.grid.logw):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.max_degree = 3

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rmtkernels import finite_kernels, universality
 from rmtkernels.orthopoly import PotentialSpec
 from rmtkernels.universality import (
     Theorem,
@@ -119,3 +120,28 @@ def test_ratio_check_both_half_planes():
             assert v == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
         ratio_convergence_check(0.3, V_2X2, 0.5)
+
+
+def test_study_evaluates_each_cauchy_column_once(monkeypatch):
+    # family III needs h_{n-1} and h_n at every grid point: each value is
+    # computed once per table, and the cached values are the fresh ones
+    case = TheoremCase(Theorem.T3b, 0.3, V_2X2, n_list=(8, 16))
+    seen = []
+    compute = finite_kernels.cauchy_transform
+
+    def counting(t, j, z):
+        seen.append((id(t), j, complex(z)))
+        return compute(t, j, z)
+
+    monkeypatch.setattr(finite_kernels, "cauchy_transform", counting)
+    universality._cached_table.cache_clear()
+    rep = convergence_study(case)
+    points = len(case.zeta_grid) + len(case.eta_grid)
+    assert len(set(seen)) == len(seen) == len(case.n_list) * 2 * points
+
+    fresh = []
+    for n, zeta, eta, *_ in rep.records:
+        universality._cached_table.cache_clear()
+        fresh.append(normalized_lhs(case, n, zeta, eta))
+    assert fresh == [r[3] for r in rep.records]
+    universality._cached_table.cache_clear()
