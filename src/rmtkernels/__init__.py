@@ -17,7 +17,12 @@ from .orthopoly import (
     eval_weight,
 )
 from .scaled import ScaledComplex
-from .cauchy import cauchy_transform, cauchy_transform_derivative, plemelj_jump_check
+from .cauchy import (
+    cauchy_transform,
+    cauchy_transform_derivative,
+    cauchy_transforms,
+    plemelj_jump_check,
+)
 from .finite_kernels import KernelFamily, YColumns, w_kernel, y_matrix
 from .bessel_limits import LimitKernelId, limit_kernel
 from .equilibrium import EquilibriumMeasure, solve_equilibrium, variational_residuals
@@ -50,6 +55,7 @@ __all__ = [
     "build_recurrence",
     "cauchy_transform",
     "cauchy_transform_derivative",
+    "cauchy_transforms",
     "check_gamma2_jump",
     "convergence_study",
     "eval_monic",

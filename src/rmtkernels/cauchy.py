@@ -11,7 +11,14 @@ Each transform is checked by computing the refined local part twice, at two
 refinements; the sum over the kept base nodes does not depend on the
 refinement and is computed once for both.  It reads pi_j on the whole grid
 from the table's cache, so the recurrence runs over the grid once per
-degree and table, not once per point.
+degree and table, not once per point.  :func:`cauchy_transforms` evaluates
+several degrees at one point: one local recurrence over the coarse and the
+fine refined nodes together serves both refinements and every degree.
+
+Off the near branch (Re z more than 0.2 dense widths outside the dense
+interval, or |Im z| at least 0.3 dense widths) nothing is refined, so both
+passes are the same base-grid sum and the check compares nothing there: a
+pole that the tail panels do not resolve passes unchecked.
 """
 
 from __future__ import annotations
@@ -116,18 +123,29 @@ def _base_sum(t: RecurrenceTable, j: int, z: complex, power: int, keep):
     return [(val, amp, lg + s)]
 
 
-def _local_sum(t: RecurrenceTable, j: int, z: complex, power: int, region,
-               order: int, width_divisor: float):
-    """The refined panels' part of the sum, as [(value, mass, log scale)] or []."""
+def _local_sums(t: RecurrenceTable, degrees, z: complex, power: int, region):
+    """The refined panels' part of the sum at both refinements, per degree.
+
+    Returns {j: (coarse part, fine part)}, each [(value, mass, log scale)],
+    or [] when nothing is refined.  One recurrence runs over the coarse and
+    the fine nodes together, for every degree.
+    """
     if region is None:
-        return []
+        return {j: ([], []) for j in degrees}
     w = t.weight
-    xl, wl = _refined_nodes(*region, z.real, max(abs(z.imag) / width_divisor, 1e-14), order)
-    vals, s = monic_values_scaled(t, [j], xl)[j]
+    xc, wc = _refined_nodes(*region, z.real, max(abs(z.imag) / 4.0, 1e-14), _PANEL_BUDGET)
+    xf, wf = _refined_nodes(*region, z.real, max(abs(z.imag) / 8.0, 1e-14), _PANEL_BUDGET + 8)
+    xl = np.concatenate([xc, xf])
     logw = 2.0 * w.alpha * np.log(np.abs(xl)) - w.n * w.potential(xl)
     kern = 1.0 / (xl - z) ** power
-    val, amp, lg = _quad_sum(vals, logw, wl, kern)
-    return [(val, amp, lg + s)]
+    coarse, fine = slice(0, xc.size), slice(xc.size, xl.size)
+
+    def part(vals, s, nodes, wl):
+        val, amp, lg = _quad_sum(vals[nodes], logw[nodes], wl, kern[nodes])
+        return [(val, amp, lg + s)]
+
+    return {j: (part(vals, s, coarse, wc), part(vals, s, fine, wf))
+            for j, (vals, s) in monic_values_scaled(t, degrees, xl).items()}
 
 
 def _combine(parts, power: int):
@@ -153,36 +171,45 @@ def _combine(parts, power: int):
 
 def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """h_j(z), including the 1/(2 pi i) prefactor; requires Im z != 0."""
-    return _transform_checked(t, j, z, power=1)
+    return cauchy_transforms(t, [j], z)[j]
 
 
 def cauchy_transform_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """d/dz h_j(z) = 1/(2 pi i) * integral pi_j w / (x-z)^2 dx."""
-    return _transform_checked(t, j, z, power=2)
+    return cauchy_transforms(t, [j], z, power=2)[j]
 
 
-def _transform_checked(t, j, z, power):
+def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
+    """{j: h_j(z)} for each j in ``degrees`` (h'_j(z) at ``power`` 2); requires Im z != 0.
+
+    Raises CauchyConvergenceError for the first degree whose coarse and fine
+    refinements disagree, so no degree is returned unchecked.
+    """
     z = complex(z)
     if z.imag == 0.0:
         raise CauchyDomainError("Cauchy transform requires Im z != 0")
-    _check_degree(t, j)
+    degrees = sorted(set(int(j) for j in degrees))
+    for j in degrees:
+        _check_degree(t, j)
     keep, region = _near_region(t, z)
-    # the kept base nodes do not depend on the refinement, so both passes share their sum
-    base = _base_sum(t, j, z, power, keep)
-    coarse, _ = _combine(
-        _local_sum(t, j, z, power, region, _PANEL_BUDGET, 4.0) + base, power)
-    fine, mass_log = _combine(
-        _local_sum(t, j, z, power, region, _PANEL_BUDGET + 8, 8.0) + base, power)
-    diff_log = (coarse - fine).log_abs()
-    # near a zero of h_j no quadrature reaches pure relative accuracy, so the
-    # comparison scale is floored by a small multiple of the absolute mass
-    scale_log = max(fine.log_abs(), mass_log + math.log(1e-9))
-    if math.isfinite(diff_log) and diff_log - scale_log > math.log(1e-6):
-        raise CauchyConvergenceError(
-            f"panel refinements disagree by {math.exp(min(diff_log - scale_log, 700)):.3e} "
-            f"relative at j={j}, z={z}"
-        )
-    return fine
+    local = _local_sums(t, degrees, z, power, region)
+    out = {}
+    for j in degrees:
+        # the kept base nodes do not depend on the refinement, so both passes share their sum
+        base = _base_sum(t, j, z, power, keep)
+        coarse, _ = _combine(local[j][0] + base, power)
+        fine, mass_log = _combine(local[j][1] + base, power)
+        diff_log = (coarse - fine).log_abs()
+        # near a zero of h_j no quadrature reaches pure relative accuracy, so the
+        # comparison scale is floored by a small multiple of the absolute mass
+        scale_log = max(fine.log_abs(), mass_log + math.log(1e-9))
+        if math.isfinite(diff_log) and diff_log - scale_log > math.log(1e-6):
+            raise CauchyConvergenceError(
+                f"panel refinements disagree by {math.exp(min(diff_log - scale_log, 700)):.3e} "
+                f"relative at j={j}, z={z}"
+            )
+        out[j] = fine
+    return out
 
 
 @dataclass

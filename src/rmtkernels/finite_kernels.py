@@ -11,8 +11,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cauchy import CauchyDomainError, cauchy_transform, cauchy_transform_derivative
-from .orthopoly import DegreeError, RecurrenceTable, eval_monic, eval_monic_derivative
+import numpy as np
+
+from .cauchy import CauchyDomainError, cauchy_transforms
+from .orthopoly import DegreeError, RecurrenceTable, monic_values_scaled
 from .scaled import ScaledComplex
 
 TWO_PI_I = 2j * 3.141592653589793
@@ -41,19 +43,31 @@ def confluence_threshold(zeta: complex) -> float:
     return 1e-4 * max(1.0, abs(zeta))
 
 
-def _values(family: KernelFamily, t, deg, z, side, derivative=False):
-    """F_deg(z) for the function family owning the given kernel slot.
-
-    Each value is computed once per table: it is cached on ``t`` under
-    (kind, derivative, degree, z), so a kernel grid evaluates every column
-    once per point instead of once per pair.
-    """
+def _kind(family: KernelFamily, side: int) -> str:
+    """"h" if the family's slot holds Cauchy transforms, "pi" if it holds polynomials."""
     use_h = (family is KernelFamily.II and side == 0) or family is KernelFamily.III
-    if use_h:
-        fn = cauchy_transform_derivative if derivative else cauchy_transform
+    return "h" if use_h else "pi"
+
+
+def _pair(t, kind, lo, hi, z, derivative=False):
+    """(F_lo(z), F_hi(z)) for the column ``kind`` ("pi" or "h"), or their derivatives.
+
+    Both degrees come from one evaluation: one recurrence for the polynomial
+    column, one :func:`cauchy_transforms` call for the Cauchy column.  The
+    pair is cached on ``t`` under (kind, derivative, (lo, hi), z), so a
+    kernel grid evaluates every column once per point instead of once per
+    pair of points.
+    """
+    if kind == "h":
+        def compute():
+            h = cauchy_transforms(t, (lo, hi), z, power=2 if derivative else 1)
+            return h[lo], h[hi]
     else:
-        fn = eval_monic_derivative if derivative else eval_monic
-    return t.memo(("h" if use_h else "pi", derivative, deg, z), lambda: fn(t, deg, z))
+        def compute():
+            cols = monic_values_scaled(t, (lo, hi), np.array([z]), derivative=derivative)
+            # (values, log scale), or (values, derivatives, log scale)
+            return tuple(ScaledComplex.from_parts(c[-2][0], c[-1]) for c in (cols[lo], cols[hi]))
+    return t.memo((kind, derivative, (lo, hi), z), compute)
 
 
 def _degrees(family: KernelFamily, t: RecurrenceTable, m: int, zeta: complex, eta: complex):
@@ -71,8 +85,9 @@ def _degrees(family: KernelFamily, t: RecurrenceTable, m: int, zeta: complex, et
 
 def _numerator_terms(family, t, hi, lo, zeta, eta):
     """F_hi(zeta) G_lo(eta) and F_lo(zeta) G_hi(eta); the numerator is their difference."""
-    return (_values(family, t, hi, zeta, 0) * _values(family, t, lo, eta, 1),
-            _values(family, t, lo, zeta, 0) * _values(family, t, hi, eta, 1))
+    f_lo, f_hi = _pair(t, _kind(family, 0), lo, hi, zeta)
+    g_lo, g_hi = _pair(t, _kind(family, 1), lo, hi, eta)
+    return f_hi * g_lo, f_lo * g_hi
 
 
 def w_kernel(family: KernelFamily, t: RecurrenceTable, m: int, zeta, eta) -> ScaledComplex:
@@ -99,10 +114,8 @@ def w_kernel(family: KernelFamily, t: RecurrenceTable, m: int, zeta, eta) -> Sca
 
 def _confluent(family, t, hi, lo, zeta) -> ScaledComplex:
     """Diagonal limit F'_{hi} F_{lo} - F'_{lo} F_{hi} at zeta."""
-    f_hi = _values(family, t, hi, zeta, 0)
-    f_lo = _values(family, t, lo, zeta, 0)
-    d_hi = _values(family, t, hi, zeta, 0, derivative=True)
-    d_lo = _values(family, t, lo, zeta, 0, derivative=True)
+    f_lo, f_hi = _pair(t, _kind(family, 0), lo, hi, zeta)
+    d_lo, d_hi = _pair(t, _kind(family, 0), lo, hi, zeta, derivative=True)
     return d_hi * f_lo - d_lo * f_hi
 
 
@@ -122,10 +135,7 @@ def y_matrix(t: RecurrenceTable, m: int, z) -> YColumns:
     hi, lo = n + m, n + m - 1
     if z.imag == 0.0:
         raise CauchyDomainError("second column of Y needs Im z != 0")
+    p_lo, p_hi = _pair(t, "pi", lo, hi, z)
+    h_lo, h_hi = _pair(t, "h", lo, hi, z)
     factor = ScaledComplex.from_parts(-TWO_PI_I, t.log_gamma_sq(lo))
-    return YColumns(
-        y11=eval_monic(t, hi, z),
-        y21=factor * eval_monic(t, lo, z),
-        y12=cauchy_transform(t, hi, z),
-        y22=factor * cauchy_transform(t, lo, z),
-    )
+    return YColumns(y11=p_hi, y21=factor * p_lo, y12=h_hi, y22=factor * h_lo)

@@ -59,11 +59,14 @@ class PotentialSpec:
     def poly(self) -> np.polynomial.Polynomial:
         return np.polynomial.Polynomial(self.coeffs)
 
+    # np.polynomial is looked up per call: numpy loads it lazily, and
+    # importing it with the package would add to every CLI cold start
     def __call__(self, x):
-        return self.poly()(x)
+        return np.polynomial.polynomial.polyval(x, self.coeffs)
 
     def derivative(self, x):
-        return self.poly().deriv()(x)
+        P = np.polynomial.polynomial
+        return P.polyval(x, P.polyder(self.coeffs))
 
 
 @dataclass(frozen=True)

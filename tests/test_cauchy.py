@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rmtkernels import cauchy
 from rmtkernels.cauchy import (
+    CauchyConvergenceError,
     CauchyDomainError,
     cauchy_transform,
     cauchy_transform_derivative,
+    cauchy_transforms,
     plemelj_jump_check,
 )
+from rmtkernels.finite_kernels import KernelFamily, w_kernel
 from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence
 from rmtkernels.quadrature import legendre_panel
 from rmtkernels.scaled import ScaledComplex
 
 V_X2 = PotentialSpec((0.0, 0.0, 1.0))
+V_2X2 = PotentialSpec((0.0, 0.0, 2.0))
 
 
 def second_kind_recurrence(t, z, jmax):
@@ -43,6 +48,35 @@ def test_domain_and_range_errors(table_gauss_n1):
         cauchy_transform(table_gauss_n1, 0, 0.5)
     with pytest.raises(IndexError):
         cauchy_transform(table_gauss_n1, 99, 1j)
+
+
+def test_degrees_together_match_single_degree_calls():
+    # one local recurrence for both degrees and both refinements returns what
+    # one call per degree returns, and a failing degree fails the whole call
+    near_origin, bulk_far, off_bulk = 0.01 + 0.005j, 0.3 + 1.5j, 2.5 + 0.1j
+    for alpha in (0.0, 0.3):
+        t = build_recurrence(WeightSpec(alpha, 8, V_2X2), 16)
+        assert cauchy._near_region(t, near_origin)[1] is not None
+        assert cauchy._near_region(t, bulk_far)[1] is None
+        assert cauchy._near_region(t, off_bulk)[1] is not None
+        for z in (near_origin, bulk_far, off_bulk):
+            for power, single in ((1, cauchy_transform), (2, cauchy_transform_derivative)):
+                for j in (8, 9):
+                    pair = cauchy_transforms(t, [j - 1, j], z, power)
+                    assert sorted(pair) == [j - 1, j]
+                    for k in (j - 1, j):
+                        want = single(t, k, z)
+                        err = (pair[k] - want).log_abs() - want.log_abs()
+                        assert err < math.log(1e-13), (alpha, z, power, k, err)
+
+    t = build_recurrence(WeightSpec(0.0, 8, V_2X2), 16)
+    for _ in range(2):
+        with pytest.raises(CauchyConvergenceError, match="j=7"):
+            cauchy_transforms(t, [7, 8], -2 + 1j)
+        with pytest.raises(CauchyConvergenceError, match="j=8"):
+            cauchy_transforms(t, [8], -2 + 1j)
+        with pytest.raises(CauchyConvergenceError):
+            w_kernel(KernelFamily.III, t, 0, -2 + 1j, 0.5 - 0.3j)
 
 
 def test_h0_gaussian_far_field(table_gauss_n1):

@@ -207,12 +207,14 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_cold_start_does_not_import_scipy():
-    # the CLI's cold start and a table build need numpy only
+    # the CLI's cold start and a table build need numpy only, and the cold
+    # start does not load numpy's lazily imported polynomial package either
     code = (
         "import sys, rmtkernels\n"
         "from rmtkernels import cli\n"
         "from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence\n"
         "cli.build_parser()\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
         "build_recurrence(WeightSpec(0.3, 4, PotentialSpec((0, 0, 2))), 8)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )

@@ -123,21 +123,23 @@ def test_ratio_check_both_half_planes():
 
 
 def test_study_evaluates_each_cauchy_column_once(monkeypatch):
-    # family III needs h_{n-1} and h_n at every grid point: each value is
-    # computed once per table, and the cached values are the fresh ones
+    # family III needs h_{n-1} and h_n at every grid point: both come from one
+    # cauchy_transforms call per table and point, and the cached values are
+    # the fresh ones
     case = TheoremCase(Theorem.T3b, 0.3, V_2X2, n_list=(8, 16))
     seen = []
-    compute = finite_kernels.cauchy_transform
+    compute = finite_kernels.cauchy_transforms
 
-    def counting(t, j, z):
-        seen.append((id(t), j, complex(z)))
-        return compute(t, j, z)
+    def counting(t, degrees, z, power=1):
+        seen.append((id(t), tuple(degrees), complex(z), power))
+        return compute(t, degrees, z, power)
 
-    monkeypatch.setattr(finite_kernels, "cauchy_transform", counting)
+    monkeypatch.setattr(finite_kernels, "cauchy_transforms", counting)
     universality._cached_table.cache_clear()
     rep = convergence_study(case)
     points = len(case.zeta_grid) + len(case.eta_grid)
-    assert len(set(seen)) == len(seen) == len(case.n_list) * 2 * points
+    assert len(set(seen)) == len(seen) == len(case.n_list) * points
+    assert {(len(d), p) for _, d, _, p in seen} == {(2, 1)}
 
     fresh = []
     for n, zeta, eta, *_ in rep.records:
