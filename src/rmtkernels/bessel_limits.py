@@ -50,15 +50,19 @@ _DERIV = {bessel_j: bessel_j_derivative, hankel1: hankel1_derivative,
           hankel2: hankel2_derivative}
 
 
+# required half-plane of (zeta, eta): +1 upper, -1 lower, 0 unconstrained
+_HALF_PLANES = {
+    LimitKernelId.I: (0, 0),
+    LimitKernelId.II_plus: (+1, 0),
+    LimitKernelId.II_minus: (-1, 0),
+    LimitKernelId.III_plus: (+1, +1),
+    LimitKernelId.III_pm: (+1, -1),
+    LimitKernelId.III_minus: (-1, -1),
+}
+
+
 def _check_half_planes(kid: LimitKernelId, zeta: complex, eta: complex):
-    need = {
-        LimitKernelId.I: (0, 0),
-        LimitKernelId.II_plus: (+1, 0),
-        LimitKernelId.II_minus: (-1, 0),
-        LimitKernelId.III_plus: (+1, +1),
-        LimitKernelId.III_pm: (+1, -1),
-        LimitKernelId.III_minus: (-1, -1),
-    }[kid]
+    need = _HALF_PLANES[kid]
     for name, z, s in (("zeta", zeta, need[0]), ("eta", eta, need[1])):
         if z == 0:
             raise SpecfunDomainError(f"{name} must be nonzero")

@@ -1,24 +1,29 @@
 """Cauchy transforms h_j(z) = 1/(2 pi i) * integral of pi_j(x) w(x) / (x - z) dx.
 
-Evaluation reuses the node set of the recurrence table, which makes the
-discrete measure exactly orthogonal to the computed polynomials; the
-geometric-series cancellation for |z| large is then inherited to rounding
-accuracy.  Near the real axis the base panels around Re z are replaced by
-panels refined geometrically down to width |Im z|/4, so the quadrature
-resolves the near-pole without principal-value machinery.
+For a polynomial q of degree at most j, (q(x) - q(z))/(x - z) has degree
+below j and is orthogonal to pi_j (Gautschi, SIAM Rev. 9, 1967), so
+h_j(z) = S_j(z) / (2 pi i q(z)) with S_j the integral of pi_j q w / (x - z).
+Unlike pi_j w, pi_j q w does not cancel off the support.  q = pi_j alone
+gives 0/0 at a real zero of pi_j as Im z -> 0, so q = pi_j + i sigma
+sqrt(b_j) pi_{j-1}, sigma = sign Im z: by interlacing, Im(pi_j/pi_{j-1})
+has the sign of Im z, and q has no zero in z's half-plane.
 
-Each transform is checked by computing the refined local part twice, at two
-refinements; the sum over the kept base nodes does not depend on the
-refinement and is computed once for both.  It reads pi_j on the whole grid
-from the table's cache, so the recurrence runs over the grid once per
-degree and table, not once per point.  :func:`cauchy_transforms` evaluates
-several degrees at one point: one local recurrence over the coarse and the
-fine refined nodes together serves both refinements and every degree.
+S_j is summed over the table's grid.  A panel is near z when dist(z, panel)
+is below its width (Helsing & Ojala, J. Comput. Phys. 227, 2008).  Other
+panels are at least one width from z, so 1/(x - z) is analytic in the
+Bernstein ellipse rho = 2 + sqrt(5) around them and their Gauss rule of
+order p resolves it a priori, with error falling like rho^(-2p); that part
+is not checked.  Each near panel is halved toward Re z until the piece at z
+is no wider than its distance from z.  The piece with an end at 0 takes
+Gauss-Jacobi with exponent 2a; every other piece is at least its own width
+from 0, so no Gauss-Legendre piece sits against the |x|^(2a) kink.
 
-Off the near branch (Re z more than 0.2 dense widths outside the dense
-interval, or |Im z| at least 0.3 dense widths) nothing is refined, so both
-passes are the same base-grid sum and the check compares nothing there: a
-pole that the tail panels do not resolve passes unchecked.
+The check sums the refined pieces at Gauss orders 16 and 24 on the same
+breaks; their difference plus eps times the sum of absolute terms estimates
+the error, and above 1e-6 relative CauchyConvergenceError is raised.  One
+recurrence over the refined nodes and z serves every requested degree and
+j - 1.  The grid part reads the column qw e^(logw) pi_j q, cached per table,
+degree and sign of Im z; every part is summed under that column's scale.
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orthopoly import RecurrenceTable, _check_degree, eval_weight, monic_values_scaled
-from .quadrature import legendre_panel
+from .quadrature import jacobi_panel, legendre_panel
 from .scaled import ScaledComplex
 
 _INV_2PI_I = -0.5j / math.pi  # 1/(2 pi i), kept in the mantissa
-_PANEL_BUDGET = 16  # Gauss order on refined local panels (the check adds 8)
-_NEAR_AXIS_THRESHOLD = 0.3  # near-branch distance, as a fraction of the dense width
+_ORDERS = (16, 24)  # Gauss orders of the refined pieces: the check, then the sum
+_TOLERANCE = 1e-6  # relative error estimate above which a transform raises
+_EPS = float(np.finfo(float).eps)
 
 
 class CauchyDomainError(ValueError):
@@ -45,128 +51,86 @@ class CauchyConvergenceError(RuntimeError):
     pass
 
 
-def _refined_nodes(lo, hi, x0, min_width, order):
-    """Panels on [lo, hi] refined geometrically toward x0 (and split at 0)."""
-    breaks = {lo, hi}
-    if lo <= 0.0 <= hi:
-        # resolve the |x|^2a kink: geometric refinement toward 0 from both sides
-        breaks.add(0.0)
-        for side_end in (lo, hi):
-            cur = abs(side_end)
-            while cur > 1e-12:
-                cur *= 0.25
-                breaks.add(math.copysign(cur, side_end))
-    x0 = min(max(x0, lo), hi)
-    breaks.add(x0)
-    for side_end in (lo, hi):
-        width = abs(side_end - x0)
-        cur = width
-        while cur > min_width:
-            cur *= 0.5
-            breaks.add(x0 + math.copysign(cur, side_end - x0))
-    edges = np.array(sorted(breaks))
-    a, b = edges[:-1, None], edges[1:, None]
-    # every panel at once: one row of legendre_panel's nodes per panel
-    xn, wn = legendre_panel(a, b, order)
-    return xn.ravel(), wn.ravel()
+def _near_panels(t: RecurrenceTable, z: complex) -> np.ndarray:
+    """Indices of the grid panels nearer to z than their own width."""
+    a, b, _, _ = t.grid.panels
+    return np.flatnonzero(np.abs(z - np.clip(z.real, a, b)) < b - a)
 
 
-def _grid_column(t: RecurrenceTable, j: int):
-    """pi_j on the table's whole grid as (values, log_scale), computed once per table."""
+def _pieces(a: float, b: float, z: complex):
+    """[a, b] halved toward Re z until the piece at z is no wider than its distance from z.
+
+    Returns (x0, lo, hi) per piece, the piece being [x0 + lo, x0 + hi] with
+    x0 = Re z clamped to [a, b] (or 0, below).  The offsets keep their
+    relative accuracy on pieces narrower than the doubles near x0 resolve.
+    """
+    x0 = min(max(z.real, a), b)
+    d = abs(z - x0)
+    if 0.0 in (a, b) and abs(x0) < d:
+        # a piece [x0, x0 + d] would sit against the kink: halve toward 0
+        x0 = 0.0
+    offsets = [a - x0, 0.0, b - x0]
+    for end in (a - x0, b - x0):
+        c = abs(end)
+        while c > d:
+            c *= 0.5
+            offsets.append(math.copysign(c, end))
+    edges = np.array(sorted(set(offsets)))
+    return np.full(edges.size - 1, x0), edges[:-1], edges[1:]
+
+
+def _rule(x0, lo, hi, order: int, w):
+    """Order-``order`` Gauss rules on the pieces [x0 + lo, x0 + hi] as (x0, offset, qw, logw) per node.
+
+    A piece with an end at 0 is Gauss-Jacobi with |x|^(2a) in qw; the others
+    are Gauss-Legendre with 2a log|x| in logw.
+    """
+    kink = (x0 + lo == 0.0) | (x0 + hi == 0.0)
+    off, qw = legendre_panel(lo[~kink, None], hi[~kink, None], order)
+    base, off, qw = np.repeat(x0[~kink], order), off.ravel(), qw.ravel()
+    logw = 2.0 * w.alpha * np.log(np.abs(base + off))
+    for c, l, h in zip(x0[kink], lo[kink], hi[kink]):
+        xj, qj = jacobi_panel(c + (h if c + l == 0.0 else l), order, 2.0 * w.alpha)
+        base, off = np.concatenate([base, np.full(order, c)]), np.concatenate([off, xj - c])
+        qw, logw = np.concatenate([qw, qj]), np.concatenate([logw, np.zeros(order)])
+    return base, off, qw, logw - w.n * w.potential(base + off)
+
+
+def _q(t: RecurrenceTable, cols: dict, j: int, sigma: float, part: int = 0):
+    """q = pi_j + i sigma sqrt(b_j) pi_{j-1} (part 0) or q' (part 1) from ``cols``, in pi_j's scale."""
+    if j == 0:
+        return cols[0][part]
+    c = 1j * sigma * math.sqrt(t.b[j]) * math.exp(cols[j - 1][-1] - cols[j][-1])
+    return cols[j][part] + c * cols[j - 1][part]
+
+
+def _weighted(qw, logw, p, q, scale=None):
+    """(qw e^logw p q / e^scale, scale); scale defaults to the largest term's.
+
+    The exponent is taken per node, log|p q| included, so no factor underflows.
+    """
+    pq = p * q
+    mag = np.abs(pq)
+    with np.errstate(divide="ignore"):
+        lg = logw + np.log(mag)
+    if scale is None:
+        scale = float(lg.max())
+    out = np.zeros(pq.shape, dtype=complex)
+    nz = mag > 0
+    out[nz] = qw[nz] * np.exp(lg[nz] - scale) * (pq[nz] / mag[nz])
+    return out, scale
+
+
+def _grid_column(t: RecurrenceTable, j: int, sigma: float):
+    """(qw e^logw pi_j q on the whole grid, its log scale), computed once per (table, j, sigma)."""
     def compute():
-        vals, s = monic_values_scaled(t, [j], t.grid.x)[j]
-        vals.setflags(write=False)
-        return vals, s
+        g = t.grid
+        cols = monic_values_scaled(t, [max(j - 1, 0), j], g.x)
+        col, scale = _weighted(g.qw, g.logw, cols[j][0], _q(t, cols, j, sigma))
+        col.setflags(write=False)
+        return col, scale + 2.0 * cols[j][-1]
 
-    return t.memo(("grid", j), compute)
-
-
-def _quad_sum(values, log_weights, qw, kernel):
-    """sum qw * e^(log_weights) * values * kernel, factored against overflow.
-
-    Also returns the sum of absolute terms, which bounds how much
-    cancellation the signed sum went through.
-    """
-    lw_max = float(np.max(log_weights))
-    terms = qw * np.exp(log_weights - lw_max) * values * kernel
-    return complex(np.sum(terms)), float(np.sum(np.abs(terms))), lw_max
-
-
-def _near_region(t: RecurrenceTable, z: complex):
-    """(kept base-node mask, (lo, hi) of the base panels to refine, or None) for z."""
-    g = t.grid
-    keep = np.ones(g.x.size, dtype=bool)
-    d = abs(z.imag)
-    dense_width = g.dense_hi - g.dense_lo
-    near = (
-        g.dense_lo - 0.2 * dense_width < z.real < g.dense_hi + 0.2 * dense_width
-        and d < _NEAR_AXIS_THRESHOLD * dense_width
-    )
-    if not near:
-        return keep, None
-    halfwidth = max(4.0 * d, 1.5 * dense_width / max(len(g.panels), 8))
-    hit = [p for p in g.panels if p.b >= z.real - halfwidth and p.a <= z.real + halfwidth]
-    for p in hit:
-        keep[p.start:p.stop] = False
-    return keep, ((min(p.a for p in hit), max(p.b for p in hit)) if hit else None)
-
-
-def _base_sum(t: RecurrenceTable, j: int, z: complex, power: int, keep):
-    """The kept base nodes' part of the sum, as [(value, mass, log scale)] or []."""
-    g = t.grid
-    if not keep.any():
-        return []
-    vals, s = _grid_column(t, j)
-    xb = g.x[keep]
-    kern = 1.0 / (xb - z) ** power
-    val, amp, lg = _quad_sum(vals[keep], g.logw[keep], g.qw[keep], kern)
-    return [(val, amp, lg + s)]
-
-
-def _local_sums(t: RecurrenceTable, degrees, z: complex, power: int, region):
-    """The refined panels' part of the sum at both refinements, per degree.
-
-    Returns {j: (coarse part, fine part)}, each [(value, mass, log scale)],
-    or [] when nothing is refined.  One recurrence runs over the coarse and
-    the fine nodes together, for every degree.
-    """
-    if region is None:
-        return {j: ([], []) for j in degrees}
-    w = t.weight
-    xc, wc = _refined_nodes(*region, z.real, max(abs(z.imag) / 4.0, 1e-14), _PANEL_BUDGET)
-    xf, wf = _refined_nodes(*region, z.real, max(abs(z.imag) / 8.0, 1e-14), _PANEL_BUDGET + 8)
-    xl = np.concatenate([xc, xf])
-    logw = 2.0 * w.alpha * np.log(np.abs(xl)) - w.n * w.potential(xl)
-    kern = 1.0 / (xl - z) ** power
-    coarse, fine = slice(0, xc.size), slice(xc.size, xl.size)
-
-    def part(vals, s, nodes, wl):
-        val, amp, lg = _quad_sum(vals[nodes], logw[nodes], wl, kern[nodes])
-        return [(val, amp, lg + s)]
-
-    return {j: (part(vals, s, coarse, wc), part(vals, s, fine, wf))
-            for j, (vals, s) in monic_values_scaled(t, degrees, xl).items()}
-
-
-def _combine(parts, power: int):
-    """Adds (value, mass, log scale) parts in order; returns (h, log of the absolute mass)."""
-    total = 0j
-    mass = 0.0
-    total_log = -math.inf
-    for val, amp, lg in parts:
-        if val == 0 and amp == 0:
-            continue
-        if mass == 0:
-            total, mass, total_log = val, amp, lg
-        elif lg > total_log:
-            shift = math.exp(total_log - lg)
-            total, mass, total_log = total * shift + val, mass * shift + amp, lg
-        else:
-            shift = math.exp(lg - total_log)
-            total, mass = total + val * shift, mass + amp * shift
-    pref = _INV_2PI_I * (1.0 if power == 1 else float(power - 1))
-    mass_log = total_log + (math.log(mass * abs(pref)) if mass > 0 else -math.inf)
-    return ScaledComplex.from_parts(total * pref, total_log), mass_log
+    return t.memo(("grid", j, sigma), compute)
 
 
 def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:
@@ -182,8 +146,11 @@ def cauchy_transform_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
 def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
     """{j: h_j(z)} for each j in ``degrees`` (h'_j(z) at ``power`` 2); requires Im z != 0.
 
-    Raises CauchyConvergenceError for the first degree whose coarse and fine
-    refinements disagree, so no degree is returned unchecked.
+    At power 2, h'_j = (S'_j - S_j q'/q) / (2 pi i q) with S'_j the integral
+    of pi_j q w / (x - z)^2, so both powers sum the same terms, against
+    u = 1/(x - z) or u (u - q'(z)/q(z)).  Raises CauchyConvergenceError for
+    the first degree whose error estimate exceeds 1e-6 relative, so no
+    degree is returned unchecked.
     """
     z = complex(z)
     if z.imag == 0.0:
@@ -191,24 +158,50 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
-    keep, region = _near_region(t, z)
-    local = _local_sums(t, degrees, z, power, region)
+    sigma = math.copysign(1.0, z.imag)
+    a, b, start, stop = t.grid.panels
+    near = _near_panels(t, z)
+    u_grid = 1.0 / (t.grid.x - z)
+    for i in near:
+        u_grid[start[i]:stop[i]] = 0.0  # near panels leave the grid sum
+    # pieces per panel: near panels need not be adjacent, and a piece that
+    # bridged a gap would count the grid panels in it twice
+    pieces = [np.concatenate(p) for p in zip(*(_pieces(a[i], b[i], z) for i in near))]
+    rules = [_rule(*pieces, order, t.weight) for order in _ORDERS] if pieces else []
+    xs = np.concatenate([x0 + off for x0, off, _, _ in rules] + [[z]])
+    cols = monic_values_scaled(t, sorted({max(j - 1, 0) for j in degrees} | set(degrees)),
+                               xs, derivative=power == 2)
+    local, lo = [], 0
+    for x0, off, qw, logw in rules:
+        # x - z from the offsets, exact where the pieces are narrowest
+        local.append((slice(lo, lo + off.size), 1.0 / (off - (z - x0)), qw, logw))
+        lo += off.size
     out = {}
     for j in degrees:
-        # the kept base nodes do not depend on the refinement, so both passes share their sum
-        base = _base_sum(t, j, z, power, keep)
-        coarse, _ = _combine(local[j][0] + base, power)
-        fine, mass_log = _combine(local[j][1] + base, power)
-        diff_log = (coarse - fine).log_abs()
-        # near a zero of h_j no quadrature reaches pure relative accuracy, so the
-        # comparison scale is floored by a small multiple of the absolute mass
-        scale_log = max(fine.log_abs(), mass_log + math.log(1e-9))
-        if math.isfinite(diff_log) and diff_log - scale_log > math.log(1e-6):
+        col, scale = _grid_column(t, j, sigma)
+        s = cols[j][-1]
+        p, q = cols[j][0], _q(t, cols, j, sigma)
+        r = _q(t, cols, j, sigma, part=1)[-1] / q[-1] if power == 2 else 0.0
+
+        def kernel(u):
+            return u if power == 1 else u * (u - r)
+
+        grid_terms = col * kernel(u_grid)
+        total, mass, err = complex(grid_terms.sum()), float(np.abs(grid_terms).sum()), 0.0
+        if local:
+            # the order-24 pieces join the sum; the order-16 ones are its check
+            check, fine = (_weighted(qw, logw, p[nodes], q[nodes], scale - 2.0 * s)[0] * kernel(u)
+                           for nodes, u, qw, logw in local)
+            total += complex(fine.sum())
+            mass += float(np.abs(fine).sum())
+            err = abs(complex(check.sum()) - complex(fine.sum()))
+        err += _EPS * mass
+        if err > _TOLERANCE * abs(total):
             raise CauchyConvergenceError(
-                f"panel refinements disagree by {math.exp(min(diff_log - scale_log, 700)):.3e} "
-                f"relative at j={j}, z={z}"
+                f"error estimate {err / abs(total) if total else math.inf:.3e} relative "
+                f"at j={j}, z={z}"
             )
-        out[j] = fine
+        out[j] = ScaledComplex.from_parts(_INV_2PI_I * total / q[-1], scale - s)
     return out
 
 

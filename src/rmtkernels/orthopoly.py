@@ -155,37 +155,47 @@ def build_recurrence(
     b = np.zeros(K + 1)
     log_norm_sq = np.zeros(K + 1)
     scales = np.zeros(K + 1)
-    U = np.zeros((K + 1, x.size))
+    steps = np.ones(K + 1)  # U_{j+1} = advance(..., j) / steps[j]
 
-    t0 = 0.5 * logw.max()
-    u = np.exp(0.5 * logw - t0)
-    scales[0] = t0
-    U[0] = u
-    s_prev = None
-    u_prev = np.zeros_like(u)
+    def advance(xs, cur, prev, j):
+        """(x - a_j) U_j - b_j U_{j-1} on the nodes xs, in U_j's scale."""
+        nxt = (xs - a[j]) * cur
+        return nxt - b[j] * prev * math.exp(scales[j - 1] - scales[j]) if j > 0 else nxt
+
+    # U_j = pi_j sqrt(w) e^(-scales[j]), two rows at a time
+    u = cur = np.exp(0.5 * logw - 0.5 * logw.max())
+    scales[0] = 0.5 * logw.max()
+    prev = s_prev = None
     for j in range(K + 1):
-        sj = float(np.dot(qw, U[j] * U[j]))
+        sj = float(np.dot(qw, cur * cur))
         if not (sj > 0) or not math.isfinite(sj):
             raise PrecisionError(f"lost positivity of the norm at degree {j}")
         log_norm_sq[j] = math.log(sj) + 2.0 * scales[j]
-        a[j] = float(np.dot(qw, x * U[j] * U[j])) / sj
+        a[j] = float(np.dot(qw, x * cur * cur)) / sj
         if j > 0:
             b[j] = sj / s_prev * math.exp(2.0 * (scales[j] - scales[j - 1]))
         if j < K:
-            nxt = (x - a[j]) * U[j]
-            if j > 0:
-                nxt = nxt - b[j] * u_prev * math.exp(scales[j - 1] - scales[j])
-            m = np.abs(nxt).max()
+            nxt = advance(x, cur, prev, j)
+            m = steps[j] = np.abs(nxt).max()
             if m == 0 or not math.isfinite(m):
                 raise PrecisionError(f"recurrence breakdown at degree {j + 1}")
             scales[j + 1] = scales[j] + math.log(m)
-            U[j + 1] = nxt / m
-            u_prev = U[j]
+            prev, cur = cur, nxt / m
         s_prev = sj
 
-    # orthogonality self-check on the full Gram matrix (scale-invariant)
-    U *= np.sqrt(qw)  # in place, so no second (K+1) x N array; U is dead after this
-    G = U @ U.T
+    # orthogonality self-check on the full Gram matrix (scale-invariant).  The
+    # rows are replayed over an eighth of the nodes at a time: one (K+1) x N
+    # array would set the process's peak memory on large tables.
+    G = np.zeros((K + 1, K + 1))
+    size = -(-x.size // 8)
+    for lo in range(0, x.size, size):
+        nodes = slice(lo, lo + size)
+        rows = np.empty((K + 1, x[nodes].size))
+        rows[0] = u[nodes]
+        for j in range(K):
+            rows[j + 1] = advance(x[nodes], rows[j], rows[j - 1], j) / steps[j]
+        rows *= np.sqrt(qw[nodes])
+        G += rows @ rows.T
     d = np.sqrt(np.abs(np.diag(G)))
     R = np.abs(G) / np.outer(d, d)
     np.fill_diagonal(R, 0.0)
@@ -226,6 +236,7 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x: np.ndarray, derivative=F
     """pi_j at many (real or complex) points for each j in ``degrees``.
 
     Returns {j: (values, log_scale)} with values O(1); vectorized over x.
+    The values are real when x is real, complex otherwise.
     With ``derivative`` it also runs the differentiated recurrence
     pi'_{k+1} = pi_k + (x - a_k) pi'_k - b_k pi'_{k-1} under the same log
     scale, rescaled by the max over both arrays, and returns
@@ -235,29 +246,37 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x: np.ndarray, derivative=F
     for j in degrees:
         _check_degree(t, j)
     x = np.asarray(x)
+    top = degrees[-1]
+    a, b = t.a[:top + 1].tolist(), t.b[:top + 1].tolist()
+    # per step (pi_k, pi_{k-1}) grows at most by reach + max b and shrinks at
+    # most by min b / reach: checked every `every` steps and at each output, it
+    # stays within 1e250 of [1e-50, 1e50], so nothing overflows for |x| < 1e250
+    reach = float(np.abs(x).max(initial=0.0)) + max(map(abs, a)) + 1.0
+    every = max(1, int(575.0 / math.log(max(reach + max(b), reach / min(b[1:], default=1.0)))))
 
     def pack(vals, ders, s):
         return (vals.copy(), ders.copy(), s) if derivative else (vals.copy(), s)
 
-    prev = np.ones_like(x, dtype=complex)
-    cur = x - t.a[0]
+    # real nodes keep a real recurrence: it is half the work and half the memory
+    prev = np.ones_like(x, dtype=np.result_type(x, 1.0))
+    cur = x - a[0]
     dprev, dcur = (np.zeros_like(prev), np.ones_like(prev)) if derivative else (None, None)
     s_prev = s_cur = 0.0
     out = {0: pack(prev, dprev, 0.0)} if 0 in degrees else {}
-    for k in range(1, degrees[-1] + 1):
-        m = float(np.abs(cur).max())
-        if derivative:
-            m = max(m, float(np.abs(dcur).max()))
-        # rescaled before it meets x - a_k, so no product overflows for |x| < 1e250
-        if m > 1e50 or (0 < m < 1e-50):
-            cur = cur / m
-            s_cur += math.log(m)
-            if derivative:
-                dcur = dcur / m
+    for k in range(1, top + 1):
+        if k % every == 0 or k in degrees:
+            arrays = (cur, prev, dcur, dprev) if derivative else (cur, prev)
+            f = math.exp(s_prev - s_cur)  # prev's scale relative to cur's
+            m = max(float(np.abs(v).max(initial=0.0)) * w for v, w in zip(arrays, (1.0, f, 1.0, f)))
+            if m > 1e50 or (0 < m < 1e-50):
+                cur = cur / m
+                s_cur += math.log(m)
+                if derivative:
+                    dcur = dcur / m
         if k in degrees:
             out[k] = pack(cur, dcur, s_cur)
-        if k < degrees[-1]:
-            xa, r = x - t.a[k], t.b[k] * math.exp(s_prev - s_cur)
+        if k < top:
+            xa, r = x - a[k], b[k] * math.exp(s_prev - s_cur)
             nxt = xa * cur - r * prev
             if derivative:
                 dprev, dcur = dcur, cur + xa * dcur - r * dprev

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +48,15 @@ def legendre_panel(a: float, b: float, order: int):
     return a + half * (t + 1.0), half * w
 
 
-@dataclass
-class Panel:
-    a: float
-    b: float
-    start: int  # node index range [start, stop) in the flat grid arrays
-    stop: int
+def jacobi_panel(d: float, order: int, beta: float):
+    """Nodes/weights for the integral over [0, d] (d may be negative) of |x|^beta f(x)."""
+    t, w = _jacgauss(order, beta)
+    ad = abs(d)
+    x = 0.5 * ad * (t + 1.0)
+    qw = w * (0.5 * ad) ** (beta + 1.0)
+    if d < 0:
+        return -x[::-1], qw[::-1]
+    return x, qw
 
 
 @dataclass
@@ -63,11 +66,9 @@ class WeightGrid:
     x: np.ndarray
     qw: np.ndarray        # positive quadrature weights (incl. |x|^2a on Jacobi panels)
     logw: np.ndarray      # log of the remaining weight factor at each node
-    panels: list = field(default_factory=list)
-    lo: float = 0.0
-    hi: float = 0.0
-    dense_lo: float = 0.0
-    dense_hi: float = 0.0
+    # (a, b, start, stop): arrays over the panels, sorted by a; panel i is
+    # [a[i], b[i]] with nodes [start[i], stop[i]) in the flat arrays
+    panels: tuple = ()
 
 
 def _tail_edges(start: float, end: float, ratio: float = 1.7):
@@ -129,27 +130,20 @@ def build_weight_grid(
 
     def push_leg(a, b, p_order):
         x, w = legendre_panel(a, b, p_order)
-        start = panels[-1].stop if panels else 0
+        start = panels[-1][3] if panels else 0
         xs.append(x)
         ws.append(w)
         lws.append(2.0 * alpha * np.log(np.abs(x)) - n * v(x))
-        panels.append(Panel(a, b, start, start + len(x)))
+        panels.append((a, b, start, start + len(x)))
 
     def push_jac(d, p_order):
-        # integral over [0, d] (d may be negative) of |x|^2a e^(-nV) f
-        t, w = _jacgauss(p_order, 2.0 * alpha)
-        ad = abs(d)
-        x = 0.5 * ad * (t + 1.0)
-        qw = w * (0.5 * ad) ** (2.0 * alpha + 1.0)
-        if d < 0:
-            x = -x[::-1]
-            qw = qw[::-1]
-        start = panels[-1].stop if panels else 0
+        x, qw = jacobi_panel(d, p_order, 2.0 * alpha)
+        start = panels[-1][3] if panels else 0
         xs.append(x)
         ws.append(qw)
         lws.append(-n * v(x))
         a, b = (d, 0.0) if d < 0 else (0.0, d)
-        panels.append(Panel(a, b, start, start + len(x)))
+        panels.append((a, b, start, start + len(x)))
 
     lo = -cutoff_radius(n, alpha, vcoeffs, -1.0)
     hi = cutoff_radius(n, alpha, vcoeffs, +1.0)
@@ -176,6 +170,5 @@ def build_weight_grid(
     logw = np.concatenate(lws)
     for arr in (x, qw, logw):
         arr.setflags(write=False)
-    panels.sort(key=lambda p: p.a)
-    return WeightGrid(x=x, qw=qw, logw=logw, panels=panels,
-                      lo=lo, hi=hi, dense_lo=lo_d, dense_hi=hi_d)
+    panels = tuple(np.array(col) for col in zip(*sorted(panels)))
+    return WeightGrid(x=x, qw=qw, logw=logw, panels=panels)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel_limits import LimitKernelId, limit_kernel, _SPEC, _power, _PI
+from .bessel_limits import LimitKernelId, limit_kernel, _HALF_PLANES, _SPEC, _power, _PI
 from .equilibrium import solve_equilibrium
 from .finite_kernels import KernelFamily, w_kernel, w_kernel_times_gap
 from .orthopoly import PotentialSpec, WeightSpec, build_recurrence
@@ -56,16 +56,6 @@ _LIMIT = {
     Theorem.T3c: LimitKernelId.III_minus,
 }
 
-# required half-plane of (zeta, eta): +1 upper, -1 lower, 0 unconstrained
-_HALF_PLANES = {
-    Theorem.T1: (0, 0),
-    Theorem.T2a: (+1, 0),
-    Theorem.T2b: (-1, 0),
-    Theorem.T3a: (+1, +1),
-    Theorem.T3b: (+1, -1),
-    Theorem.T3c: (-1, -1),
-}
-
 _FREE_GRID = (0.4, -0.3, 1.1 + 0.5j, -0.8 - 0.6j)
 _UPPER_ZETA = (0.5 + 0.15j, -0.4 + 0.6j, 1.3 + 0.3j, -1.1 + 0.9j)
 _UPPER_ETA = (0.7 + 0.2j, -0.2 + 0.5j, 1.5 + 0.7j, -1.3 + 0.4j)
@@ -98,7 +88,7 @@ class TheoremCase:
     n_list: tuple = DEFAULT_N_LIST
 
     def __post_init__(self):
-        sz, se = _HALF_PLANES[self.theorem]
+        sz, se = _HALF_PLANES[_LIMIT[self.theorem]]
         if self.zeta_grid is None:
             self.zeta_grid = default_grid(sz, 0)
         if self.eta_grid is None:

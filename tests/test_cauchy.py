@@ -16,31 +16,37 @@ from rmtkernels.cauchy import (
 from rmtkernels.finite_kernels import KernelFamily, w_kernel
 from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence
 from rmtkernels.quadrature import legendre_panel
-from rmtkernels.scaled import ScaledComplex
 
 V_X2 = PotentialSpec((0.0, 0.0, 1.0))
 V_2X2 = PotentialSpec((0.0, 0.0, 2.0))
 
 
-def second_kind_recurrence(t, z, jmax):
-    """q_j(z), j = 0..jmax, by the forward recurrence seeded with quadrature q_0.
+def reference_h(alpha, n, j, z, dps, power=1):
+    """h_j(z) (h'_j(z) at power 2) for V = 2x^2 by mpmath quadrature at ``dps`` digits.
 
-    Not an independent reference: q_0 is cauchy_transform's own value.  It
-    checks the higher degrees for moderate j; the forward direction is
-    unstable for j beyond ~n/2 near the support.
+    Independent of the package: it integrates the signed pi_j w / (x - z)^power
+    with the closed-form recurrence b_k = (k + 2a [k odd]) / (4n), a_k = 0,
+    split at 0 and at Re z, Re z +- |Im z|.  Off the support that integral
+    cancels by many orders of magnitude, so a value is trusted only where
+    two precisions agree.
     """
-    q_prev = cauchy_transform(t, 0, z)
-    out = [q_prev]
-    if jmax == 0:
-        return out
-    m0 = ScaledComplex.from_parts(-0.5j / math.pi, t.log_norm_sq[0])
-    q_cur = m0 + ScaledComplex.from_complex(z - t.a[0]) * q_prev
-    out.append(q_cur)
-    for k in range(1, jmax):
-        q_nxt = ScaledComplex.from_complex(z - t.a[k]) * q_cur - t.b[k] * q_prev
-        q_prev, q_cur = q_cur, q_nxt
-        out.append(q_cur)
-    return out
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        two_a = 2 * mp.mpf(alpha)
+        b = [(k + two_a * (k % 2)) / (4 * n) for k in range(j + 1)]
+        zz = mp.mpc(z)
+
+        def f(x):
+            p0, p1 = mp.mpf(1), (x if j else mp.mpf(1))
+            for k in range(1, j):
+                p0, p1 = p1, x * p1 - b[k] * p0
+            return p1 * abs(x) ** two_a * mp.exp(-2 * n * x * x) / (x - zz) ** power
+
+        # beyond L the weight is below 10^-dps of its peak, times pi_j's growth
+        L = mp.sqrt((dps * math.log(10) + 50 + 2 * j) / (2 * n)) + 1
+        cuts = {zz.real - abs(zz.imag), zz.real, zz.real + abs(zz.imag)}
+        pts = sorted({-L, L, mp.mpf(0)} | {c for c in cuts if -L < c < L})
+        return complex(mp.quad(f, pts) / (2j * mp.pi))
 
 
 def test_domain_and_range_errors(table_gauss_n1):
@@ -51,14 +57,16 @@ def test_domain_and_range_errors(table_gauss_n1):
 
 
 def test_degrees_together_match_single_degree_calls():
-    # one local recurrence for both degrees and both refinements returns what
+    # one local recurrence for both degrees and both check orders returns what
     # one call per degree returns, and a failing degree fails the whole call
     near_origin, bulk_far, off_bulk = 0.01 + 0.005j, 0.3 + 1.5j, 2.5 + 0.1j
     for alpha in (0.0, 0.3):
         t = build_recurrence(WeightSpec(alpha, 8, V_2X2), 16)
-        assert cauchy._near_region(t, near_origin)[1] is not None
-        assert cauchy._near_region(t, bulk_far)[1] is None
-        assert cauchy._near_region(t, off_bulk)[1] is not None
+        a, b, _, _ = t.grid.panels
+        # near the origin the refined panels include one with an end at the kink
+        assert any(0.0 in (a[i], b[i]) for i in cauchy._near_panels(t, near_origin))
+        assert cauchy._near_panels(t, bulk_far).size == 0
+        assert cauchy._near_panels(t, off_bulk).size > 0
         for z in (near_origin, bulk_far, off_bulk):
             for power, single in ((1, cauchy_transform), (2, cauchy_transform_derivative)):
                 for j in (8, 9):
@@ -69,14 +77,18 @@ def test_degrees_together_match_single_degree_calls():
                         err = (pair[k] - want).log_abs() - want.log_abs()
                         assert err < math.log(1e-13), (alpha, z, power, k, err)
 
-    t = build_recurrence(WeightSpec(0.0, 8, V_2X2), 16)
+    # at alpha = 1, h_8 (even) vanishes at 0 like z, so near 0 the sum cancels
+    # beyond the relative tolerance; h_7 (odd) does not vanish there
+    t = build_recurrence(WeightSpec(1.0, 8, V_2X2), 16)
+    z0 = 1e-12 + 1e-12j
+    assert cauchy_transform(t, 7, z0).log_abs() > math.log(1e-6)
     for _ in range(2):
-        with pytest.raises(CauchyConvergenceError, match="j=7"):
-            cauchy_transforms(t, [7, 8], -2 + 1j)
         with pytest.raises(CauchyConvergenceError, match="j=8"):
-            cauchy_transforms(t, [8], -2 + 1j)
+            cauchy_transforms(t, [7, 8], z0)
+        with pytest.raises(CauchyConvergenceError, match="j=8"):
+            cauchy_transforms(t, [8], z0)
         with pytest.raises(CauchyConvergenceError):
-            w_kernel(KernelFamily.III, t, 0, -2 + 1j, 0.5 - 0.3j)
+            w_kernel(KernelFamily.III, t, 0, z0, 0.5 - 0.3j)
 
 
 def test_h0_gaussian_far_field(table_gauss_n1):
@@ -181,16 +193,32 @@ def test_plemelj_parity(table_a03_n8):
     )
 
 
-def test_second_kind_recurrence_cross_validation(table_n8):
-    t = table_n8
-    z = 0.3 + 0.4j  # dist(z, support) >= 0.05
-    qs = second_kind_recurrence(t, z, t.weight.n // 2)
-    for j, q in enumerate(qs):
-        direct = cauchy_transform(t, j, z)
-        rel = abs((q - direct).to_complex()) / abs(direct.to_complex())
-        assert rel < 1e-6
-    # forward instability beyond ~n/2 is documented, not asserted: deep
-    # degrees may lose digits, so no bound is claimed there
+@pytest.mark.parametrize("alpha, n, j, z, power", [
+    # off the support: the signed sum cancelled there, beyond double precision
+    (0.0, 8, 7, -2 + 1j, 1),
+    (0.0, 8, 8, -2 + 1j, 1),
+    (0.0, 32, 32, 3j, 1),
+    (0.0, 32, 32, -2 + 1j, 1),
+    (0.0, 32, 32, 2 + 0.001j, 1),
+    # soft edge, and a point whose near panels are not adjacent (a wide tail
+    # panel is near while the dense panels between it and z are not)
+    (0.0, 32, 32, 0.9 + 0.05j, 1),
+    (0.0, 32, 32, 0.9 + 0.05j, 2),
+    (0.0, 8, 9, -1.18 + 0.001j, 1),
+    # near the |x|^(2a) kink, and a study point zeta / (n psi(0)), psi(0) = 2/pi,
+    # nearer to the kink than to its own foot on the axis
+    (0.3, 32, 31, 0.001 + 0.0005j, 1),
+    (0.3, 64, 64, (-0.4 + 0.6j) * math.pi / 128, 1),
+], ids=["n8-j7-off-support", "n8-j8-off-support", "n32-far-imaginary", "n32-off-support",
+        "n32-right-of-support", "n32-soft-edge", "n32-soft-edge-derivative",
+        "n8-nonadjacent-near-panels", "a03-near-kink", "a03-study-point"])
+def test_matches_high_precision_reference(alpha, n, j, z, power):
+    # 40 digits are not enough off the support (1e-8 at n = 32, z = -2+i)
+    want = reference_h(alpha, n, j, z, 65, power)
+    assert abs(reference_h(alpha, n, j, z, 50, power) - want) < 1e-14 * abs(want)
+    t = build_recurrence(WeightSpec(alpha, n, V_2X2), n + 1)
+    got = cauchy_transforms(t, [j], z, power)[j].to_complex()
+    assert abs(got - want) < 1e-12 * abs(want)
 
 
 def test_morera_loop(table_n8):

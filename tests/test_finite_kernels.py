@@ -150,11 +150,13 @@ def test_kernel_schwarz_symmetry(table_n6):
 
 
 def test_convergence_failure_is_not_cached():
-    # h_8(-2+i) fails the coarse/fine check at n = 8; a kernel that needs it
-    # must fail again on a repeated call, not return a cached value
-    t = build_recurrence(WeightSpec(0.0, 8, PotentialSpec((0.0, 0.0, 2.0))), 16)
+    # at alpha = 1, h_8 vanishes at 0, so h_8(1e-12 + 1e-12 i) fails its
+    # relative error bound; a kernel that needs it must fail again on a
+    # repeated call, not return a cached value
+    t = build_recurrence(WeightSpec(1.0, 8, PotentialSpec((0.0, 0.0, 2.0))), 16)
+    z0 = 1e-12 + 1e-12j
     for _ in range(2):
         with pytest.raises(CauchyConvergenceError):
-            cauchy_transform(t, 8, -2 + 1j)
+            cauchy_transform(t, 8, z0)
         with pytest.raises(CauchyConvergenceError):
-            w_kernel(KernelFamily.III, t, 0, -2 + 1j, 0.5 - 0.3j)
+            w_kernel(KernelFamily.III, t, 0, z0, 0.5 - 0.3j)
