@@ -14,9 +14,11 @@ panels are at least one width from z, so 1/(x - z) is analytic in the
 Bernstein ellipse rho = 2 + sqrt(5) around them and their Gauss rule of
 order p resolves it a priori, with error falling like rho^(-2p); that part
 is not checked.  Each near panel is halved toward Re z until the piece at z
-is no wider than its distance from z.  The piece with an end at 0 takes
-Gauss-Jacobi with exponent 2a; every other piece is at least its own width
-from 0, so no Gauss-Legendre piece sits against the |x|^(2a) kink.
+is no wider than its distance from z.  The pieces take the grid's own
+panel rule, :func:`rmtkernels.quadrature.weighted_rule`: the piece with an
+end at 0 takes Gauss-Jacobi with exponent 2a; every other piece is at least
+its own width from 0, so no Gauss-Legendre piece sits against the |x|^(2a)
+kink.
 
 The check sums the refined pieces at Gauss orders 16 and 24 on the same
 breaks; their difference plus eps times the sum of absolute terms estimates
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orthopoly import RecurrenceTable, _check_degree, eval_weight, monic_values_scaled
-from .quadrature import jacobi_panel, legendre_panel
+from .quadrature import weighted_rule
 from .scaled import ScaledComplex
 
 _INV_2PI_I = -0.5j / math.pi  # 1/(2 pi i), kept in the mantissa
@@ -77,23 +79,6 @@ def _pieces(a: float, b: float, z: complex):
             offsets.append(math.copysign(c, end))
     edges = np.array(sorted(set(offsets)))
     return np.full(edges.size - 1, x0), edges[:-1], edges[1:]
-
-
-def _rule(x0, lo, hi, order: int, w):
-    """Order-``order`` Gauss rules on the pieces [x0 + lo, x0 + hi] as (x0, offset, qw, logw) per node.
-
-    A piece with an end at 0 is Gauss-Jacobi with |x|^(2a) in qw; the others
-    are Gauss-Legendre with 2a log|x| in logw.
-    """
-    kink = (x0 + lo == 0.0) | (x0 + hi == 0.0)
-    off, qw = legendre_panel(lo[~kink, None], hi[~kink, None], order)
-    base, off, qw = np.repeat(x0[~kink], order), off.ravel(), qw.ravel()
-    logw = 2.0 * w.alpha * np.log(np.abs(base + off))
-    for c, l, h in zip(x0[kink], lo[kink], hi[kink]):
-        xj, qj = jacobi_panel(c + (h if c + l == 0.0 else l), order, 2.0 * w.alpha)
-        base, off = np.concatenate([base, np.full(order, c)]), np.concatenate([off, xj - c])
-        qw, logw = np.concatenate([qw, qj]), np.concatenate([logw, np.zeros(order)])
-    return base, off, qw, logw - w.n * w.potential(base + off)
 
 
 def _q(t: RecurrenceTable, cols: dict, j: int, sigma: float, part: int = 0):
@@ -167,7 +152,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
     # pieces per panel: near panels need not be adjacent, and a piece that
     # bridged a gap would count the grid panels in it twice
     pieces = [np.concatenate(p) for p in zip(*(_pieces(a[i], b[i], z) for i in near))]
-    rules = [_rule(*pieces, order, t.weight) for order in _ORDERS] if pieces else []
+    rules = [weighted_rule(*pieces, order, t.weight) for order in _ORDERS] if pieces else []
     xs = np.concatenate([x0 + off for x0, off, _, _ in rules] + [[z]])
     cols = monic_values_scaled(t, sorted({max(j - 1, 0) for j in degrees} | set(degrees)),
                                xs, derivative=power == 2)

@@ -77,7 +77,7 @@ def _moment_conditions(p: PotentialSpec, b0: float, a1: float):
 
 
 def _initial_guess(p: PotentialSpec) -> float:
-    """Symmetric radius s with (s/4) * d_1([-s,s]) = 1, by bisection on a scan."""
+    """First s = 0.5 * 1.5^k with (s/4) * d_1([-s,s]) >= 1 (or s >= 1e4): Newton's start."""
 
     def m2(s):
         d = _cheb_of_vprime(p, -s, s)
@@ -87,14 +87,7 @@ def _initial_guess(p: PotentialSpec) -> float:
     s = 0.5
     while m2(s) < 1.0 and s < 1e4:
         s *= 1.5
-    lo_s, hi_s = s / 1.5, s
-    for _ in range(80):
-        mid = 0.5 * (lo_s + hi_s)
-        if m2(mid) < 1.0:
-            lo_s = mid
-        else:
-            hi_s = mid
-    return 0.5 * (lo_s + hi_s)
+    return s
 
 
 def solve_equilibrium(p: PotentialSpec) -> EquilibriumMeasure:

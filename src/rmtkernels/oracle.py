@@ -35,10 +35,7 @@ _BUDGETS = ((10, 8, 28), (14, 10, 36))
 
 def _grid_1d(w: WeightSpec, budget):
     dense_panels, order, jacobi_order = budget
-    g = build_weight_grid(
-        w.alpha, w.n, w.potential.coeffs,
-        dense_panels=dense_panels, order=order, jacobi_order=jacobi_order,
-    )
+    g = build_weight_grid(w, dense_panels=dense_panels, order=order, jacobi_order=jacobi_order)
     ls = float(np.max(g.logw))
     wv = g.qw * np.exp(g.logw - ls)
     return g.x, wv, ls

@@ -141,13 +141,7 @@ def build_recurrence(
 ) -> RecurrenceTable:
     quad = quad or QuadratureConfig()
     dense_panels = max(quad.dense_panels, int(0.8 * max_degree) + 12)
-    grid = build_weight_grid(
-        w.alpha,
-        w.n,
-        w.potential.coeffs,
-        dense_panels=dense_panels,
-        order=quad.order,
-    )
+    grid = build_weight_grid(w, dense_panels=dense_panels, order=quad.order)
     x, qw, logw = grid.x, grid.qw, grid.logw
     K = max_degree
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import SpecfunDomainError, bessel_i, bessel_k, hankel1, hankel2
+from .specfun import bessel_i, bessel_k, hankel1, hankel2
 
 _SQRT_PI = math.sqrt(math.pi)
 

@@ -7,12 +7,15 @@ Gauss-Legendre panels logw = 2a log|x| - nV(x).  The two panels touching
 the origin are always Gauss-Jacobi with exponent 2a (Gauss-Legendre at
 a = 0), so the |x|^(2a) factor is absorbed into the quadrature weights qw
 and logw = -nV(x) there.
+
+That rule is :func:`weighted_rule`, the one way a Gauss panel carries the
+weight: it builds the grid's panels here and the pieces into which
+:mod:`rmtkernels.cauchy` refines the panels near z.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +74,27 @@ class WeightGrid:
     panels: tuple = ()
 
 
-def _tail_edges(start: float, end: float, ratio: float = 1.7):
-    """Edges from |start| out to |end| (same sign), growing widths."""
+def weighted_rule(x0, lo, hi, order: int, w):
+    """Order-``order`` Gauss rules for the weight ``w`` on the pieces [x0 + lo, x0 + hi].
+
+    Returns (x0, offset, qw, logw) per node, piece by piece, the pieces
+    without an end at 0 first.  A piece with an end at 0 is Gauss-Jacobi
+    with |x|^(2a) in qw; the others are Gauss-Legendre with 2a log|x| in
+    logw.  Every piece carries -nV in logw.
+    """
+    kink = (x0 + lo == 0.0) | (x0 + hi == 0.0)
+    off, qw = legendre_panel(lo[~kink, None], hi[~kink, None], order)
+    base, off, qw = np.repeat(x0[~kink], order), off.ravel(), qw.ravel()
+    logw = 2.0 * w.alpha * np.log(np.abs(base + off))
+    for c, l, h in zip(x0[kink], lo[kink], hi[kink]):
+        xj, qj = jacobi_panel(c + (h if c + l == 0.0 else l), order, 2.0 * w.alpha)
+        base, off = np.concatenate([base, np.full(order, c)]), np.concatenate([off, xj - c])
+        qw, logw = np.concatenate([qw, qj]), np.concatenate([logw, np.zeros(order)])
+    return base, off, qw, logw - w.n * w.potential(base + off)
+
+
+def _tail_edges(start: float, end: float):
+    """Edges from |start| out to |end| (same sign), widths growing by 1.7."""
     edges = [start]
     width = abs(start) * 0.5 + 1e-3
     cur = start
@@ -82,93 +104,62 @@ def _tail_edges(start: float, end: float, ratio: float = 1.7):
         if abs(cur) >= abs(end):
             cur = end
         edges.append(cur)
-        width *= ratio
+        width *= 1.7
     return edges
 
 
-def cutoff_radius(n: int, alpha: float, vcoeffs, direction: float, budget: float = 750.0):
-    """Smallest L with n V(sgn L) - max(0, 2a) log L beyond the underflow budget."""
-    v = np.polynomial.Polynomial(vcoeffs)
-
-    def margin(r):
-        return n * v(direction * r) - max(0.0, 2.0 * alpha) * math.log(max(r, 1.0)) - budget
-
-    r = 1.0
-    for _ in range(200):
-        if margin(r) > 0:
-            break
-        r *= 1.3
-    else:
+def cutoff_radius(w, direction: float) -> float:
+    """Smallest L = 1.3^k, k < 200, with n V(sgn L) - max(0, 2a) log L above 750 (underflow)."""
+    r = np.cumprod(np.r_[1.0, np.full(199, 1.3)])
+    with np.errstate(over="ignore"):
+        margin = w.n * w.potential(direction * r) - max(0.0, 2.0 * w.alpha) * np.log(r) - 750.0
+    hit = np.flatnonzero(margin > 0)
+    if hit.size == 0:
         raise ValueError("potential does not grow fast enough for a finite cutoff")
-    return r
+    return float(r[hit[0]])
 
 
-def dense_radius(n: int, vcoeffs, direction: float, drop: float = 8.0):
+def dense_radius(p, direction: float) -> float:
     """Radius covering the oscillatory region (equilibrium support plus margin).
 
-    The support is set by V alone, so the criterion V - min V >= drop is
-    n-independent; the cutoff radius caps it for very large n.
+    The support is set by the potential ``p`` alone, so the criterion
+    V - min V >= 8 is n-independent; the cutoff radius caps it for very
+    large n.  The radius is the first 0.05 * 1.05^k meeting it, or reaching 1e3.
     """
-    v = np.polynomial.Polynomial(vcoeffs)
-    vmin = min(v(np.linspace(-6, 6, 1201)))
-    r = 0.05
-    while v(direction * r) - vmin < drop and r < 1e3:
-        r *= 1.05
-    return r
+    vmin = p(np.linspace(-6, 6, 1201)).min()
+    r = np.cumprod(np.r_[0.05, np.full(204, 1.05)])  # r[-1] > 1e3
+    with np.errstate(over="ignore"):
+        done = ~(p(direction * r) - vmin < 8.0) | (r >= 1e3)
+    return float(r[np.argmax(done)])
 
 
-def build_weight_grid(
-    alpha: float,
-    n: int,
-    vcoeffs,
-    dense_panels: int,
-    order: int = 20,
-    jacobi_order: int = 48,
-) -> WeightGrid:
-    v = np.polynomial.Polynomial(vcoeffs)
-    xs, ws, lws, panels = [], [], [], []
+def build_weight_grid(w, dense_panels: int, order: int = 20, jacobi_order: int = 48) -> WeightGrid:
+    """Composite Gauss grid for the weight ``w`` (a WeightSpec) out to its underflow cutoffs.
 
-    def push_leg(a, b, p_order):
-        x, w = legendre_panel(a, b, p_order)
-        start = panels[-1][3] if panels else 0
-        xs.append(x)
-        ws.append(w)
-        lws.append(2.0 * alpha * np.log(np.abs(x)) - n * v(x))
-        panels.append((a, b, start, start + len(x)))
+    Each side of 0 holds, going outward: the origin panel at ``jacobi_order``,
+    ``dense_panels - 1`` uniform panels out to the dense radius at ``order``,
+    and panels growing by 1.7 out to the cutoff at ``max(12, order - 4)``.
+    """
+    rules, panels = [], []
+    for sgn in (-1.0, 1.0):
+        far = sgn * cutoff_radius(w, sgn)
+        dense = sgn * min(dense_radius(w.potential, sgn), abs(far))
+        inner = abs(dense) / dense_panels
+        kinds = [(np.array([0.0, sgn * inner]), jacobi_order),
+                 (np.linspace(sgn * inner, dense, dense_panels), order)]
+        if abs(far) > abs(dense) * (1 + 1e-12):
+            kinds.append((np.array(_tail_edges(dense, far)), max(12, order - 4)))
+        for edges, p_order in kinds:
+            a, b = np.minimum(edges[:-1], edges[1:]), np.maximum(edges[:-1], edges[1:])
+            rules.append(weighted_rule(np.zeros(a.size), a, b, p_order, w))
+            panels.append((a, b, np.full(a.size, p_order)))
 
-    def push_jac(d, p_order):
-        x, qw = jacobi_panel(d, p_order, 2.0 * alpha)
-        start = panels[-1][3] if panels else 0
-        xs.append(x)
-        ws.append(qw)
-        lws.append(-n * v(x))
-        a, b = (d, 0.0) if d < 0 else (0.0, d)
-        panels.append((a, b, start, start + len(x)))
-
-    lo = -cutoff_radius(n, alpha, vcoeffs, -1.0)
-    hi = cutoff_radius(n, alpha, vcoeffs, +1.0)
-    lo_d = max(-dense_radius(n, vcoeffs, -1.0), lo)
-    hi_d = min(dense_radius(n, vcoeffs, +1.0), hi)
-
-    for sgn, dense_edge, far_edge in ((-1.0, lo_d, lo), (+1.0, hi_d, hi)):
-        inner = abs(dense_edge) / dense_panels
-        push_jac(sgn * inner, jacobi_order)
-        # uniform dense panels
-        dense_bounds = np.linspace(sgn * inner, dense_edge, dense_panels)
-        for a, b in zip(dense_bounds[:-1], dense_bounds[1:]):
-            aa, bb = (a, b) if a < b else (b, a)
-            push_leg(aa, bb, order)
-        # tail panels, growing geometrically
-        if abs(far_edge) > abs(dense_edge) * (1 + 1e-12):
-            tail = _tail_edges(dense_edge, far_edge)
-            for a, b in zip(tail[:-1], tail[1:]):
-                aa, bb = (a, b) if a < b else (b, a)
-                push_leg(aa, bb, max(12, order - 4))
-
-    x = np.concatenate(xs)
-    qw = np.concatenate(ws)
-    logw = np.concatenate(lws)
+    base, off, qw, logw = (np.concatenate(col) for col in zip(*rules))
+    x = base + off
     for arr in (x, qw, logw):
         arr.setflags(write=False)
-    panels = tuple(np.array(col) for col in zip(*sorted(panels)))
-    return WeightGrid(x=x, qw=qw, logw=logw, panels=panels)
+    a, b, size = (np.concatenate(col) for col in zip(*panels))
+    stop = np.cumsum(size)
+    by_a = np.argsort(a)
+    return WeightGrid(x=x, qw=qw, logw=logw,
+                      panels=tuple(col[by_a] for col in (a, b, stop - size, stop)))

@@ -10,7 +10,6 @@ cross products) are verified by the self-test suite below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +25,11 @@ class SpecfunDomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Order:
-    """Real order of a Bessel function."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nu):
-            raise SpecfunDomainError("Bessel order must be finite")
-
-
 def _nu(order) -> float:
-    if isinstance(order, Order):
-        return order.nu
-    return float(order)
+    nu = float(order)
+    if not math.isfinite(nu):
+        raise SpecfunDomainError("Bessel order must be finite")
+    return nu
 
 
 def _check_z(z: complex, avoid_cut: bool) -> complex:

@@ -9,7 +9,6 @@ measures that decay over a grid and fits the log-log rate.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel_limits import LimitKernelId, limit_kernel, _HALF_PLANES, _SPEC, _power, _PI
+from .bessel_limits import LimitKernelId, limit_kernel, _HALF_PLANES, _PI
 from .equilibrium import solve_equilibrium
 from .finite_kernels import KernelFamily, w_kernel, w_kernel_times_gap
 from .orthopoly import PotentialSpec, WeightSpec, build_recurrence

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from rmtkernels import specfun
 from rmtkernels.bessel_limits import LimitKernelId, limit_kernel, ratio_identity_value

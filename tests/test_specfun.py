@@ -1,10 +1,9 @@
-import cmath
 import math
 
-import numpy as np
 import pytest
 
 from rmtkernels import specfun as sf
+from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
 
 
 def test_selftest_suite_under_tolerance():
@@ -76,10 +75,11 @@ def test_branch_cut_guard():
     )
 
 
-def test_order_dataclass_validation():
+def test_non_finite_order_rejected():
     with pytest.raises(sf.SpecfunDomainError):
-        sf.Order(math.nan)
-    assert sf.bessel_j(sf.Order(0.5), 1.0) == sf.bessel_j(0.5, 1.0)
+        sf.bessel_j(math.nan, 1.0)
+    with pytest.raises(sf.SpecfunDomainError):
+        limit_kernel(LimitKernelId.I, math.nan, 0.5, 0.2)
 
 
 def test_j_at_zero():
