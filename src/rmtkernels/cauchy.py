@@ -24,8 +24,8 @@ The check sums the refined pieces at Gauss orders 16 and 24 on the same
 breaks; their difference plus eps times the sum of absolute terms estimates
 the error, and above 1e-6 relative CauchyConvergenceError is raised.  One
 recurrence over the refined nodes and z serves every requested degree and
-j - 1.  The grid part reads the column qw e^(logw) pi_j q, cached per table,
-degree and sign of Im z; every part is summed under that column's scale.
+j - 1.  The grid part reads the column qw e^(logw) pi_j q, cached per table
+and degree, conjugated for Im z < 0; every part is summed under its scale.
 """
 
 from __future__ import annotations
@@ -107,15 +107,18 @@ def _weighted(qw, logw, p, q, scale=None):
 
 
 def _grid_column(t: RecurrenceTable, j: int, sigma: float):
-    """(qw e^logw pi_j q on the whole grid, its log scale), computed once per (table, j, sigma)."""
+    """(qw e^logw pi_j q on the whole grid, its log scale), computed once per (table, j).
+
+    pi_j is real on the grid: the sigma < 0 column is the conjugate, taken per call."""
     def compute():
         g = t.grid
         cols = monic_values_scaled(t, [max(j - 1, 0), j], g.x)
-        col, scale = _weighted(g.qw, g.logw, cols[j][0], _q(t, cols, j, sigma))
+        col, scale = _weighted(g.qw, g.logw, cols[j][0], _q(t, cols, j, 1.0))
         col.setflags(write=False)
         return col, scale + 2.0 * cols[j][-1]
 
-    return t.memo(("grid", j, sigma), compute)
+    col, scale = t.memo(("grid", j), compute)
+    return (col.conj() if sigma < 0 else col), scale
 
 
 def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:

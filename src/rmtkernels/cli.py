@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -113,12 +114,16 @@ def _table_to_json(t: RecurrenceTable) -> dict:
 
 def _load_table(path: str) -> RecurrenceTable:
     """Rebuild the table from the stored weight; verify against stored data."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    w = WeightSpec(doc["alpha"], doc["n"], PotentialSpec(tuple(doc["coeffs"])))
-    t = build_recurrence(w, doc["max_degree"])
-    for key in ("a", "b", "log_norm_sq"):
-        stored = np.asarray(doc[key], dtype=float)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        w = WeightSpec(doc["alpha"], doc["n"], PotentialSpec(tuple(doc["coeffs"])))
+        max_degree = operator.index(doc["max_degree"])
+        arrays = {key: np.asarray(doc[key], dtype=float) for key in ("a", "b", "log_norm_sq")}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot read table file {path}: {type(exc).__name__}: {exc}") from exc
+    t = build_recurrence(w, max_degree)
+    for key, stored in arrays.items():
         rebuilt = getattr(t, key)
         if stored.shape != rebuilt.shape or \
                 np.max(np.abs(stored - rebuilt)) > 1e-9 * (1 + np.max(np.abs(stored))):
@@ -199,10 +204,13 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_universality(args) -> int:
     p = _parse_potential(args.potential)
-    case = TheoremCase(
-        theorem=Theorem(args.case), alpha=args.alpha, potential=p, m=args.m,
-        n_list=_parse_int_list(args.n),
-    )
+    try:
+        case = TheoremCase(
+            theorem=Theorem(args.case), alpha=args.alpha, potential=p, m=args.m,
+            n_list=_parse_int_list(args.n),
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid --n {args.n!r}: {exc}") from exc
     rep = convergence_study(case)
     if args.out:
         with open(args.out, "w") as fh:

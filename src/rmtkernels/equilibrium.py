@@ -1,20 +1,23 @@
-"""One-cut equilibrium measure for a polynomial external field.
+"""One-cut equilibrium measure for a polynomial external field, in closed form.
 
-V' is expanded in Chebyshev polynomials mapped to the candidate support;
-the finite Hilbert transform of Chebyshev-T against the semicircle weight
-is closed form, so the density is a finite Chebyshev-U sum and the two
-endpoint (moment) conditions are linear in the expansion coefficients.
+On the candidate support [c - r, c + r] put u = (x - c) / r, and let d_k be
+the Chebyshev-T coefficients of V'(c + r u) (Deift, Kriecherbauer &
+McLaughlin, J. Approx. Theory 95, 1998).  The endpoints solve the moment
+conditions d_0 = 0 and r d_1 = 4 by Newton; the density is
+psi = sqrt(1 - u^2) / (2 pi) * sum_k d_k U_{k-1}(u); the log potential,
+and with it ell, is a finite sum of the cosine moments of log|u - cos phi|.
+No integral is taken numerically, and the module needs numpy only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .orthopoly import PotentialSpec
-from .quadrature import legendre_panel
 
 
 class EquilibriumError(RuntimeError):
@@ -42,50 +45,61 @@ class EquilibriumMeasure:
 
     def psi(self, x):
         """Equilibrium density on (b0, a1); zero outside."""
-        from scipy import special as _sp  # on first use: importing the package stays scipy-free
-
+        C = np.polynomial.chebyshev
+        d = self.cheb_coeffs
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.radius
-        inside = np.abs(u) <= 1.0
         u_c = np.clip(u, -1.0, 1.0)
-        total = np.zeros_like(u_c)
-        for k in range(1, len(self.cheb_coeffs)):
-            total += self.cheb_coeffs[k] * _sp.eval_chebyu(k - 1, u_c)
+        # sum_k d_k U_{k-1}(u) = d/du sum_k (d_k / k) T_k(u); chebder drops the k = 0 term
+        total = C.chebval(u_c, C.chebder(d / np.maximum(np.arange(d.size), 1)))
         val = np.sqrt(np.clip(1.0 - u_c * u_c, 0.0, None)) * total / (2.0 * math.pi)
-        out = np.where(inside, val, 0.0)
+        out = np.where(np.abs(u) <= 1.0, val, 0.0)
         return out if out.ndim else float(out)
 
     def log_potential(self, x: float) -> float:
-        """integral of log|x - s| psi(s) ds over the support."""
-        return _log_potential(self, float(x))
+        """integral of log|x - s| psi(s) ds over the support, in closed form.
+
+        With s = c + r cos(phi), psi(s) ds = (r / 2 pi) sum_k d_k sin(k phi) sin(phi) dphi.
+        For u = (t + 1/t) / 2, |t| >= 1, the moment I_l of log|u - cos(phi)| against
+        cos(l phi) over [0, pi] is pi log(|t| / 2) at l = 0, else -(pi / l) Re t^-l.
+        """
+        d, r = self.cheb_coeffs, self.radius
+        u = (float(x) - self.center) / r
+        root = cmath.sqrt((u - 1.0) * (u + 1.0))
+        t = u + root if u >= 0.0 else u - root
+        moments = np.empty(d.size + 1)  # I_0 .. I_{K+1} for K = deg V'
+        moments[0] = math.pi * math.log(abs(t) / 2.0)
+        k = np.arange(1, d.size + 1)
+        moments[1:] = -math.pi / k * np.power(1.0 / t, k).real
+        # sin(k phi) sin(phi) = (cos((k - 1) phi) - cos((k + 1) phi)) / 2
+        total = 0.5 * math.pi * d[1] * math.log(r) \
+            + 0.5 * float(d[1:] @ (moments[:-2] - moments[2:]))
+        return r / (2.0 * math.pi) * total
 
 
 def _cheb_of_vprime(p: PotentialSpec, b0: float, a1: float) -> np.ndarray:
+    """Chebyshev-T coefficients of V'(c + r u), from its Taylor coefficients at c.
+
+    Exact for a quadratic V: Chebyshev interpolation would move the endpoints
+    of V = 2x^2 off +-1 by an ulp."""
+    P = np.polynomial.polynomial
     c = 0.5 * (b0 + a1)
     r = 0.5 * (a1 - b0)
-    vp = p.poly().deriv()
-    comp = vp(np.polynomial.Polynomial([c, r]))  # V'(c + r u) as polynomial in u
-    return np.polynomial.chebyshev.poly2cheb(comp.coef)
+    taylor = [r ** m * P.polyval(c, P.polyder(p.coeffs, m + 1)) / math.factorial(m)
+              for m in range(p.degree)]
+    return np.polynomial.chebyshev.poly2cheb(taylor)
 
 
 def _moment_conditions(p: PotentialSpec, b0: float, a1: float):
     """(d_0, r d_1 - 4): both vanish at the one-cut endpoints."""
     d = _cheb_of_vprime(p, b0, a1)
-    r = 0.5 * (a1 - b0)
-    d1 = d[1] if len(d) > 1 else 0.0
-    return np.array([d[0], r * d1 - 4.0])
+    return np.array([d[0], 0.5 * (a1 - b0) * d[1] - 4.0])
 
 
 def _initial_guess(p: PotentialSpec) -> float:
     """First s = 0.5 * 1.5^k with (s/4) * d_1([-s,s]) >= 1 (or s >= 1e4): Newton's start."""
-
-    def m2(s):
-        d = _cheb_of_vprime(p, -s, s)
-        d1 = d[1] if len(d) > 1 else 0.0
-        return s * d1 / 4.0
-
     s = 0.5
-    while m2(s) < 1.0 and s < 1e4:
+    while s * _cheb_of_vprime(p, -s, s)[1] / 4.0 < 1.0 and s < 1e4:
         s *= 1.5
     return s
 
@@ -130,7 +144,7 @@ def solve_equilibrium(p: PotentialSpec) -> EquilibriumMeasure:
             "density negative on the candidate support: multi-cut potentials "
             "are out of scope"
         )
-    mass = _total_mass(eq)
+    mass = eq.radius * d[1] / 4.0
     if abs(mass - 1.0) > 1e-8:
         raise EquilibriumError(f"equilibrium mass {mass} != 1")
 
@@ -139,45 +153,8 @@ def solve_equilibrium(p: PotentialSpec) -> EquilibriumMeasure:
         raise EquilibriumError("support must straddle the origin")
     if eq.psi0 <= 0:
         raise EquilibriumError("density vanishes at the origin")
-    eq.ell = 2.0 * _log_potential(eq, 0.0) - p(0.0)
+    eq.ell = 2.0 * eq.log_potential(0.0) - p(0.0)
     return eq
-
-
-def _total_mass(eq: EquilibriumMeasure) -> float:
-    r = eq.radius
-    d1 = eq.cheb_coeffs[1] if len(eq.cheb_coeffs) > 1 else 0.0
-    return r * d1 / 4.0
-
-
-def _log_potential(eq: EquilibriumMeasure, x: float) -> float:
-    """integral log|x - s| psi(s) ds by panels refined toward s = x and the edges."""
-    b0, a1 = eq.b0, eq.a1
-    breaks = {b0, a1}
-    width = a1 - b0
-
-    def refine(target, lo, hi, floor=1e-13):
-        if not (lo <= target <= hi):
-            return
-        breaks.add(target)
-        for end in (lo, hi):
-            cur = abs(end - target)
-            while cur > floor * width:
-                cur *= 0.35
-                val = target + math.copysign(cur, end - target)
-                if lo <= val <= hi:
-                    breaks.add(val)
-
-    refine(x, b0, a1)
-    refine(b0 + 1e-13 * width, b0, a1)  # square-root edge behavior
-    refine(a1 - 1e-13 * width, b0, a1)
-    edges = sorted(breaks)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
-        xn, wn = legendre_panel(a, b, 16)
-        total += float(np.dot(wn, np.log(np.abs(x - xn)) * eq.psi(xn)))
-    return total
 
 
 @dataclass
@@ -195,7 +172,7 @@ def variational_residuals(eq: EquilibriumMeasure, p: PotentialSpec, grid) -> Res
     ins_x, ins_r, out_x, out_m = [], [], [], []
     for x in grid:
         x = float(x)
-        val = 2.0 * _log_potential(eq, x) - p(x) - eq.ell
+        val = 2.0 * eq.log_potential(x) - p(x) - eq.ell
         if eq.b0 <= x <= eq.a1:
             ins_x.append(x)
             ins_r.append(abs(val))

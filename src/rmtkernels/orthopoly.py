@@ -56,9 +56,6 @@ class PotentialSpec:
     def degree(self) -> int:
         return len(np.trim_zeros(np.asarray(self.coeffs), "b")) - 1
 
-    def poly(self) -> np.polynomial.Polynomial:
-        return np.polynomial.Polynomial(self.coeffs)
-
     # np.polynomial is looked up per call: numpy loads it lazily, and
     # importing it with the package would add to every CLI cold start
     def __call__(self, x):
@@ -139,6 +136,8 @@ class RecurrenceTable:
 def build_recurrence(
     w: WeightSpec, max_degree: int, quad: QuadratureConfig | None = None
 ) -> RecurrenceTable:
+    if max_degree < 0:
+        raise DegreeError(f"max_degree {max_degree} is negative")
     quad = quad or QuadratureConfig()
     dense_panels = max(quad.dense_panels, int(0.8 * max_degree) + 12)
     grid = build_weight_grid(w, dense_panels=dense_panels, order=quad.order)

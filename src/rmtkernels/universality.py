@@ -102,6 +102,8 @@ class TheoremCase:
                 raise ValueError(f"{name} grid point {z} not in the lower half-plane")
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ValueError("n_list must be strictly increasing")
+        if len(self.n_list) < 2:
+            raise ValueError("n_list needs at least two sizes to fit a rate")
 
 
 @dataclass

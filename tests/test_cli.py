@@ -119,6 +119,30 @@ def test_domain_error_is_usage_error(argv, table_file, capsys):
     _assert_one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["cauchy", "--table", "{tmp}/missing.json", "--j", "3", "--z", "0.4,0.3"],
+    ["kernel", "--family", "I", "--table", "{tmp}", "--zeta", "0.3,0", "--eta", "0.2,0"],
+    ["cauchy", "--table", "{tmp}/malformed.json", "--j", "3", "--z", "0.4,0.3"],
+    ["cauchy", "--table", "{tmp}/no_coeffs.json", "--j", "3", "--z", "0.4,0.3"],
+    ["cauchy", "--table", "{tmp}/fractional_degree.json", "--j", "3", "--z", "0.4,0.3"],
+    ["universality", "--case", "T1", "--alpha", "0.3", "--potential", "0,0,2",
+     "--n", "16,8"],
+    ["universality", "--case", "T1", "--alpha", "0.3", "--potential", "0,0,2", "--n", "8"],
+    ["recurrence", "--alpha", "0", "--potential", "0,0,2", "--n", "4",
+     "--max-degree", "-1"],
+], ids=["table-missing", "table-directory", "table-malformed", "table-missing-key",
+        "table-fractional-degree", "universality-decreasing-n", "universality-one-n",
+        "recurrence-negative-degree"])
+def test_bad_input_is_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "malformed.json").write_text("{")
+    (tmp_path / "no_coeffs.json").write_text(json.dumps({"alpha": 0.3, "n": 6}))
+    (tmp_path / "fractional_degree.json").write_text(json.dumps(
+        {"alpha": 0.3, "n": 6, "coeffs": [0, 0, 2], "max_degree": 6.5,
+         "a": [], "b": [], "log_norm_sq": []}))
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == EXIT_USAGE
+    _assert_one_error_line(capsys.readouterr().err)
+
+
 def test_tampered_table_rejected(table_file, capsys):
     with open(table_file) as fh:
         doc = json.load(fh)
@@ -206,21 +230,34 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
+def _scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    src = str(Path(rmtkernels.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_cold_start_does_not_import_scipy():
     # the CLI's cold start and a table build need numpy only, and the cold
     # start does not load numpy's lazily imported polynomial package either
-    code = (
+    assert _scipy_modules_after(
         "import sys, rmtkernels\n"
         "from rmtkernels import cli\n"
         "from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence\n"
         "cli.build_parser()\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
         "build_recurrence(WeightSpec(0.3, 4, PotentialSpec((0, 0, 2))), 8)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = str(Path(rmtkernels.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    ) == "[]"
+
+
+def test_equilibrium_command_does_not_import_scipy():
+    # the equilibrium measure is closed form: solving and checking it needs numpy only
+    assert _scipy_modules_after(
+        "import sys\n"
+        "from rmtkernels import cli\n"
+        "assert cli.main(['equilibrium', '--potential', '0,0,2']) == 0\n"
+    ) == "[]"

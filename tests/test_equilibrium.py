@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from rmtkernels.equilibrium import (
     EquilibriumError,
@@ -95,3 +98,42 @@ def test_multi_cut_rejected():
     # deep symmetric double well pushes the density negative at the origin
     with pytest.raises(EquilibriumError):
         solve_equilibrium(PotentialSpec((0.0, 0.0, -4.0, 0.0, 1.0)))
+
+
+# 2x^2, x^4, the asymmetric quartic and a sextic
+REFERENCE_POTENTIALS = (
+    (0.0, 0.0, 2.0),
+    (0.0, 0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.3, 1.0, 0.0, 0.25),
+    (0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.2),
+)
+
+
+@functools.cache
+def _solved(coeffs):
+    return solve_equilibrium(PotentialSpec(coeffs))
+
+
+def _quad(f, lo, hi, split=None):
+    """Adaptive quadrature over [lo, hi], split at a log singularity inside it."""
+    ends = [lo, split, hi] if split is not None and lo < split < hi else [lo, hi]
+    return sum(integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(ends[:-1], ends[1:]))
+
+
+@pytest.mark.parametrize("coeffs", REFERENCE_POTENTIALS)
+def test_density_mass_by_adaptive_quadrature(coeffs):
+    eq = _solved(coeffs)
+    assert _quad(eq.psi, eq.b0, eq.a1) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coeffs=st.sampled_from(REFERENCE_POTENTIALS),
+       v=st.one_of(st.sampled_from((-1.0, 1.0)), st.floats(-0.999, 0.999),
+                   st.floats(1.001, 3.0), st.floats(-3.0, -1.001)))
+def test_log_potential_matches_adaptive_quadrature(coeffs, v):
+    # x = c + r v: inside the support for |v| < 1, at an edge for |v| = 1, outside beyond
+    eq = _solved(coeffs)
+    x = {-1.0: eq.b0, 1.0: eq.a1}.get(v, eq.center + eq.radius * v)
+    want = _quad(lambda s: math.log(abs(x - s)) * eq.psi(s), eq.b0, eq.a1, split=x)
+    assert eq.log_potential(x) == pytest.approx(want, abs=1e-12)

@@ -98,6 +98,8 @@ def test_case_validation():
         TheoremCase(Theorem.T1, 0.3, V_2X2, n_list=(16, 8))
     with pytest.raises(ValueError):
         TheoremCase(Theorem.T1, 0.3, V_2X2, n_list=(8, 8, 16))
+    with pytest.raises(ValueError):
+        TheoremCase(Theorem.T1, 0.3, V_2X2, n_list=(8,))  # one size fits no rate
 
 
 def test_default_grids_respect_half_planes():
