@@ -4,9 +4,16 @@ For a polynomial q of degree at most j, (q(x) - q(z))/(x - z) has degree
 below j and is orthogonal to pi_j (Gautschi, SIAM Rev. 9, 1967), so
 h_j(z) = S_j(z) / (2 pi i q(z)) with S_j the integral of pi_j q w / (x - z).
 Unlike pi_j w, pi_j q w does not cancel off the support.  q = pi_j alone
-gives 0/0 at a real zero of pi_j as Im z -> 0, so q = pi_j + i sigma
-sqrt(b_j) pi_{j-1}, sigma = sign Im z: by interlacing, Im(pi_j/pi_{j-1})
-has the sign of Im z, and q has no zero in z's half-plane.
+gives 0/0 at a real zero of pi_j as Im z -> 0, so q = pi_j + i sqrt(b_j)
+pi_{j-1}: by interlacing, Im(pi_j/pi_{j-1}) > 0 for Im z > 0, and q has
+no zero in the upper half-plane.
+
+Only the upper half-plane is summed.  The weight is real, so
+pi_j(conj z) = conj pi_j(z) and h_j(conj z) = -conj h_j(z), and likewise
+for h'_j (Fokas, Its & Kitaev, Commun. Math. Phys. 147, 1992): for
+Im z < 0 the transform is -conj of the one at conj z.  Summing below the
+axis directly, with q = pi_j - i sqrt(b_j) pi_{j-1}, would mirror every
+rounding of the sum above it and give the same bits.
 
 S_j is summed over the table's grid.  A panel is near z when dist(z, panel)
 is below its width (Helsing & Ojala, J. Comput. Phys. 227, 2008).  Other
@@ -25,7 +32,7 @@ breaks; their difference plus eps times the sum of absolute terms estimates
 the error, and above 1e-6 relative CauchyConvergenceError is raised.  One
 recurrence over the refined nodes and z serves every requested degree and
 j - 1.  The grid part reads the column qw e^(logw) pi_j q, cached per table
-and degree, conjugated for Im z < 0; every part is summed under its scale.
+and degree; every part is summed under its scale.
 """
 
 from __future__ import annotations
@@ -81,11 +88,11 @@ def _pieces(a: float, b: float, z: complex):
     return np.full(edges.size - 1, x0), edges[:-1], edges[1:]
 
 
-def _q(t: RecurrenceTable, cols: dict, j: int, sigma: float, part: int = 0):
-    """q = pi_j + i sigma sqrt(b_j) pi_{j-1} (part 0) or q' (part 1) from ``cols``, in pi_j's scale."""
+def _q(t: RecurrenceTable, cols: dict, j: int, part: int = 0):
+    """q = pi_j + i sqrt(b_j) pi_{j-1} (part 0) or q' (part 1) from ``cols``, in pi_j's scale."""
     if j == 0:
         return cols[0][part]
-    c = 1j * sigma * math.sqrt(t.b[j]) * math.exp(cols[j - 1][-1] - cols[j][-1])
+    c = 1j * math.sqrt(t.b[j]) * math.exp(cols[j - 1][-1] - cols[j][-1])
     return cols[j][part] + c * cols[j - 1][part]
 
 
@@ -106,19 +113,16 @@ def _weighted(qw, logw, p, q, scale=None):
     return out, scale
 
 
-def _grid_column(t: RecurrenceTable, j: int, sigma: float):
-    """(qw e^logw pi_j q on the whole grid, its log scale), computed once per (table, j).
-
-    pi_j is real on the grid: the sigma < 0 column is the conjugate, taken per call."""
+def _grid_column(t: RecurrenceTable, j: int):
+    """(qw e^logw pi_j q on the whole grid, its log scale), computed once per (table, j)."""
     def compute():
         g = t.grid
         cols = monic_values_scaled(t, [max(j - 1, 0), j], g.x)
-        col, scale = _weighted(g.qw, g.logw, cols[j][0], _q(t, cols, j, 1.0))
+        col, scale = _weighted(g.qw, g.logw, cols[j][0], _q(t, cols, j))
         col.setflags(write=False)
         return col, scale + 2.0 * cols[j][-1]
 
-    col, scale = t.memo(("grid", j), compute)
-    return (col.conj() if sigma < 0 else col), scale
+    return t.memo(("grid", j), compute)
 
 
 def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:
@@ -136,17 +140,20 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
 
     At power 2, h'_j = (S'_j - S_j q'/q) / (2 pi i q) with S'_j the integral
     of pi_j q w / (x - z)^2, so both powers sum the same terms, against
-    u = 1/(x - z) or u (u - q'(z)/q(z)).  Raises CauchyConvergenceError for
+    u = 1/(x - z) or u (u - q'(z)/q(z)).  For Im z < 0 both powers are
+    -conj of their values at conj z.  Raises CauchyConvergenceError for
     the first degree whose error estimate exceeds 1e-6 relative, so no
     degree is returned unchecked.
     """
-    z = complex(z)
+    caller_z = z = complex(z)
     if z.imag == 0.0:
         raise CauchyDomainError("Cauchy transform requires Im z != 0")
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
-    sigma = math.copysign(1.0, z.imag)
+    reflect = z.imag < 0
+    if reflect:
+        z = z.conjugate()
     a, b, start, stop = t.grid.panels
     near = _near_panels(t, z)
     u_grid = 1.0 / (t.grid.x - z)
@@ -166,10 +173,10 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
         lo += off.size
     out = {}
     for j in degrees:
-        col, scale = _grid_column(t, j, sigma)
+        col, scale = _grid_column(t, j)
         s = cols[j][-1]
-        p, q = cols[j][0], _q(t, cols, j, sigma)
-        r = _q(t, cols, j, sigma, part=1)[-1] / q[-1] if power == 2 else 0.0
+        p, q = cols[j][0], _q(t, cols, j)
+        r = _q(t, cols, j, part=1)[-1] / q[-1] if power == 2 else 0.0
 
         def kernel(u):
             return u if power == 1 else u * (u - r)
@@ -187,9 +194,10 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
         if err > _TOLERANCE * abs(total):
             raise CauchyConvergenceError(
                 f"error estimate {err / abs(total) if total else math.inf:.3e} relative "
-                f"at j={j}, z={z}"
+                f"at j={j}, z={caller_z}"
             )
-        out[j] = ScaledComplex.from_parts(_INV_2PI_I * total / q[-1], scale - s)
+        h = ScaledComplex.from_parts(_INV_2PI_I * total / q[-1], scale - s)
+        out[j] = -h.conjugate() if reflect else h
     return out
 
 

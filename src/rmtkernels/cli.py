@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks passed, 2 a numerical tolerance was not
-met, 1 usage or configuration error.  A JSON config file can preload any
-flag; explicit command-line flags win.  All emitted numbers use 17
-significant digits so reruns are byte-comparable.
+met, 1 usage or configuration error, 141 the reader of standard output
+closed it early and the rest of the output was dropped (128 + SIGPIPE, what
+a shell reports for a writer that a closed pipe killed).  A JSON config
+file can preload any flag; explicit command-line flags win.  All emitted
+numbers use 17 significant digits so reruns are byte-comparable.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import math
 import operator
+import os
 import sys
 
 import numpy as np
@@ -53,6 +56,7 @@ from .universality import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -431,6 +435,19 @@ def _apply_config(parser: _Parser, argv):
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a reader that closed early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered would fail again when the interpreter flushes stdout at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _dispatch(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

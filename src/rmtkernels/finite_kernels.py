@@ -11,8 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cauchy import CauchyDomainError, cauchy_transforms
 from .orthopoly import DegreeError, RecurrenceTable, monic_values_scaled
 from .scaled import ScaledComplex
@@ -56,18 +54,27 @@ def _pair(t, kind, lo, hi, z, derivative=False):
     column, one :func:`cauchy_transforms` call for the Cauchy column.  The
     pair is cached on ``t`` under (kind, derivative, (lo, hi), z), so a
     kernel grid evaluates every column once per point instead of once per
-    pair of points.
+    pair of points.  Below the axis the cache holds the pair at conj z, so
+    a point and its mirror image share one entry: pi_j(conj z) =
+    conj pi_j(z) and h_j(conj z) = -conj h_j(z), and so for the derivatives.
     """
+    below = z.imag < 0
+
+    def mirror(pair):
+        if not below:
+            return pair
+        return tuple(-v.conjugate() if kind == "h" else v.conjugate() for v in pair)
+
     if kind == "h":
         def compute():
             h = cauchy_transforms(t, (lo, hi), z, power=2 if derivative else 1)
-            return h[lo], h[hi]
+            return mirror((h[lo], h[hi]))
     else:
         def compute():
-            cols = monic_values_scaled(t, (lo, hi), np.array([z]), derivative=derivative)
-            # (values, log scale), or (values, derivatives, log scale)
-            return tuple(ScaledComplex.from_parts(c[-2][0], c[-1]) for c in (cols[lo], cols[hi]))
-    return t.memo((kind, derivative, (lo, hi), z), compute)
+            cols = monic_values_scaled(t, (lo, hi), z, derivative=derivative)
+            # (value, log scale), or (value, derivative, log scale)
+            return mirror(tuple(ScaledComplex.from_parts(c[-2], c[-1]) for c in (cols[lo], cols[hi])))
+    return mirror(t.memo((kind, derivative, (lo, hi), z.conjugate() if below else z), compute))
 
 
 def _degrees(family: KernelFamily, t: RecurrenceTable, m: int, zeta: complex, eta: complex):

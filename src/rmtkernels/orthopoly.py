@@ -6,8 +6,11 @@ products carry the weight in log form: the working arrays hold
 pi_j(x) * sqrt(w(x)) rescaled by one per-degree exponent, which keeps every
 intermediate O(1) even though norms decay like e^(-c*n).
 
-Polynomial values and derivatives off the grid come from one vectorized
-evaluator, :func:`monic_values_scaled`, which carries a shared log scale;
+Polynomial values and derivatives off the grid come from one evaluator,
+:func:`monic_values_scaled`, which carries a shared log scale.  It takes a
+numpy array of points, or one point as a Python number, which it runs
+through the same recurrence in Python arithmetic (a one-element array
+costs microseconds a step in numpy's per-call overhead);
 :func:`eval_monic` and :func:`eval_monic_derivative` wrap it for one point.
 """
 
@@ -177,10 +180,11 @@ def build_recurrence(
         s_prev = sj
 
     # orthogonality self-check on the full Gram matrix (scale-invariant).  The
-    # rows are replayed over an eighth of the nodes at a time: one (K+1) x N
-    # array would set the process's peak memory on large tables.
+    # rows are replayed over chunks of nodes of at most 512 KiB: one (K+1) x N
+    # array would set the process's peak memory on large tables, and more
+    # chunks than that cost numpy calls on small ones.
     G = np.zeros((K + 1, K + 1))
-    size = -(-x.size // 8)
+    size = max(1, (1 << 19) // (8 * (K + 1)))
     for lo in range(0, x.size, size):
         nodes = slice(lo, lo + size)
         rows = np.empty((K + 1, x[nodes].size))
@@ -215,20 +219,22 @@ def build_recurrence(
 
 def eval_monic(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """pi_j(z) at one point, by :func:`monic_values_scaled`."""
-    vals, s = monic_values_scaled(t, [j], np.array([complex(z)]))[j]
-    return ScaledComplex.from_parts(vals[0], s)
+    val, s = monic_values_scaled(t, [j], complex(z))[j]
+    return ScaledComplex.from_parts(val, s)
 
 
 def eval_monic_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """pi'_j(z) at one point, by :func:`monic_values_scaled`."""
-    _, ders, s = monic_values_scaled(t, [j], np.array([complex(z)]), derivative=True)[j]
-    return ScaledComplex.from_parts(ders[0], s)
+    _, der, s = monic_values_scaled(t, [j], complex(z), derivative=True)[j]
+    return ScaledComplex.from_parts(der, s)
 
 
-def monic_values_scaled(t: RecurrenceTable, degrees, x: np.ndarray, derivative=False):
+def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     """pi_j at many (real or complex) points for each j in ``degrees``.
 
-    Returns {j: (values, log_scale)} with values O(1); vectorized over x.
+    ``x`` is a numpy array, vectorized over, or one point as a Python
+    number (int, float or complex), for which the values are numbers.
+    Returns {j: (values, log_scale)} with values O(1).
     The values are real when x is real, complex otherwise.
     With ``derivative`` it also runs the differentiated recurrence
     pi'_{k+1} = pi_k + (x - a_k) pi'_k - b_k pi'_{k-1} under the same log
@@ -238,29 +244,40 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x: np.ndarray, derivative=F
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
-    x = np.asarray(x)
+    # one number runs the same steps in Python arithmetic: numpy's bits at a
+    # real x; at a complex x numpy may fuse the multiply-adds of a product
+    scalar = isinstance(x, (int, float, complex))
+    if not scalar:
+        x = np.asarray(x)
+
+    def mag(v):
+        return abs(v) if scalar else float(np.abs(v).max(initial=0.0))
+
+    # real nodes keep a real recurrence: it is half the work and half the memory
+    prev = 1.0 if scalar else np.ones_like(x, dtype=np.result_type(x, 1.0))
     top = degrees[-1]
     a, b = t.a[:top + 1].tolist(), t.b[:top + 1].tolist()
     # per step (pi_k, pi_{k-1}) grows at most by reach + max b and shrinks at
     # most by min b / reach: checked every `every` steps and at each output, it
-    # stays within 1e250 of [1e-50, 1e50], so nothing overflows for |x| < 1e250
-    reach = float(np.abs(x).max(initial=0.0)) + max(map(abs, a)) + 1.0
-    every = max(1, int(575.0 / math.log(max(reach + max(b), reach / min(b[1:], default=1.0)))))
+    # stays within 1e250 of [1e-50, 1e50], so nothing overflows for |x| < 1e250.
+    # A bound of at least 2 only checks more often; with degree 0 alone (no
+    # b_k) at x near 0 the bound would be 1 and its logarithm 0.
+    reach = mag(x) + max(map(abs, a)) + 1.0
+    growth = max(reach + max(b), reach / min(b[1:], default=1.0), 2.0)
+    every = max(1, int(575.0 / math.log(growth)))
 
     def pack(vals, ders, s):
-        return (vals.copy(), ders.copy(), s) if derivative else (vals.copy(), s)
+        return (vals, ders, s) if derivative else (vals, s)
 
-    # real nodes keep a real recurrence: it is half the work and half the memory
-    prev = np.ones_like(x, dtype=np.result_type(x, 1.0))
     cur = x - a[0]
-    dprev, dcur = (np.zeros_like(prev), np.ones_like(prev)) if derivative else (None, None)
+    dprev, dcur = (0.0 * prev, prev) if derivative else (None, None)  # pi'_0 = 0, pi'_1 = pi_0
     s_prev = s_cur = 0.0
     out = {0: pack(prev, dprev, 0.0)} if 0 in degrees else {}
     for k in range(1, top + 1):
         if k % every == 0 or k in degrees:
             arrays = (cur, prev, dcur, dprev) if derivative else (cur, prev)
             f = math.exp(s_prev - s_cur)  # prev's scale relative to cur's
-            m = max(float(np.abs(v).max(initial=0.0)) * w for v, w in zip(arrays, (1.0, f, 1.0, f)))
+            m = max(mag(v) * w for v, w in zip(arrays, (1.0, f, 1.0, f)))
             if m > 1e50 or (0 < m < 1e-50):
                 cur = cur / m
                 s_cur += math.log(m)

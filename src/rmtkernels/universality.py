@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel_limits import LimitKernelId, limit_kernel, _HALF_PLANES, _PI
+from .cauchy import CauchyDomainError
 from .equilibrium import solve_equilibrium
 from .finite_kernels import KernelFamily, w_kernel, w_kernel_times_gap
 from .orthopoly import PotentialSpec, WeightSpec, build_recurrence
@@ -177,17 +178,18 @@ def convergence_study(case: TheoremCase) -> ConvergenceReport:
     errors = []
     worst = []
     records = []
+    # the limits do not depend on n
+    targets = [(zeta, eta, limit_target(case, zeta, eta))
+               for zeta in case.zeta_grid for eta in case.eta_grid]
     for n in case.n_list:
         e_n = -1.0
         w_pt = None
-        for zeta in case.zeta_grid:
-            for eta in case.eta_grid:
-                lhs = normalized_lhs(case, n, zeta, eta)
-                tgt = limit_target(case, zeta, eta)
-                err = abs(lhs - tgt)
-                records.append((n, zeta, eta, lhs, tgt, err))
-                if err > e_n:
-                    e_n, w_pt = err, (n, zeta, eta, err)
+        for zeta, eta, tgt in targets:
+            lhs = normalized_lhs(case, n, zeta, eta)
+            err = abs(lhs - tgt)
+            records.append((n, zeta, eta, lhs, tgt, err))
+            if err > e_n:
+                e_n, w_pt = err, (n, zeta, eta, err)
         if not math.isfinite(e_n):
             raise ScaleCancellationError(f"non-finite error at n={n}, point {w_pt}")
         errors.append(e_n)
@@ -212,7 +214,7 @@ def ratio_convergence_check(alpha: float, p: PotentialSpec, zeta,
     """
     zeta = complex(zeta)
     if zeta.imag == 0.0:
-        raise ValueError("ratio check needs Im zeta != 0")
+        raise CauchyDomainError("ratio check needs Im zeta != 0")
     start = time.time()
     eq = _cached_equilibrium(p.coeffs)
     values = []

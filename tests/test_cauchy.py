@@ -209,9 +209,13 @@ def test_plemelj_parity(table_a03_n8):
     # nearer to the kink than to its own foot on the axis
     (0.3, 32, 31, 0.001 + 0.0005j, 1),
     (0.3, 64, 64, (-0.4 + 0.6j) * math.pi / 128, 1),
+    # below the axis, where the transform is the reflection of the one above
+    (0.3, 32, 31, 0.001 - 0.0005j, 1),
+    (0.0, 32, 32, 0.9 - 0.05j, 2),
 ], ids=["n8-j7-off-support", "n8-j8-off-support", "n32-far-imaginary", "n32-off-support",
         "n32-right-of-support", "n32-soft-edge", "n32-soft-edge-derivative",
-        "n8-nonadjacent-near-panels", "a03-near-kink", "a03-study-point"])
+        "n8-nonadjacent-near-panels", "a03-near-kink", "a03-study-point",
+        "a03-near-kink-lower", "n32-soft-edge-derivative-lower"])
 def test_matches_high_precision_reference(alpha, n, j, z, power):
     # 40 digits are not enough off the support (1e-8 at n = 32, z = -2+i)
     want = reference_h(alpha, n, j, z, 65, power)

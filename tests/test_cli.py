@@ -10,7 +10,7 @@ import pytest
 import rmtkernels
 from rmtkernels import cli
 from rmtkernels.cauchy import CauchyConvergenceError
-from rmtkernels.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from rmtkernels.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
 def test_specfun_selftest_passes(capsys):
@@ -111,8 +111,10 @@ def table_file(tmp_path, capsys):
     ["limit-kernel", "--kernel", "II+", "--alpha", "0.3",
      "--zeta", "0.5,-0.1", "--eta", "0.2,0"],
     ["parametrix", "--alpha", "0.3", "--zeta", "0,0", "--sector", "1"],
+    ["ratio-check", "--alpha", "0", "--potential", "0,0,2", "--zeta", "0.5,0"],
 ], ids=["cauchy-degree", "kernel-degree", "cauchy-real-z", "kernel-II-diagonal",
-        "recurrence-alpha", "limit-kernel-half-plane", "parametrix-origin"])
+        "recurrence-alpha", "limit-kernel-half-plane", "parametrix-origin",
+        "ratio-check-real-zeta"])
 def test_domain_error_is_usage_error(argv, table_file, capsys):
     argv = [a.replace("{table}", table_file) for a in argv]
     assert main(argv) == EXIT_USAGE
@@ -230,15 +232,38 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
+def _fresh_env():
+    """The environment for a fresh interpreter that imports this rmtkernels."""
+    src = str(Path(rmtkernels.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _scipy_modules_after(code):
     """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    src = str(Path(rmtkernels.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
                          text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_output_pipe_exits_quietly(buffered):
+    # a reader that closes early (`rmtkernels equilibrium | head -1`) ends the
+    # command with EXIT_BROKEN_PIPE and nothing on stderr, not a traceback:
+    # unbuffered, print fails; buffered, the flush after the command does
+    env = {k: v for k, v in _fresh_env().items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "rmtkernels.cli", "equilibrium", "--potential", "0,0,2"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (EXIT_BROKEN_PIPE, "")
 
 
 def test_cold_start_does_not_import_scipy():

@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmtkernels.orthopoly import (
     PotentialSpec,
@@ -198,6 +200,42 @@ def test_vectorized_matches_scalar(table_a03_n8):
                     assert res[1][i] * math.exp(s) == pytest.approx(
                         d.to_complex(), rel=1e-12, abs=1e-12
                     )
+
+
+@functools.lru_cache(maxsize=None)
+def _point_table(alpha, n):
+    return build_recurrence(WeightSpec(alpha, n, V_2X2), n + 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.sampled_from([(0.0, 8), (0.3, 8), (0.0, 32), (0.3, 32)]), data=st.data(),
+       z=st.one_of(st.floats(-1e300, 1e300),
+                   st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                                      allow_infinity=False)),
+       derivative=st.booleans())
+def test_number_matches_one_element_array(table, data, z, derivative):
+    # a Python number runs the array's recurrence in Python arithmetic.  Real
+    # points give numpy's bits; at complex points numpy may fuse the two
+    # products of a complex product (FMA) where Python rounds each, so the two
+    # agree to 1e-14 of the recurrence's state |F_j| + sqrt(b_j) |F_{j-1}|
+    # (F_j alone cancels near its zeros), per unit of log scale (whose last
+    # bits the two runs need not share)
+    t = _point_table(*table)
+    j = data.draw(st.integers(0, t.max_degree), label="j")
+    degrees = [max(j - 1, 0), j]
+    got = monic_values_scaled(t, degrees, z, derivative=derivative)
+    want = monic_values_scaled(t, degrees, np.array([z]), derivative=derivative)
+    s = want[j][-1]
+
+    def parts(out, k):  # values (and derivatives) as complex numbers in the scale e^s
+        return [complex(np.ravel(v)[0]) * math.exp(out[k][-1] - s) for v in out[k][:-1]]
+
+    assert all(isinstance(v, (float, complex)) for v in got[j][:-1])
+    for g, w, w_prev in zip(parts(got, j), parts(want, j), parts(want, degrees[0])):
+        if not isinstance(z, complex):
+            assert g == w
+        state = abs(w) + (math.sqrt(t.b[j]) * abs(w_prev) if j else 0.0)
+        assert abs(g - w) <= 1e-14 * max(1.0, abs(s)) * state, (g, w, s)
 
 
 def test_appell_derivative_identity():

@@ -3,6 +3,8 @@ import math
 import pytest
 
 from rmtkernels import finite_kernels, universality
+from rmtkernels.bessel_limits import LimitKernelId
+from rmtkernels.cauchy import CauchyDomainError
 from rmtkernels.orthopoly import PotentialSpec
 from rmtkernels.universality import (
     Theorem,
@@ -119,7 +121,7 @@ def test_ratio_check_both_half_planes():
         assert rep.passed
         for v in rep.values:
             assert v == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(ValueError):
+    with pytest.raises(CauchyDomainError):
         ratio_convergence_check(0.3, V_2X2, 0.5)
 
 
@@ -148,3 +150,49 @@ def test_study_evaluates_each_cauchy_column_once(monkeypatch):
         fresh.append(normalized_lhs(case, n, zeta, eta))
     assert fresh == [r[3] for r in rep.records]
     universality._cached_table.cache_clear()
+
+
+def test_lower_half_plane_reads_the_upper_cache(monkeypatch):
+    # T3c's grids are T3a's conjugated: on the same tables its Cauchy columns
+    # are the reflections of T3a's cached ones, and no transform is recomputed
+    universality._cached_table.cache_clear()
+    upper = TheoremCase(Theorem.T3a, 0.3, V_2X2, n_list=(8, 16))
+    lower = TheoremCase(Theorem.T3c, 0.3, V_2X2, n_list=(8, 16))
+    assert lower.zeta_grid == tuple(z.conjugate() for z in upper.zeta_grid)
+    convergence_study(upper)
+    calls = []
+    compute = finite_kernels.cauchy_transforms
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(finite_kernels, "cauchy_transforms", counting)
+    rep = convergence_study(lower)
+    assert calls == []
+
+    fresh = []
+    for n, zeta, eta, *_ in rep.records:
+        universality._cached_table.cache_clear()
+        fresh.append(normalized_lhs(lower, n, zeta, eta))
+    assert fresh == [r[3] for r in rep.records]
+    assert len(calls) == 2 * len(rep.records)  # a fresh table computes both slots' pairs
+    universality._cached_table.cache_clear()
+
+
+def test_study_evaluates_each_limit_once(monkeypatch):
+    # the limits do not depend on n: one limit_kernel call per (zeta, eta)
+    case = TheoremCase(Theorem.T2b, 0.3, V_2X2, n_list=(8, 16, 32))
+    calls = []
+    compute = universality.limit_kernel
+
+    def counting(kid, alpha, zeta, eta):
+        calls.append((zeta, eta))
+        return compute(kid, alpha, zeta, eta)
+
+    monkeypatch.setattr(universality, "limit_kernel", counting)
+    rep = convergence_study(case)
+    assert sorted(calls, key=str) == sorted(
+        ((z, e) for z in case.zeta_grid for e in case.eta_grid), key=str)
+    assert [r[4] for r in rep.records] == [compute(LimitKernelId.II_minus, 0.3, z, e) * (z - e)
+                                           for z, e in calls] * len(case.n_list)
