@@ -29,14 +29,21 @@ kink.
 
 The check sums the refined pieces at Gauss orders 16 and 24 on the same
 breaks; their difference plus eps times the sum of absolute terms estimates
-the error, and above 1e-6 relative CauchyConvergenceError is raised.  One
-recurrence over the refined nodes and z serves every requested degree and
-j - 1.  The grid part reads the column qw e^(logw) pi_j q, cached per table
-and degree; every part is summed under its scale.
+the error, and above 1e-6 relative CauchyConvergenceError is raised.
+
+Points are summed in batches: one near-panel test, one weighted_rule call
+per order for the pieces of all points, one recurrence over every refined
+node and every point for every requested degree and j - 1, and for the
+grid part one product of the column qw e^(logw) pi_j q, cached per table
+and degree (one whole-grid recurrence serves all degrees not yet cached),
+with the matrix of 1/(x_k - z_m), each point's near panels masked.  Each
+point's terms are summed on their own, under their scale; a point whose
+values would lose bits in the batch's shared log scale is summed apart.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,10 +67,11 @@ class CauchyConvergenceError(RuntimeError):
     pass
 
 
-def _near_panels(t: RecurrenceTable, z: complex) -> np.ndarray:
-    """Indices of the grid panels nearer to z than their own width."""
+def _near_panels(t: RecurrenceTable, z) -> np.ndarray:
+    """Mask of the grid panels nearer to z than their own width; a row per point of an array z."""
     a, b, _, _ = t.grid.panels
-    return np.flatnonzero(np.abs(z - np.clip(z.real, a, b)) < b - a)
+    z = np.asarray(z)[..., None]
+    return np.abs(z - np.minimum(np.maximum(z.real, a), b)) < b - a
 
 
 def _pieces(a: float, b: float, z: complex):
@@ -113,16 +121,22 @@ def _weighted(qw, logw, p, q, scale=None):
     return out, scale
 
 
-def _grid_column(t: RecurrenceTable, j: int):
-    """(qw e^logw pi_j q on the whole grid, its log scale), computed once per (table, j)."""
-    def compute():
-        g = t.grid
-        cols = monic_values_scaled(t, [max(j - 1, 0), j], g.x)
-        col, scale = _weighted(g.qw, g.logw, cols[j][0], _q(t, cols, j))
-        col.setflags(write=False)
-        return col, scale + 2.0 * cols[j][-1]
+def _grid_columns(t: RecurrenceTable, degrees) -> dict:
+    """{j: (qw e^logw pi_j q on the whole grid, its log scale)}, computed once per (table, j).
 
-    return t.memo(("grid", j), compute)
+    One recurrence over the grid serves every degree not yet cached.
+    """
+    def compute(missing):
+        g, js = t.grid, [j for _, j in missing]
+        cols = monic_values_scaled(t, {max(j - 1, 0) for j in js} | set(js), g.x)
+        out = []
+        for j in js:
+            col, scale = _weighted(g.qw, g.logw, cols[j][0], _q(t, cols, j))
+            col.setflags(write=False)
+            out.append((col, scale + 2.0 * cols[j][-1]))
+        return out
+
+    return dict(zip(degrees, t.memo([("grid", j) for j in degrees], compute)))
 
 
 def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:
@@ -138,66 +152,106 @@ def cauchy_transform_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
 def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
     """{j: h_j(z)} for each j in ``degrees`` (h'_j(z) at ``power`` 2); requires Im z != 0.
 
+    ``z`` is one point, for which each h_j(z) is a ScaledComplex, or a 1-d
+    array of points, summed as one batch, for which it is a list with one
+    per point.
+
     At power 2, h'_j = (S'_j - S_j q'/q) / (2 pi i q) with S'_j the integral
     of pi_j q w / (x - z)^2, so both powers sum the same terms, against
     u = 1/(x - z) or u (u - q'(z)/q(z)).  For Im z < 0 both powers are
-    -conj of their values at conj z.  Raises CauchyConvergenceError for
-    the first degree whose error estimate exceeds 1e-6 relative, so no
-    degree is returned unchecked.
+    -conj of their values at conj z.  Each point has its own error estimate;
+    CauchyConvergenceError is raised if one exceeds 1e-6 relative, naming
+    that point and degree, so no value is returned unchecked.
     """
-    caller_z = z = complex(z)
-    if z.imag == 0.0:
+    zs = np.asarray(z, dtype=complex)
+    single, zs = zs.ndim == 0, zs.reshape(-1).tolist()
+    if not all(w.imag for w in zs):
         raise CauchyDomainError("Cauchy transform requires Im z != 0")
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
-    reflect = z.imag < 0
-    if reflect:
-        z = z.conjugate()
+    points = [w.conjugate() if w.imag < 0 else w for w in zs]  # the points summed
+    zu = np.array(points, dtype=complex)
     a, b, start, stop = t.grid.panels
-    near = _near_panels(t, z)
-    u_grid = 1.0 / (t.grid.x - z)
-    for i in near:
-        u_grid[start[i]:stop[i]] = 0.0  # near panels leave the grid sum
-    # pieces per panel: near panels need not be adjacent, and a piece that
-    # bridged a gap would count the grid panels in it twice
-    pieces = [np.concatenate(p) for p in zip(*(_pieces(a[i], b[i], z) for i in near))]
-    rules = [weighted_rule(*pieces, order, t.weight) for order in _ORDERS] if pieces else []
-    xs = np.concatenate([x0 + off for x0, off, _, _ in rules] + [[z]])
-    cols = monic_values_scaled(t, sorted({max(j - 1, 0) for j in degrees} | set(degrees)),
+    u_grid = 1.0 / (t.grid.x - zu[:, None])
+    split, shift = [], []  # pieces in the order of their points, and z - x0 per piece
+    counts = [0] * len(zs)  # pieces per point
+    for m, i in zip(*(k.tolist() for k in np.nonzero(_near_panels(t, zu)))):
+        u_grid[m, start[i]:stop[i]] = 0.0  # near panels leave the point's grid sum
+        # pieces per panel: near panels need not be adjacent, and a piece that
+        # bridged a gap would count the grid panels in it twice
+        split.append(_pieces(a[i], b[i], points[m]))
+        x0 = split[-1][0]
+        shift += [points[m] - x0[0]] * x0.size
+        counts[m] += x0.size
+    cuts = [0, *itertools.accumulate(counts)]  # point m has pieces cuts[m]:cuts[m+1]
+    counts, shift = np.array(counts), np.array(shift)
+    pieces = [np.concatenate(c) for c in zip(*split)]
+    rules = [weighted_rule(*pieces, order, t.weight) for order in _ORDERS] if split else []
+    xs = np.concatenate([x0 + off for x0, off, _, _ in rules] + [zu])
+    cols = monic_values_scaled(t, {max(j - 1, 0) for j in degrees} | set(degrees),
                                xs, derivative=power == 2)
     local, lo = [], 0
-    for x0, off, qw, logw in rules:
+    for order, (_, off, qw, logw) in zip(_ORDERS, rules):
         # x - z from the offsets, exact where the pieces are narrowest
-        local.append((slice(lo, lo + off.size), 1.0 / (off - (z - x0)), qw, logw))
+        u = 1.0 / (off - np.repeat(shift, order))
+        local.append((order, slice(lo, lo + off.size), u, qw, logw))
         lo += off.size
+    if len(zs) > 1:
+        # one log scale serves every node, and it is set by the largest: a
+        # point whose values sit below 1e-100 in it may have lost bits, and
+        # is summed again apart from the points above
+        at = [np.repeat(np.arange(len(zs)), counts * order) for order, *_ in local]
+        peak = np.zeros(len(zs))
+        np.maximum.at(peak, np.concatenate(at + [np.arange(len(zs))]),
+                      np.abs(_q(t, cols, degrees[-1])))
+        low = peak < 1e-100
+        if low.any():
+            out = {j: [None] * len(zs) for j in degrees}
+            for part in (np.flatnonzero(~low), np.flatnonzero(low)):
+                for j, hs in cauchy_transforms(t, degrees, [zs[m] for m in part], power).items():
+                    for m, h in zip(part, hs):
+                        out[j][m] = h
+            return out
+    grid = _grid_columns(t, degrees)
     out = {}
     for j in degrees:
-        col, scale = _grid_column(t, j)
+        col, scale = grid[j]
         s = cols[j][-1]
         p, q = cols[j][0], _q(t, cols, j)
-        r = _q(t, cols, j, part=1)[-1] / q[-1] if power == 2 else 0.0
+        qz = q[-len(zs):]
+        r = _q(t, cols, j, part=1)[-len(zs):] / qz if power == 2 else None
 
-        def kernel(u):
-            return u if power == 1 else u * (u - r)
+        def kernel(u, order=None):
+            """u, or u (u - q'(z)/q(z)) at power 2, on the grid rows or the pieces at ``order``."""
+            if r is None:
+                return u
+            return u * (u - (r[:, None] if order is None else np.repeat(r, counts * order)))
 
         grid_terms = col * kernel(u_grid)
-        total, mass, err = complex(grid_terms.sum()), float(np.abs(grid_terms).sum()), 0.0
-        if local:
-            # the order-24 pieces join the sum; the order-16 ones are its check
-            check, fine = (_weighted(qw, logw, p[nodes], q[nodes], scale - 2.0 * s)[0] * kernel(u)
-                           for nodes, u, qw, logw in local)
-            total += complex(fine.sum())
-            mass += float(np.abs(fine).sum())
-            err = abs(complex(check.sum()) - complex(fine.sum()))
-        err += _EPS * mass
-        if err > _TOLERANCE * abs(total):
-            raise CauchyConvergenceError(
-                f"error estimate {err / abs(total) if total else math.inf:.3e} relative "
-                f"at j={j}, z={caller_z}"
-            )
-        h = ScaledComplex.from_parts(_INV_2PI_I * total / q[-1], scale - s)
-        out[j] = -h.conjugate() if reflect else h
+        # the order-24 pieces join the sum; the order-16 ones are its check
+        check, fine = (
+            _weighted(qw, logw, p[nodes], q[nodes], scale - 2.0 * s)[0] * kernel(u, order)
+            for order, nodes, u, qw, logw in local) if local else (None, None)
+        totals, masses = grid_terms.sum(axis=1).tolist(), np.abs(grid_terms).sum(axis=1).tolist()
+        hs = []
+        for m, w in enumerate(zs):
+            total, mass, err = totals[m], masses[m], 0.0
+            if cuts[m] < cuts[m + 1]:
+                f = fine[cuts[m] * _ORDERS[1]:cuts[m + 1] * _ORDERS[1]]
+                fs = complex(f.sum())
+                total += fs
+                mass += float(np.abs(f).sum())
+                err = abs(complex(check[cuts[m] * _ORDERS[0]:cuts[m + 1] * _ORDERS[0]].sum()) - fs)
+            err += _EPS * mass
+            if err > _TOLERANCE * abs(total):
+                raise CauchyConvergenceError(
+                    f"error estimate {err / abs(total) if total else math.inf:.3e} relative "
+                    f"at j={j}, z={w}"
+                )
+            h = ScaledComplex.from_parts(_INV_2PI_I * total / qz[m], scale - s)
+            hs.append(-h.conjugate() if w.imag < 0 else h)
+        out[j] = hs[0] if single else hs
     return out
 
 
@@ -224,10 +278,9 @@ def plemelj_jump_check(t: RecurrenceTable, j: int, x: float, eps_list) -> JumpRe
     t_abs = abs(target)
     jumps = []
     residuals = []
-    for eps in eps_list:
-        hp = cauchy_transform(t, j, complex(x, eps))
-        hm = cauchy_transform(t, j, complex(x, -eps))
-        jump = (hp - hm).to_complex()
+    # h_j(x - i eps) = -conj h_j(x + i eps), so the jump is h + conj h above
+    for h in cauchy_transforms(t, [j], x + 1j * np.array(eps_list))[j]:
+        jump = (h + h.conjugate()).to_complex()
         jumps.append(jump)
         residuals.append(abs(jump - target) / t_abs if t_abs > 0 else abs(jump))
     extr = _neville_at_zero(eps_list, jumps)

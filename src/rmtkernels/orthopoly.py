@@ -120,13 +120,19 @@ class RecurrenceTable:
     orthogonality_residual: float = 0.0
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def memo(self, key, compute):
-        """compute() cached on this table under ``key``; a raised error is not cached."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
+    def memo(self, keys, compute):
+        """The values cached on this table under ``keys``, as a list.
+
+        compute(missing) returns the values for the keys not yet cached, each
+        once, in their order of first appearance.  They are cached only once
+        it returns, so a raised error caches nothing.
+        """
+        cache = self._memo
+        missing = [k for k in keys if k not in cache]
+        if missing:
+            missing = list(dict.fromkeys(missing))
+            cache.update(zip(missing, compute(missing)))
+        return [cache[k] for k in keys]
 
     def log_gamma_sq(self, j: int) -> float:
         """log gamma_j^2 = -log ||pi_j||^2 (orthonormal leading coefficient squared)."""

@@ -77,20 +77,19 @@ class WeightGrid:
 def weighted_rule(x0, lo, hi, order: int, w):
     """Order-``order`` Gauss rules for the weight ``w`` on the pieces [x0 + lo, x0 + hi].
 
-    Returns (x0, offset, qw, logw) per node, piece by piece, the pieces
-    without an end at 0 first.  A piece with an end at 0 is Gauss-Jacobi
-    with |x|^(2a) in qw; the others are Gauss-Legendre with 2a log|x| in
-    logw.  Every piece carries -nV in logw.
+    Returns (x0, offset, qw, logw) per node, ``order`` nodes per piece in the
+    order of the pieces.  A piece with an end at 0 is Gauss-Jacobi with
+    |x|^(2a) in qw; the others are Gauss-Legendre with 2a log|x| in logw.
+    Every piece carries -nV in logw.
     """
-    kink = (x0 + lo == 0.0) | (x0 + hi == 0.0)
-    off, qw = legendre_panel(lo[~kink, None], hi[~kink, None], order)
-    base, off, qw = np.repeat(x0[~kink], order), off.ravel(), qw.ravel()
-    logw = 2.0 * w.alpha * np.log(np.abs(base + off))
-    for c, l, h in zip(x0[kink], lo[kink], hi[kink]):
-        xj, qj = jacobi_panel(c + (h if c + l == 0.0 else l), order, 2.0 * w.alpha)
-        base, off = np.concatenate([base, np.full(order, c)]), np.concatenate([off, xj - c])
-        qw, logw = np.concatenate([qw, qj]), np.concatenate([logw, np.zeros(order)])
-    return base, off, qw, logw - w.n * w.potential(base + off)
+    off, qw = legendre_panel(lo[:, None], hi[:, None], order)
+    logw = 2.0 * w.alpha * np.log(np.abs(x0[:, None] + off))
+    for i in np.flatnonzero((x0 + lo == 0.0) | (x0 + hi == 0.0)):
+        end = x0[i] + (hi[i] if x0[i] + lo[i] == 0.0 else lo[i])
+        xj, qw[i] = jacobi_panel(end, order, 2.0 * w.alpha)
+        off[i], logw[i] = xj - x0[i], 0.0
+    base, off = np.repeat(x0, order), off.ravel()
+    return base, off, qw.ravel(), logw.ravel() - w.n * w.potential(base + off)
 
 
 def _tail_edges(start: float, end: float):

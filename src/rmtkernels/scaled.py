@@ -154,9 +154,3 @@ def _coerce(value) -> ScaledComplex:
     if isinstance(value, ScaledComplex):
         return value
     return ScaledComplex.from_complex(value)
-
-
-def sc_exp(log_value: complex) -> ScaledComplex:
-    """e^w for complex w, as a ScaledComplex (never overflows)."""
-    w = complex(log_value)
-    return ScaledComplex(cmath.exp(1j * w.imag), w.real)

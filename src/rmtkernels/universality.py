@@ -4,7 +4,10 @@ For each case the finite kernel is evaluated at arguments shrunk by
 1/(n psi(0)), multiplied by the squared leading coefficient and divided by
 the explicit exponential prefactor; the remainder is an O(1) complex number
 whose distance to the limiting kernel decays like 1/n.  The harness
-measures that decay over a grid and fits the log-log rate.
+measures that decay over a grid and fits the log-log rate.  Each n's grid
+is one kernel grid, normalized with numpy as a whole: log scales, the
+prefactor and the check that the scales cancelled; normalized_lhs is its
+one-pair call.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import numpy as np
 from .bessel_limits import LimitKernelId, limit_kernel, _HALF_PLANES, _PI
 from .cauchy import CauchyDomainError
 from .equilibrium import solve_equilibrium
-from .finite_kernels import KernelFamily, w_kernel, w_kernel_times_gap
+from .finite_kernels import KernelFamily, kernel_grid, w_kernel_times_gap
 from .orthopoly import PotentialSpec, WeightSpec, build_recurrence
-from .scaled import ScaledComplex, sc_exp
+from .scaled import ScaledComplex
 
 
 class ScaleCancellationError(RuntimeError):
@@ -132,36 +135,44 @@ def _cached_equilibrium(coeffs: tuple):
     return solve_equilibrium(PotentialSpec(coeffs))
 
 
-def normalized_lhs(case: TheoremCase, n: int, zeta, eta) -> complex:
-    """Finite-kernel side with the scaling and exponential prefactor removed."""
-    zeta, eta = complex(zeta), complex(eta)
+def _normalized_grid(case: TheoremCase, n: int, zetas, etas) -> np.ndarray:
+    """normalized_lhs at every pair of ``zetas`` and ``etas``, from one kernel grid, as arrays."""
+    zetas, etas = np.asarray(zetas, dtype=complex), np.asarray(etas, dtype=complex)
     t = _cached_table(case.alpha, case.potential.coeffs, n)
     eq = _cached_equilibrium(case.potential.coeffs)
     s = n * eq.psi0
-    zs, es = zeta / s, eta / s
     fam = _FAMILY[case.theorem]
-    g2 = t.gamma_sq(n + case.m - 1)
     drift = eq.v_prime_at_0 / (2.0 * eq.psi0)
     log_amp = 2.0 * case.alpha * math.log(s) + n * eq.v_at_0
 
+    # gamma^2 W / s, or gamma^2 (zeta - eta) W for family II, over e^pref
+    mant, log = kernel_grid(fam, t, case.m, zetas / s, etas / s, gap=fam is KernelFamily.II)
+    log = log + t.log_gamma_sq(n + case.m - 1)
+    zeta, eta = zetas[:, None], etas[None, :]
     if fam is KernelFamily.II:
-        core = g2 * w_kernel_times_gap(fam, t, case.m, zs, es)
-        pref = sc_exp(complex(0.0, 0.0) - drift * (zeta - eta))
+        pref = -drift * (zeta - eta)
     else:
-        core = g2 * w_kernel(fam, t, case.m, zs, es) / ScaledComplex.from_complex(s)
-        if fam is KernelFamily.I:
-            pref = sc_exp(log_amp + drift * (zeta + eta))
-        else:
-            pref = sc_exp(-log_amp - drift * (zeta + eta))
-
-    out = core / pref
-    la = out.log_abs()
-    if math.isfinite(la) and abs(la) > 60.0:
+        log -= math.log(s)
+        pref = log_amp + drift * (zeta + eta)
+        if fam is KernelFamily.III:
+            pref = -pref
+    mag = np.abs(mant)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        la = log - pref.real + np.log(mag)
+        value = np.where(mag > 0, mant / mag * np.exp(la - 1j * pref.imag), 0.0)
+    bad = np.isfinite(la) & (np.abs(la) > 60.0)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
         raise ScaleCancellationError(
-            f"normalized kernel has log magnitude {la:.1f}; the exponential "
-            f"scales failed to cancel (n={n}, zeta={zeta}, eta={eta})"
+            f"normalized kernel has log magnitude {la[i, k]:.1f}; the exponential "
+            f"scales failed to cancel (n={n}, zeta={complex(zetas[i])}, eta={complex(etas[k])})"
         )
-    return out.to_complex()
+    return value
+
+
+def normalized_lhs(case: TheoremCase, n: int, zeta, eta) -> complex:
+    """Finite-kernel side with the scaling and exponential prefactor removed."""
+    return complex(_normalized_grid(case, n, [zeta], [eta])[0, 0])
 
 
 def limit_target(case: TheoremCase, zeta, eta) -> complex:
@@ -174,25 +185,24 @@ def limit_target(case: TheoremCase, zeta, eta) -> complex:
 
 
 def convergence_study(case: TheoremCase) -> ConvergenceReport:
-    start = time.time()
+    """Each n's grid is normalized as one array; records run over zeta, then eta."""
+    start = time.perf_counter()
     errors = []
     worst = []
     records = []
+    pairs = [(zeta, eta) for zeta in case.zeta_grid for eta in case.eta_grid]
     # the limits do not depend on n
-    targets = [(zeta, eta, limit_target(case, zeta, eta))
-               for zeta in case.zeta_grid for eta in case.eta_grid]
+    targets = np.array([limit_target(case, zeta, eta) for zeta, eta in pairs])
     for n in case.n_list:
-        e_n = -1.0
-        w_pt = None
-        for zeta, eta, tgt in targets:
-            lhs = normalized_lhs(case, n, zeta, eta)
-            err = abs(lhs - tgt)
-            records.append((n, zeta, eta, lhs, tgt, err))
-            if err > e_n:
-                e_n, w_pt = err, (n, zeta, eta, err)
-        if not math.isfinite(e_n):
+        lhs = _normalized_grid(case, n, case.zeta_grid, case.eta_grid).ravel()
+        err = np.abs(lhs - targets)
+        records.extend((n, zeta, eta, v, tgt, e) for (zeta, eta), v, tgt, e in
+                       zip(pairs, lhs.tolist(), targets.tolist(), err.tolist()))
+        i = int(np.argmax(err))
+        w_pt = (n, *pairs[i], float(err[i]))
+        if not math.isfinite(err[i]):
             raise ScaleCancellationError(f"non-finite error at n={n}, point {w_pt}")
-        errors.append(e_n)
+        errors.append(float(err[i]))
         worst.append(w_pt)
     slope = float(np.polyfit(np.log(case.n_list), np.log(errors), 1)[0])
     decay_ratio = errors[-1] / errors[0] if errors[0] > 0 else math.nan
@@ -200,7 +210,7 @@ def convergence_study(case: TheoremCase) -> ConvergenceReport:
     return ConvergenceReport(
         n_list=list(case.n_list), errors=errors, slope=slope, passed=passed,
         worst=worst, records=records, decay_ratio=decay_ratio,
-        runtime_seconds=time.time() - start,
+        runtime_seconds=time.perf_counter() - start,
     )
 
 
@@ -215,7 +225,7 @@ def ratio_convergence_check(alpha: float, p: PotentialSpec, zeta,
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise CauchyDomainError("ratio check needs Im zeta != 0")
-    start = time.time()
+    start = time.perf_counter()
     eq = _cached_equilibrium(p.coeffs)
     values = []
     errors = []
@@ -232,5 +242,5 @@ def ratio_convergence_check(alpha: float, p: PotentialSpec, zeta,
     return ConvergenceReport(
         n_list=list(n_list), errors=errors, slope=slope, passed=passed,
         worst=[], records=[], decay_ratio=errors[-1] / errors[0] if errors[0] else math.nan,
-        runtime_seconds=time.time() - start, values=values,
+        runtime_seconds=time.perf_counter() - start, values=values,
     )

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,9 +65,9 @@ def test_degrees_together_match_single_degree_calls():
         t = build_recurrence(WeightSpec(alpha, 8, V_2X2), 16)
         a, b, _, _ = t.grid.panels
         # near the origin the refined panels include one with an end at the kink
-        assert any(0.0 in (a[i], b[i]) for i in cauchy._near_panels(t, near_origin))
-        assert cauchy._near_panels(t, bulk_far).size == 0
-        assert cauchy._near_panels(t, off_bulk).size > 0
+        assert any(0.0 in (a[i], b[i]) for i in np.flatnonzero(cauchy._near_panels(t, near_origin)))
+        assert not cauchy._near_panels(t, bulk_far).any()
+        assert cauchy._near_panels(t, off_bulk).any()
         for z in (near_origin, bulk_far, off_bulk):
             for power, single in ((1, cauchy_transform), (2, cauchy_transform_derivative)):
                 for j in (8, 9):
@@ -89,6 +90,49 @@ def test_degrees_together_match_single_degree_calls():
             cauchy_transforms(t, [8], z0)
         with pytest.raises(CauchyConvergenceError):
             w_kernel(KernelFamily.III, t, 0, z0, 0.5 - 0.3j)
+
+
+def test_batch_matches_one_point_calls():
+    # one batch of points near the origin, far above the bulk and off the bulk,
+    # in both half-planes, returns what one call per point returns
+    near_origin, bulk_far, off_bulk = 0.01 + 0.005j, 0.3 + 1.5j, 2.5 + 0.1j
+    zs = [z for w in (near_origin, bulk_far, off_bulk) for z in (w, w.conjugate())]
+    for alpha in (0.0, 0.3):
+        t = build_recurrence(WeightSpec(alpha, 8, V_2X2), 16)
+        for power in (1, 2):
+            batch = cauchy_transforms(t, [7, 8], np.array(zs), power)
+            assert sorted(batch) == [7, 8] and all(len(v) == len(zs) for v in batch.values())
+            for m, z in enumerate(zs):
+                single = cauchy_transforms(t, [7, 8], z, power)
+                for j in (7, 8):
+                    err = (batch[j][m] - single[j]).log_abs() - single[j].log_abs()
+                    assert err < math.log(1e-13), (alpha, z, power, j, err)
+
+
+def test_batch_of_points_far_apart():
+    # pi_64(1e3 i) is 1e190 above pi_64 near 0: a point near 0 would lose its
+    # bits in a log scale shared with it, so it is summed apart
+    t = build_recurrence(WeightSpec(0.3, 64, V_2X2), 66)
+    zs = [0.01 + 0.01j, 1e3j, 5 + 1j, -0.2 - 0.001j]
+    for power in (1, 2):
+        batch = cauchy_transforms(t, [64, 65], np.array(zs), power)
+        for m, z in enumerate(zs):
+            single = cauchy_transforms(t, [64, 65], z, power)
+            for j in (64, 65):
+                err = (batch[j][m] - single[j]).log_abs() - single[j].log_abs()
+                assert err < math.log(1e-13), (z, power, j, err)
+
+
+def test_failing_point_in_a_batch_is_named():
+    # at alpha = 1, h_8 vanishes at 0 like z; the batch fails at that point
+    # alone, with its own z and j
+    t = build_recurrence(WeightSpec(1.0, 8, V_2X2), 16)
+    z0 = 1e-12 + 1e-12j
+    for zs in ([0.3 + 0.2j, z0, -0.5 - 0.1j], [0.3 + 0.2j, z0.conjugate(), 2.0 + 0.5j]):
+        with pytest.raises(CauchyConvergenceError, match=re.escape(f"j=8, z={zs[1]}")):
+            cauchy_transforms(t, [7, 8], np.array(zs))
+    good = cauchy_transforms(t, [7, 8], np.array([0.3 + 0.2j, -0.5 - 0.1j]))
+    assert good[8][1] == cauchy_transform(t, 8, -0.5 - 0.1j)
 
 
 def test_h0_gaussian_far_field(table_gauss_n1):
@@ -171,6 +215,28 @@ def test_plemelj_jump_support_grid(table_n8):
     for x in xs[:20]:
         rep = plemelj_jump_check(table_n8, 3, float(x), eps)
         assert rep.extrapolated_residual < 1e-6
+
+
+def test_plemelj_jump_sums_the_upper_points_once(table_n8, monkeypatch):
+    # h_j(x - i eps) = -conj h_j(x + i eps): one batch of upper points gives
+    # the residuals of the two-sided difference
+    calls = []
+    compute = cauchy.cauchy_transforms
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cauchy, "cauchy_transforms", counting)
+    x, eps = 0.37, [8e-4, 4e-4, 2e-4, 1e-4]
+    rep = plemelj_jump_check(table_n8, 3, x, eps)
+    monkeypatch.undo()
+    assert len(calls) == 1 and np.all(np.asarray(calls[0][2]).imag > 0)
+    target = cauchy._pi_w(table_n8, 3, x).to_complex()
+    for e, res in zip(rep.eps, rep.residuals):
+        jump = (cauchy_transform(table_n8, 3, complex(x, e))
+                - cauchy_transform(table_n8, 3, complex(x, -e))).to_complex()
+        assert abs(abs(jump - target) / abs(target) - res) < 1e-15
 
 
 def test_plemelj_far_tail_zero_jump(table_n8):

@@ -11,6 +11,7 @@ from rmtkernels.cauchy import (
 from rmtkernels.finite_kernels import (
     KernelFamily,
     TWO_PI_I,
+    kernel_grid,
     w_kernel,
     w_kernel_times_gap,
     y_matrix,
@@ -160,3 +161,34 @@ def test_convergence_failure_is_not_cached():
             cauchy_transform(t, 8, z0)
         with pytest.raises(CauchyConvergenceError):
             w_kernel(KernelFamily.III, t, 0, z0, 0.5 - 0.3j)
+        # a failed batch caches none of its points, the good ones included
+        with pytest.raises(CauchyConvergenceError, match="j=8"):
+            kernel_grid(KernelFamily.III, t, 0, [0.3 + 0.2j, z0, -0.4 + 0.1j], [0.5 - 0.3j])
+        assert [k for k in t._memo if k[0] != "grid"] == []
+
+
+def test_kernel_grid_is_exact_arithmetic_on_its_columns():
+    # F_hi(zeta) G_lo(eta) - F_lo(zeta) G_hi(eta) cancels by up to 100-fold
+    # on the study's T2a grid at n = 64; with each column pair under one log
+    # scale, only O(1) scale differences enter exp(), and the grid matches
+    # 40-digit arithmetic on the same columns to a few ulps (summing the two
+    # log scales of each product instead costs 2.8e-13 here)
+    mp = pytest.importorskip("mpmath")
+    n = 64
+    t = build_recurrence(WeightSpec(0.0, n, PotentialSpec((0.0, 0.0, 2.0))), n + 8)
+    s = n * 2 / math.pi
+    zetas = [z / s for z in (0.5 + 0.15j, -0.4 + 0.6j, 1.3 + 0.3j, -1.1 + 0.9j)]
+    etas = [e / s for e in (0.4, -0.3, 1.1 + 0.5j, -0.8 - 0.6j)]
+    mant, log = kernel_grid(KernelFamily.II, t, 0, zetas, etas, gap=True)
+
+    def exact(v):
+        return mp.mpc(v.mantissa) * mp.exp(v.log_scale)
+
+    with mp.workdps(40):
+        for i, zeta in enumerate(zetas):
+            f_lo, f_hi = cauchy_transform(t, n - 1, zeta), cauchy_transform(t, n, zeta)
+            for k, eta in enumerate(etas):
+                g_lo, g_hi = eval_monic(t, n - 1, eta), eval_monic(t, n, eta)
+                want = exact(f_hi) * exact(g_lo) - exact(f_lo) * exact(g_hi)
+                got = mp.mpc(complex(mant[i, k])) * mp.exp(log[i, k])
+                assert abs(got - want) < 5e-14 * abs(want), (i, k)

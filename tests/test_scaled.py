@@ -1,11 +1,10 @@
-import cmath
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmtkernels.scaled import ScaledComplex, sc_exp
+from rmtkernels.scaled import ScaledComplex
 
 
 def _mantissas(draw_zero=False):
@@ -52,13 +51,6 @@ def test_division_and_zero_division():
 def test_conjugate():
     a = ScaledComplex.from_parts(1.0 + 2.0j, 3.0)
     assert a.conjugate().to_complex() == pytest.approx(a.to_complex().conjugate())
-
-
-def test_sc_exp():
-    w = 2.5 + 0.7j
-    assert sc_exp(w).to_complex() == pytest.approx(cmath.exp(w))
-    huge = sc_exp(5000.0 + 1.0j)
-    assert huge.log_abs() == pytest.approx(5000.0)
 
 
 @given(

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from rmtkernels import finite_kernels, universality
+from rmtkernels import cauchy, finite_kernels, universality
 from rmtkernels.bessel_limits import LimitKernelId
 from rmtkernels.cauchy import CauchyDomainError
-from rmtkernels.orthopoly import PotentialSpec
+from rmtkernels.orthopoly import PotentialSpec, eval_monic
 from rmtkernels.universality import (
+    ScaleCancellationError,
     Theorem,
     TheoremCase,
     convergence_study,
@@ -126,23 +129,27 @@ def test_ratio_check_both_half_planes():
 
 
 def test_study_evaluates_each_cauchy_column_once(monkeypatch):
-    # family III needs h_{n-1} and h_n at every grid point: both come from one
-    # cauchy_transforms call per table and point, and the cached values are
+    # family III needs h_{n-1} and h_n at every grid point: each distinct
+    # upper-half point is summed exactly once per table, all of a table's
+    # points in one batched cauchy_transforms call, and the cached values are
     # the fresh ones
     case = TheoremCase(Theorem.T3b, 0.3, V_2X2, n_list=(8, 16))
     seen = []
     compute = finite_kernels.cauchy_transforms
 
     def counting(t, degrees, z, power=1):
-        seen.append((id(t), tuple(degrees), complex(z), power))
+        seen.append((id(t), tuple(degrees), power, np.atleast_1d(z).tolist()))
         return compute(t, degrees, z, power)
 
     monkeypatch.setattr(finite_kernels, "cauchy_transforms", counting)
     universality._cached_table.cache_clear()
     rep = convergence_study(case)
-    points = len(case.zeta_grid) + len(case.eta_grid)
-    assert len(set(seen)) == len(seen) == len(case.n_list) * points
-    assert {(len(d), p) for _, d, _, p in seen} == {(2, 1)}
+    summed = [(t, z) for t, _, _, zs in seen for z in zs]
+    assert all(z.imag > 0 for _, z in summed)
+    upper = {z.conjugate() if z.imag < 0 else z for z in case.zeta_grid + case.eta_grid}
+    assert len(set(summed)) == len(summed) == len(case.n_list) * len(upper)
+    assert len(seen) == len(case.n_list)
+    assert {(len(d), p) for _, d, p, _ in seen} == {(2, 1)}
 
     fresh = []
     for n, zeta, eta, *_ in rep.records:
@@ -150,6 +157,119 @@ def test_study_evaluates_each_cauchy_column_once(monkeypatch):
         fresh.append(normalized_lhs(case, n, zeta, eta))
     assert fresh == [r[3] for r in rep.records]
     universality._cached_table.cache_clear()
+
+
+def test_study_pass_counts(monkeypatch):
+    # the benchmark's study pass: six cases and the ratio check at alpha 0 and
+    # 0.3 over n = 8...64 sum the Cauchy columns in 3 batches per table (T2a's
+    # zetas, T3a's etas, the ratio point) and run one whole-grid recurrence
+    # per table for both degrees
+    calls, grids = [], []
+    compute, recurrence = finite_kernels.cauchy_transforms, cauchy.monic_values_scaled
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    def grid_counting(t, degrees, x, **kwargs):
+        if x is t.grid.x:
+            grids.append((id(t), tuple(sorted(degrees))))
+        return recurrence(t, degrees, x, **kwargs)
+
+    monkeypatch.setattr(finite_kernels, "cauchy_transforms", counting)
+    monkeypatch.setattr(cauchy, "monic_values_scaled", grid_counting)
+    universality._cached_table.cache_clear()
+    for alpha in (0.0, 0.3):
+        for th in Theorem:
+            convergence_study(TheoremCase(th, alpha, V_2X2))
+        ratio_convergence_check(alpha, V_2X2, 0.5 + 0.5j)
+    assert len(calls) == 24
+    assert len(grids) == len(set(grids)) == 8
+    assert {len(d) for _, d in grids} == {3}
+    universality._cached_table.cache_clear()
+
+
+def test_grid_path_matches_one_pair_calls():
+    # each n's grid is normalized as one array; every record, in all twelve
+    # cases, is the one-pair value of a fresh evaluation, and a ratio point
+    # inside a larger kernel grid is the ratio check's one-pair value
+    universality._cached_table.cache_clear()
+    reports = {(th, alpha): convergence_study(TheoremCase(th, alpha, V_2X2))
+               for alpha in (0.0, 0.3) for th in Theorem}
+    universality._cached_table.cache_clear()
+    for (th, alpha), rep in reports.items():
+        case = TheoremCase(th, alpha, V_2X2)
+        for n, zeta, eta, lhs, *_ in rep.records:
+            assert abs(normalized_lhs(case, n, zeta, eta) - lhs) <= 1e-12 * abs(lhs), (th, n)
+    eq = universality._cached_equilibrium(V_2X2.coeffs)
+    for alpha in (0.0, 0.3):
+        rep = ratio_convergence_check(alpha, V_2X2, 0.5 + 0.5j)
+        for n, value in zip(rep.n_list, rep.values):
+            t = universality._cached_table(alpha, V_2X2.coeffs, n)
+            zs = (0.5 + 0.5j) / (n * eq.psi0)
+            mant, log = finite_kernels.kernel_grid(finite_kernels.KernelFamily.II, t, 0,
+                                                   [0.3j, zs, -zs], [zs, 0.1 + zs], gap=True)
+            grid = 2j * math.pi * mant[1, 0] * math.exp(log[1, 0] + t.log_gamma_sq(n - 1))
+            assert abs(grid - value) <= 1e-12 * abs(value)
+    universality._cached_table.cache_clear()
+
+
+def _kernel_root(t, zeta, lo, hi):
+    """A real eta near which pi_hi(zeta) pi_lo(eta) - pi_lo(zeta) pi_hi(eta) vanishes."""
+    def num(eta):
+        return (eval_monic(t, hi, zeta) * eval_monic(t, lo, eta)
+                - eval_monic(t, lo, zeta) * eval_monic(t, hi, eta)).to_complex().real
+
+    a, b = zeta + 0.02, zeta + 1.0
+    for x in np.linspace(a, b, 200):
+        if num(x) * num(a) < 0:
+            b = x
+            break
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        a, b = (m, b) if num(m) * num(a) > 0 else (a, m)
+    return a
+
+
+def test_grid_confluent_and_guarded_pairs(monkeypatch):
+    # one pair inside the confluence threshold, and one at a zero of the
+    # kernel far from the diagonal, where the numerator cancels beyond 1e-12
+    # and the guard fires too: both take the derivative form, on the grid
+    # path as on the one-pair path, which give the same values
+    n, zeta = 8, 0.4
+    eq = universality._cached_equilibrium(V_2X2.coeffs)
+    s = n * eq.psi0
+    universality._cached_table.cache_clear()
+    t = universality._cached_table(0.3, V_2X2.coeffs, n)
+    root = _kernel_root(t, zeta / s, n - 1, n) * s
+    case = TheoremCase(Theorem.T1, 0.3, V_2X2, zeta_grid=(zeta,),
+                       eta_grid=(zeta + 1e-6, root, -0.3), n_list=(8, 16))
+    confluent = []
+    compute = finite_kernels._confluent
+
+    def counting(family, t, hi, lo, z):
+        confluent.append((t.weight.n, z))
+        return compute(family, t, hi, lo, z)
+
+    monkeypatch.setattr(finite_kernels, "_confluent", counting)
+    rep = convergence_study(case)
+    assert confluent == [(8, zeta / s), (8, zeta / s), (16, zeta / (2 * s))]
+    for n_, z, e, lhs, *_ in rep.records:
+        assert abs(normalized_lhs(case, n_, z, e) - lhs) <= 1e-12 * abs(lhs)
+    universality._cached_table.cache_clear()
+
+
+def test_scale_cancellation_is_detected(monkeypatch):
+    # a prefactor off by e^80 leaves the normalized kernel at log magnitude
+    # ~80, beyond the +-60 that any correct bookkeeping stays within
+    eq = universality._cached_equilibrium(V_2X2.coeffs)
+    wrong = dataclasses.replace(eq, v_at_0=eq.v_at_0 + 10.0)
+    monkeypatch.setattr(universality, "_cached_equilibrium", lambda coeffs: wrong)
+    case = TheoremCase(Theorem.T1, 0.3, V_2X2, n_list=(8, 16))
+    with pytest.raises(ScaleCancellationError, match="n=8"):
+        convergence_study(case)
+    with pytest.raises(ScaleCancellationError):
+        normalized_lhs(case, 8, 0.4, -0.3)
 
 
 def test_lower_half_plane_reads_the_upper_cache(monkeypatch):
@@ -176,7 +296,7 @@ def test_lower_half_plane_reads_the_upper_cache(monkeypatch):
         universality._cached_table.cache_clear()
         fresh.append(normalized_lhs(lower, n, zeta, eta))
     assert fresh == [r[3] for r in rep.records]
-    assert len(calls) == 2 * len(rep.records)  # a fresh table computes both slots' pairs
+    assert len(calls) == len(rep.records)  # one batch sums both slots' columns on a fresh table
     universality._cached_table.cache_clear()
 
 
