@@ -37,8 +37,8 @@ node and every point for every requested degree and j - 1, and for the
 grid part one product of the column qw e^(logw) pi_j q, cached per table
 and degree (one whole-grid recurrence serves all degrees not yet cached),
 with the matrix of 1/(x_k - z_m), each point's near panels masked.  Each
-point's terms are summed on their own, under their scale; a point whose
-values would lose bits in the batch's shared log scale is summed apart.
+point's terms are summed on their own, and each node keeps its own log
+scale, so no point's value depends on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -97,17 +97,18 @@ def _pieces(a: float, b: float, z: complex):
 
 
 def _q(t: RecurrenceTable, cols: dict, j: int, part: int = 0):
-    """q = pi_j + i sqrt(b_j) pi_{j-1} (part 0) or q' (part 1) from ``cols``, in pi_j's scale."""
+    """q = pi_j + i sqrt(b_j) pi_{j-1} (part 0) or q' (part 1) from ``cols``, in pi_j's scales."""
     if j == 0:
         return cols[0][part]
-    c = 1j * math.sqrt(t.b[j]) * math.exp(cols[j - 1][-1] - cols[j][-1])
+    c = 1j * math.sqrt(t.b[j]) * np.exp(cols[j - 1][-1] - cols[j][-1])
     return cols[j][part] + c * cols[j - 1][part]
 
 
 def _weighted(qw, logw, p, q, scale=None):
     """(qw e^logw p q / e^scale, scale); scale defaults to the largest term's.
 
-    The exponent is taken per node, log|p q| included, so no factor underflows.
+    The exponent is taken per node, log|p q| and (in logw) the log scales of
+    p and q included, so no factor underflows.
     """
     pq = p * q
     mag = np.abs(pq)
@@ -131,9 +132,9 @@ def _grid_columns(t: RecurrenceTable, degrees) -> dict:
         cols = monic_values_scaled(t, {max(j - 1, 0) for j in js} | set(js), g.x)
         out = []
         for j in js:
-            col, scale = _weighted(g.qw, g.logw, cols[j][0], _q(t, cols, j))
+            col, scale = _weighted(g.qw, g.logw + 2.0 * cols[j][-1], cols[j][0], _q(t, cols, j))
             col.setflags(write=False)
-            out.append((col, scale + 2.0 * cols[j][-1]))
+            out.append((col, scale))
         return out
 
     return dict(zip(degrees, t.memo([("grid", j) for j in degrees], compute)))
@@ -197,29 +198,12 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
         u = 1.0 / (off - np.repeat(shift, order))
         local.append((order, slice(lo, lo + off.size), u, qw, logw))
         lo += off.size
-    if len(zs) > 1:
-        # one log scale serves every node, and it is set by the largest: a
-        # point whose values sit below 1e-100 in it may have lost bits, and
-        # is summed again apart from the points above
-        at = [np.repeat(np.arange(len(zs)), counts * order) for order, *_ in local]
-        peak = np.zeros(len(zs))
-        np.maximum.at(peak, np.concatenate(at + [np.arange(len(zs))]),
-                      np.abs(_q(t, cols, degrees[-1])))
-        low = peak < 1e-100
-        if low.any():
-            out = {j: [None] * len(zs) for j in degrees}
-            for part in (np.flatnonzero(~low), np.flatnonzero(low)):
-                for j, hs in cauchy_transforms(t, degrees, [zs[m] for m in part], power).items():
-                    for m, h in zip(part, hs):
-                        out[j][m] = h
-            return out
     grid = _grid_columns(t, degrees)
     out = {}
     for j in degrees:
         col, scale = grid[j]
-        s = cols[j][-1]
-        p, q = cols[j][0], _q(t, cols, j)
-        qz = q[-len(zs):]
+        p, q, s = cols[j][0], _q(t, cols, j), cols[j][-1]
+        qz, sz = q[-len(zs):], s[-len(zs):].tolist()
         r = _q(t, cols, j, part=1)[-len(zs):] / qz if power == 2 else None
 
         def kernel(u, order=None):
@@ -231,7 +215,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
         grid_terms = col * kernel(u_grid)
         # the order-24 pieces join the sum; the order-16 ones are its check
         check, fine = (
-            _weighted(qw, logw, p[nodes], q[nodes], scale - 2.0 * s)[0] * kernel(u, order)
+            _weighted(qw, logw + 2.0 * s[nodes], p[nodes], q[nodes], scale)[0] * kernel(u, order)
             for order, nodes, u, qw, logw in local) if local else (None, None)
         totals, masses = grid_terms.sum(axis=1).tolist(), np.abs(grid_terms).sum(axis=1).tolist()
         hs = []
@@ -249,7 +233,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
                     f"error estimate {err / abs(total) if total else math.inf:.3e} relative "
                     f"at j={j}, z={w}"
                 )
-            h = ScaledComplex.from_parts(_INV_2PI_I * total / qz[m], scale - s)
+            h = ScaledComplex.from_parts(_INV_2PI_I * total / qz[m], scale - sz[m])
             hs.append(-h.conjugate() if w.imag < 0 else h)
         out[j] = hs[0] if single else hs
     return out

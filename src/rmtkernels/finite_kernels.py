@@ -118,9 +118,8 @@ def kernel_grid(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas, g
     """W_{family, n+m}(zeta, eta) at every pair of ``zetas`` and ``etas``, or with ``gap`` (zeta - eta) W.
 
     Returns (mantissas, log scales), arrays of shape (len(zetas), len(etas))
-    whose products are the values.  Pairs of families I and III near the
-    diagonal, or whose numerator cancels beyond 1e-12, take the derivative
-    form one by one.
+    whose products are the values.  Pairs of families I and III within the
+    confluence threshold of the diagonal take the derivative form one by one.
     """
     zetas = np.asarray(zetas, dtype=complex).reshape(-1).tolist()
     etas = np.asarray(etas, dtype=complex).reshape(-1).tolist()
@@ -137,17 +136,14 @@ def kernel_grid(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas, g
         cols = (_pairs(t, kind, lo, hi, points) for kind, points in zip(kinds, (zetas, etas)))
     (f_lo, f_hi, f_log), (g_lo, g_hi, g_log) = map(_scaled_pairs, cols)
     # F_hi(zeta) G_lo(eta) - F_lo(zeta) G_hi(eta)
-    a, b = f_hi[:, None] * g_lo[None, :], f_lo[:, None] * g_hi[None, :]
-    num, log = a - b, f_log[:, None] + g_log[None, :]
+    num = f_hi[:, None] * g_lo[None, :] - f_lo[:, None] * g_hi[None, :]
+    log = f_log[:, None] + g_log[None, :]
     if gap:
         return num, log
     diff = np.subtract.outer(zetas, etas)
     out = num / np.where(diff == 0, 1.0, diff)
     if family is not KernelFamily.II:
-        mags = np.maximum(np.abs(a), np.abs(b))
-        # the threshold, and a guard against catastrophic cancellation just outside it
-        confluent = (np.abs(diff) < confluence_threshold(np.array(zetas))[:, None]) \
-            | ((mags > 0) & (np.abs(num) < 1e-12 * mags))
+        confluent = np.abs(diff) < confluence_threshold(np.array(zetas))[:, None]
         for i, k in zip(*np.nonzero(confluent)):
             v = _confluent(family, t, hi, lo, zetas[i])
             out[i, k], log[i, k] = v.mantissa, v.log_scale

@@ -7,7 +7,9 @@ pi_j(x) * sqrt(w(x)) rescaled by one per-degree exponent, which keeps every
 intermediate O(1) even though norms decay like e^(-c*n).
 
 Polynomial values and derivatives off the grid come from one evaluator,
-:func:`monic_values_scaled`, which carries a shared log scale.  It takes a
+:func:`monic_values_scaled`, which carries one log scale per point: off
+the support |pi_j| grows like e^(n g(z)) (Deift et al., Comm. Pure Appl.
+Math. 52, 1999), so no one scale holds every point.  It takes a
 numpy array of points, or one point as a Python number, which it runs
 through the same recurrence in Python arithmetic (a one-element array
 costs microseconds a step in numpy's per-call overhead);
@@ -185,6 +187,12 @@ def build_recurrence(
             prev, cur = cur, nxt / m
         s_prev = sj
 
+    # pi_K^2 w must have decayed before the grid ends on either side
+    _, _, start, stop = grid.panels
+    edge = max(np.dot(qw[i:k], cur[i:k] ** 2) for i, k in zip(start[[0, -1]], stop[[0, -1]])) / sj
+    if edge > 1e-15:
+        raise PrecisionError(f"the outermost grid panel holds {edge:.3e} of ||pi_{K}||^2")
+
     # orthogonality self-check on the full Gram matrix (scale-invariant).  The
     # rows are replayed over chunks of nodes of at most 512 KiB: one (K+1) x N
     # array would set the process's peak memory on large tables, and more
@@ -240,12 +248,12 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
 
     ``x`` is a numpy array, vectorized over, or one point as a Python
     number (int, float or complex), for which the values are numbers.
-    Returns {j: (values, log_scale)} with values O(1).
-    The values are real when x is real, complex otherwise.
+    Returns {j: (values, log_scale)}: pi_j(x) = values e^log_scale, with
+    one log scale per point, an array of x's shape (a float for one
+    number).  The values are real when x is real, complex otherwise.
     With ``derivative`` it also runs the differentiated recurrence
     pi'_{k+1} = pi_k + (x - a_k) pi'_k - b_k pi'_{k-1} under the same log
-    scale, rescaled by the max over both arrays, and returns
-    {j: (values, derivatives, log_scale)}.
+    scale and returns {j: (values, derivatives, log_scale)}.
     """
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
@@ -256,9 +264,6 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     if not scalar:
         x = np.asarray(x)
 
-    def mag(v):
-        return abs(v) if scalar else float(np.abs(v).max(initial=0.0))
-
     # real nodes keep a real recurrence: it is half the work and half the memory
     prev = 1.0 if scalar else np.ones_like(x, dtype=np.result_type(x, 1.0))
     top = degrees[-1]
@@ -268,36 +273,45 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     # stays within 1e250 of [1e-50, 1e50], so nothing overflows for |x| < 1e250.
     # A bound of at least 2 only checks more often; with degree 0 alone (no
     # b_k) at x near 0 the bound would be 1 and its logarithm 0.
-    reach = mag(x) + max(map(abs, a)) + 1.0
+    reach = (abs(x) if scalar else float(np.abs(x).max(initial=0.0))) + max(map(abs, a)) + 1.0
     growth = max(reach + max(b), reach / min(b[1:], default=1.0), 2.0)
     every = max(1, int(575.0 / math.log(growth)))
 
     def pack(vals, ders, s):
         return (vals, ders, s) if derivative else (vals, s)
 
-    cur = x - a[0]
+    # (pi_k, pi_{k-1}), and with them (pi'_k, pi'_{k-1}), share the log scale s
+    # of each point; a point whose four leave [1e-50, 1e50] is rescaled to 1,
+    # and one that underflowed to 0 keeps its scale
+    cur, s = x - a[0], 0.0 if scalar else np.zeros(x.shape)
     dprev, dcur = (0.0 * prev, prev) if derivative else (None, None)  # pi'_0 = 0, pi'_1 = pi_0
-    s_prev = s_cur = 0.0
-    out = {0: pack(prev, dprev, 0.0)} if 0 in degrees else {}
+    out = {0: pack(prev, dprev, s)} if 0 in degrees else {}
     for k in range(1, top + 1):
         if k % every == 0 or k in degrees:
-            arrays = (cur, prev, dcur, dprev) if derivative else (cur, prev)
-            f = math.exp(s_prev - s_cur)  # prev's scale relative to cur's
-            m = max(mag(v) * w for v, w in zip(arrays, (1.0, f, 1.0, f)))
-            if m > 1e50 or (0 < m < 1e-50):
-                cur = cur / m
-                s_cur += math.log(m)
+            state = (cur, prev, dcur, dprev)[:4 if derivative else 2]
+            if scalar:
+                m = max(map(abs, state))
+                m = m if m > 1e50 or 0 < m < 1e-50 else None
+            else:
+                m = np.abs(cur)
+                for v in state[1:]:
+                    m = np.maximum(m, np.abs(v), out=m)
+                if m.max(initial=0.0) > 1e50 or m.min(initial=1.0) < 1e-50:
+                    m = np.where((m > 1e50) | ((m < 1e-50) & (m > 0)), m, 1.0)
+                else:
+                    m = None  # the common case: no per-point work
+            if m is not None:
+                s = s + (float(np.log(m)) if scalar else np.log(m))  # the same bits in both
+                cur, prev = cur / m, prev / m
                 if derivative:
-                    dcur = dcur / m
+                    dcur, dprev = dcur / m, dprev / m
         if k in degrees:
-            out[k] = pack(cur, dcur, s_cur)
+            out[k] = pack(cur, dcur, s)
         if k < top:
-            xa, r = x - a[k], b[k] * math.exp(s_prev - s_cur)
-            nxt = xa * cur - r * prev
+            xa = x - a[k]
             if derivative:
-                dprev, dcur = dcur, cur + xa * dcur - r * dprev
-            prev, cur = cur, nxt
-            s_prev = s_cur
+                dprev, dcur = dcur, cur + xa * dcur - b[k] * dprev
+            prev, cur = cur, xa * cur - b[k] * prev
     return out
 
 

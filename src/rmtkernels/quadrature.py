@@ -122,8 +122,8 @@ def dense_radius(p, direction: float) -> float:
     """Radius covering the oscillatory region (equilibrium support plus margin).
 
     The support is set by the potential ``p`` alone, so the criterion
-    V - min V >= 8 is n-independent; the cutoff radius caps it for very
-    large n.  The radius is the first 0.05 * 1.05^k meeting it, or reaching 1e3.
+    V - min V >= 8 is n-independent.  The radius is the first 0.05 * 1.05^k
+    meeting it, or reaching 1e3.
     """
     vmin = p(np.linspace(-6, 6, 1201)).min()
     r = np.cumprod(np.r_[0.05, np.full(204, 1.05)])  # r[-1] > 1e3
@@ -138,11 +138,14 @@ def build_weight_grid(w, dense_panels: int, order: int = 20, jacobi_order: int =
     Each side of 0 holds, going outward: the origin panel at ``jacobi_order``,
     ``dense_panels - 1`` uniform panels out to the dense radius at ``order``,
     and panels growing by 1.7 out to the cutoff at ``max(12, order - 4)``.
+    The dense region is not cut at the cutoff: at large n the weight
+    underflows inside the support, where pi_j^2 w does not (Mhaskar & Saff,
+    Trans. AMS 285, 1984).
     """
     rules, panels = [], []
     for sgn in (-1.0, 1.0):
         far = sgn * cutoff_radius(w, sgn)
-        dense = sgn * min(dense_radius(w.potential, sgn), abs(far))
+        dense = sgn * dense_radius(w.potential, sgn)
         inner = abs(dense) / dense_panels
         kinds = [(np.array([0.0, sgn * inner]), jacobi_order),
                  (np.linspace(sgn * inner, dense, dense_panels), order)]

@@ -1,9 +1,11 @@
+import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from rmtkernels import cauchy
 from rmtkernels.cauchy import (
@@ -110,8 +112,8 @@ def test_batch_matches_one_point_calls():
 
 
 def test_batch_of_points_far_apart():
-    # pi_64(1e3 i) is 1e190 above pi_64 near 0: a point near 0 would lose its
-    # bits in a log scale shared with it, so it is summed apart
+    # pi_64(1e3 i) is 1e190 above pi_64 near 0: each point keeps its own log
+    # scale, so the point near 0 loses no bits to the one far from it
     t = build_recurrence(WeightSpec(0.3, 64, V_2X2), 66)
     zs = [0.01 + 0.01j, 1e3j, 5 + 1j, -0.2 - 0.001j]
     for power in (1, 2):
@@ -121,6 +123,59 @@ def test_batch_of_points_far_apart():
             for j in (64, 65):
                 err = (batch[j][m] - single[j]).log_abs() - single[j].log_abs()
                 assert err < math.log(1e-13), (z, power, j, err)
+
+
+def miller_h(alpha, n, j, z):
+    """h_j(z) for V = 2x^2 as (log|h_j|, arg h_j), independent of the package.
+
+    h_0 comes from scipy's quad; h_k / h_{k-1} = b_k / (z - h_{k+1} / h_k)
+    from a backward (Miller) recurrence on the closed-form
+    b_k = (k + 2a [k odd]) / (4n), started at rho = 0 at a depth doubled
+    until two depths agree to 1e-12 (Gautschi, SIAM Rev. 9, 1967).
+    """
+    x0, y = z.real, z.imag
+    cut = math.sqrt(800.0 / (2.0 * n)) + 1.0  # the weight is below e^-800 beyond
+
+    def part(f):
+        return quad(f, -cut, cut, points=sorted({0.0, x0}), limit=400, epsabs=0.0,
+                    epsrel=1e-12)[0]
+
+    def w(x):
+        return abs(x) ** (2.0 * alpha) * math.exp(-2.0 * n * x * x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)  # stops at rounding level
+        h0 = complex(part(lambda x: w(x) * (x - x0) / ((x - x0) ** 2 + y * y)),
+                     part(lambda x: w(x) * y / ((x - x0) ** 2 + y * y))) / (2j * math.pi)
+
+    def log_ratios(depth):
+        rho, acc = 0j, 0j
+        for k in range(depth, 0, -1):
+            rho = (k + 2.0 * alpha * (k % 2)) / (4.0 * n) / (z - rho)
+            if k <= j:
+                acc += cmath.log(rho)
+        return acc
+
+    depth = 4 * n + 200
+    last, cur = log_ratios(depth), log_ratios(2 * depth)
+    while abs(cmath.exp(cur - last) - 1.0) > 1e-12:
+        depth *= 2
+        assert depth < 1 << 22, "Miller depths do not agree"
+        last, cur = cur, log_ratios(2 * depth)
+    log_h = cmath.log(h0) + cur
+    return log_h.real, log_h.imag
+
+
+def test_transforms_at_n320_match_miller_reference():
+    # from n = 320 pi_j on the grid spans more than one log scale can hold;
+    # with one scale per point the transforms return, here near the origin
+    # and in the bulk
+    n = 320
+    t = build_recurrence(WeightSpec(0.3, n, V_2X2), n + 2)
+    for z in (0.5 + 0.5j, 0.01 + 0.001j):
+        h = cauchy_transform(t, n, z)
+        log_abs, arg = miller_h(0.3, n, n, z)
+        assert abs(cmath.exp(complex(h.log_abs() - log_abs, h.phase() - arg)) - 1.0) < 1e-10, z
 
 
 def test_failing_point_in_a_batch_is_named():
@@ -158,7 +213,7 @@ def test_adaptive_oracle_near_axis(table_a03_n8):
 
         def f(x, part):
             vals, s = monic_values_scaled(t, [3], np.atleast_1d(x))[3]
-            v = vals[0] * math.exp(s) * abs(x) ** 0.6 * math.exp(-8 * w.potential(x)) \
+            v = vals[0] * math.exp(s[0]) * abs(x) ** 0.6 * math.exp(-8 * w.potential(x)) \
                 / (x - z)
             return v.real if part == 0 else v.imag
 

@@ -231,11 +231,12 @@ def _kernel_root(t, zeta, lo, hi):
     return a
 
 
-def test_grid_confluent_and_guarded_pairs(monkeypatch):
-    # one pair inside the confluence threshold, and one at a zero of the
-    # kernel far from the diagonal, where the numerator cancels beyond 1e-12
-    # and the guard fires too: both take the derivative form, on the grid
-    # path as on the one-pair path, which give the same values
+def test_grid_confluent_and_zero_pairs(monkeypatch):
+    # one pair inside the confluence threshold takes the derivative form; one
+    # at a zero of the kernel far from the diagonal, where the numerator
+    # cancels to rounding level, keeps the quotient form and is near 0, not
+    # the diagonal value.  The grid path and the one-pair path give the same
+    # values
     n, zeta = 8, 0.4
     eq = universality._cached_equilibrium(V_2X2.coeffs)
     s = n * eq.psi0
@@ -253,9 +254,11 @@ def test_grid_confluent_and_guarded_pairs(monkeypatch):
 
     monkeypatch.setattr(finite_kernels, "_confluent", counting)
     rep = convergence_study(case)
-    assert confluent == [(8, zeta / s), (8, zeta / s), (16, zeta / (2 * s))]
+    assert confluent == [(8, zeta / s), (16, zeta / (2 * s))]
     for n_, z, e, lhs, *_ in rep.records:
         assert abs(normalized_lhs(case, n_, z, e) - lhs) <= 1e-12 * abs(lhs)
+    diagonal, at_root = (lhs for n_, _, e, lhs, *_ in rep.records if n_ == 8 and e != -0.3)
+    assert abs(at_root) < 1e-12 * abs(diagonal)
     universality._cached_table.cache_clear()
 
 
