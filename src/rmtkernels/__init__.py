@@ -8,7 +8,6 @@ Bessel/Hankel limit kernels.
 
 from .orthopoly import (
     PotentialSpec,
-    QuadratureConfig,
     RecurrenceTable,
     WeightSpec,
     build_recurrence,
@@ -45,7 +44,6 @@ __all__ = [
     "LimitKernelId",
     "PotentialSpec",
     "PsiSector",
-    "QuadratureConfig",
     "RecurrenceTable",
     "ScaledComplex",
     "Theorem",

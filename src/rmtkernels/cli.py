@@ -264,8 +264,8 @@ def _cmd_oracle(args) -> int:
         return done("product", average_product_pair(d, x, y), rhs, 1e-5)
     if args.check == "ratio":
         x, y = (pts + [complex(0.2, 0.4), complex(0.1)])[:2]
-        rhs = ScaledComplex.from_complex(2j * math.pi * (x - y)) * \
-            t.gamma_sq(args.n - 1) * w_kernel(KernelFamily.II, t, 0, x, y)
+        rhs = ScaledComplex.from_parts(2j * math.pi * (x - y), t.log_gamma_sq(args.n - 1)) \
+            * w_kernel(KernelFamily.II, t, 0, x, y)
         return done("ratio", average_ratio(d, x, y), rhs, 1e-5)
     # inverse
     if args.n != 3:

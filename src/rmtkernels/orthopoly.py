@@ -1,19 +1,18 @@
 """Monic orthogonal polynomials for the weight |x|^(2a) e^(-nV(x)).
 
-The three-term recurrence is produced by a discretized Stieltjes procedure
-on the composite Gauss grid of :mod:`rmtkernels.quadrature`.  All inner
-products carry the weight in log form: the working arrays hold
-pi_j(x) * sqrt(w(x)) rescaled by one per-degree exponent, which keeps every
-intermediate O(1) even though norms decay like e^(-c*n).
-
-Polynomial values and derivatives off the grid come from one evaluator,
-:func:`monic_values_scaled`, which carries one log scale per point: off
-the support |pi_j| grows like e^(n g(z)) (Deift et al., Comm. Pure Appl.
-Math. 52, 1999), so no one scale holds every point.  It takes a
-numpy array of points, or one point as a Python number, which it runs
-through the same recurrence in Python arithmetic (a one-element array
-costs microseconds a step in numpy's per-call overhead);
-:func:`eval_monic` and :func:`eval_monic_derivative` wrap it for one point.
+One three-term step, :func:`_three_term`, runs every recurrence here.  It
+carries (pi_k, pi_{k-1}) under one log scale per point: off the support
+|pi_j| grows like e^(n g(z)) (Deift et al., Comm. Pure Appl. Math. 52, 1999),
+and at large n the weight underflows inside the support, so no one scale
+holds every point.  The step builds the table by a discretized Stieltjes
+procedure on the composite Gauss grid of :mod:`rmtkernels.quadrature`, with
+the weight and the scales in log form so that every sum is O(1) though norms
+decay like e^(-c*n); it replays the table for the orthogonality self-check;
+and :func:`monic_values_scaled` evaluates polynomials and derivatives with it
+off the grid, at a numpy array of points or at one point given as a Python
+number, in Python arithmetic (a one-element array costs microseconds a step
+in numpy's per-call overhead).  :func:`eval_monic` and
+:func:`eval_monic_derivative` wrap it for one point.
 """
 
 from __future__ import annotations
@@ -84,10 +83,9 @@ class WeightSpec:
             raise WeightDomainError("n must be a positive integer")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    dense_panels: int = 48
-    order: int = 20
+# the table's grid: at least DENSE_PANELS dense panels of Gauss order ORDER
+DENSE_PANELS = 48
+ORDER = 20
 
 
 def eval_weight(w: WeightSpec, x: float) -> ScaledComplex:
@@ -140,83 +138,72 @@ class RecurrenceTable:
         """log gamma_j^2 = -log ||pi_j||^2 (orthonormal leading coefficient squared)."""
         return -float(self.log_norm_sq[j])
 
-    def gamma_sq(self, j: int) -> ScaledComplex:
-        return ScaledComplex.from_parts(1.0, self.log_gamma_sq(j))
 
-
-def build_recurrence(
-    w: WeightSpec, max_degree: int, quad: QuadratureConfig | None = None
-) -> RecurrenceTable:
+def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
     if max_degree < 0:
         raise DegreeError(f"max_degree {max_degree} is negative")
-    quad = quad or QuadratureConfig()
-    dense_panels = max(quad.dense_panels, int(0.8 * max_degree) + 12)
-    grid = build_weight_grid(w, dense_panels=dense_panels, order=quad.order)
-    x, qw, logw = grid.x, grid.qw, grid.logw
     K = max_degree
+    grid = build_weight_grid(w, dense_panels=max(DENSE_PANELS, int(0.8 * K) + 12),
+                             order=ORDER, max_degree=K)
+    x, qw, logw = grid.x, grid.qw, grid.logw
 
-    a = np.zeros(K + 1)
-    b = np.zeros(K + 1)
-    log_norm_sq = np.zeros(K + 1)
-    scales = np.zeros(K + 1)
-    steps = np.ones(K + 1)  # U_{j+1} = advance(..., j) / steps[j]
-
-    def advance(xs, cur, prev, j):
-        """(x - a_j) U_j - b_j U_{j-1} on the nodes xs, in U_j's scale."""
-        nxt = (xs - a[j]) * cur
-        return nxt - b[j] * prev * math.exp(scales[j - 1] - scales[j]) if j > 0 else nxt
-
-    # U_j = pi_j sqrt(w) e^(-scales[j]), two rows at a time
-    u = cur = np.exp(0.5 * logw - 0.5 * logw.max())
-    scales[0] = 0.5 * logw.max()
-    prev = s_prev = None
-    for j in range(K + 1):
-        sj = float(np.dot(qw, cur * cur))
-        if not (sj > 0) or not math.isfinite(sj):
-            raise PrecisionError(f"lost positivity of the norm at degree {j}")
-        log_norm_sq[j] = math.log(sj) + 2.0 * scales[j]
-        a[j] = float(np.dot(qw, x * cur * cur)) / sj
-        if j > 0:
-            b[j] = sj / s_prev * math.exp(2.0 * (scales[j] - scales[j - 1]))
-        if j < K:
-            nxt = advance(x, cur, prev, j)
-            m = steps[j] = np.abs(nxt).max()
-            if m == 0 or not math.isfinite(m):
-                raise PrecisionError(f"recurrence breakdown at degree {j + 1}")
-            scales[j + 1] = scales[j] + math.log(m)
-            prev, cur = cur, nxt / m
-        s_prev = sj
+    # discretized Stieltjes: with pi_k = cur e^s at the nodes and the weights
+    # W = qw e^(logw + 2s - c), refreshed when s changes, S_k = sum W cur^2 is
+    # ||pi_k||^2 e^-c and O(1).  b_k is the ratio of two sums under one W.
+    a, b, log_norm_sq = (np.zeros(K + 1) for _ in range(3))
+    s_w = None
+    for k, s, cur, prev, _ in _three_term(x, a, b, range(K + 1), range(K + 1)):
+        if s is not s_w:
+            e = logw + 2.0 * s
+            c = float(e.max())
+            W = qw * np.exp(e - c)
+            Wx, s_w = W * x, s
+            s_prev = float(np.dot(W, prev * prev))
+        p2 = cur * cur
+        sk = float(np.dot(W, p2))
+        if not (sk > 0) or not math.isfinite(sk):
+            raise PrecisionError(f"lost positivity of the norm at degree {k}")
+        log_norm_sq[k] = math.log(sk) + c
+        a[k] = float(np.dot(Wx, p2)) / sk
+        b[k] = sk / s_prev if k else 0.0
+        s_prev = sk
 
     # pi_K^2 w must have decayed before the grid ends on either side
     _, _, start, stop = grid.panels
-    edge = max(np.dot(qw[i:k], cur[i:k] ** 2) for i, k in zip(start[[0, -1]], stop[[0, -1]])) / sj
+    edge = max(np.dot(W[i:j], p2[i:j]) for i, j in zip(start[[0, -1]], stop[[0, -1]])) / sk
     if edge > 1e-15:
         raise PrecisionError(f"the outermost grid panel holds {edge:.3e} of ||pi_{K}||^2")
 
-    # orthogonality self-check on the full Gram matrix (scale-invariant).  The
-    # rows are replayed over chunks of nodes of at most 512 KiB: one (K+1) x N
-    # array would set the process's peak memory on large tables, and more
-    # chunks than that cost numpy calls on small ones.
+    # orthogonality self-check on the Gram matrix of the rows
+    # pi_j sqrt(qw w) / ||pi_j||, each O(1), replayed over chunks of K + 1 nodes
+    # or 512 KiB, whichever is more: one (K+1) x N array would set the peak
+    # memory on large tables, and more chunks cost numpy calls on small ones.
+    # Row j is cur F e^(c - log ||pi_j||), F = sqrt(qw) e^(logw/2 + s - c)
+    # refreshed when s changes; the replay rescales at the growth bound's cadence.
+    checks = range(0, K + 1, _cadence(x, a, b))
     G = np.zeros((K + 1, K + 1))
-    size = max(1, (1 << 19) // (8 * (K + 1)))
+    size = max(K + 1, (1 << 19) // (8 * (K + 1)))
     for lo in range(0, x.size, size):
         nodes = slice(lo, lo + size)
-        rows = np.empty((K + 1, x[nodes].size))
-        rows[0] = u[nodes]
-        for j in range(K):
-            rows[j + 1] = advance(x[nodes], rows[j], rows[j - 1], j) / steps[j]
-        rows *= np.sqrt(qw[nodes])
+        rows, logc = np.empty((K + 1, x[nodes].size)), np.empty(K + 1)
+        s_f = None
+        for k, s, cur, _, _ in _three_term(x[nodes], a, b, range(K + 1), checks):
+            if s is not s_f:
+                e = 0.5 * logw[nodes] + s
+                c = float(e.max())
+                F, s_f = np.sqrt(qw[nodes]) * np.exp(e - c), s
+            np.multiply(cur, F, out=rows[k])
+            logc[k] = c
+        rows *= np.exp(logc - 0.5 * log_norm_sq)[:, None]
         G += rows @ rows.T
     d = np.sqrt(np.abs(np.diag(G)))
     R = np.abs(G) / np.outer(d, d)
     np.fill_diagonal(R, 0.0)
     residual = float(R.max())
-    if residual > 1e-7:
+    if not residual <= 1e-7:
         i, j = np.unravel_index(np.argmax(R), R.shape)
-        raise PrecisionError(
-            f"orthogonality residual {residual:.3e} at degrees ({i},{j}) "
-            f"exceeds 1e-7; increase the quadrature budget or lower max_degree"
-        )
+        raise PrecisionError(f"orthogonality residual {residual:.3e} at degrees ({i},{j}) "
+                             f"exceeds 1e-7; lower max_degree")
     for arr in (a, b, log_norm_sq):
         arr.setflags(write=False)
 
@@ -258,36 +245,49 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
-    # one number runs the same steps in Python arithmetic: numpy's bits at a
-    # real x; at a complex x numpy may fuse the multiply-adds of a product
-    scalar = isinstance(x, (int, float, complex))
-    if not scalar:
-        x = np.asarray(x)
-
-    # real nodes keep a real recurrence: it is half the work and half the memory
-    prev = 1.0 if scalar else np.ones_like(x, dtype=np.result_type(x, 1.0))
     top = degrees[-1]
     a, b = t.a[:top + 1].tolist(), t.b[:top + 1].tolist()
-    # per step (pi_k, pi_{k-1}) grows at most by reach + max b and shrinks at
-    # most by min b / reach: checked every `every` steps and at each output, it
-    # stays within 1e250 of [1e-50, 1e50], so nothing overflows for |x| < 1e250.
-    # A bound of at least 2 only checks more often; with degree 0 alone (no
-    # b_k) at x near 0 the bound would be 1 and its logarithm 0.
-    reach = (abs(x) if scalar else float(np.abs(x).max(initial=0.0))) + max(map(abs, a)) + 1.0
+    checks = set(range(0, top + 1, _cadence(x, a, b))).union(degrees)
+    return {k: (cur, dcur, s) if derivative else (cur, s)
+            for k, s, cur, _, dcur in _three_term(x, a, b, degrees, checks, derivative)}
+
+
+def _cadence(x, a, b):
+    """Steps between rescaling checks at the points x (an array or a number).
+
+    Per step (pi_k, pi_{k-1}) grows at most by reach + max b and shrinks at
+    most by min b / reach, reach = max |x| + max |a| + 1: checked this often
+    it stays within 1e250 of [1e-50, 1e50], so nothing overflows for
+    |x| < 1e250.  A bound of at least 2 only checks more often; with degree 0
+    alone (no b_k) at x near 0 the bound would be 1 and its logarithm 0.
+    """
+    reach = abs(x) if isinstance(x, (int, float, complex)) else float(np.abs(x).max(initial=0.0))
+    reach += max(map(abs, a)) + 1.0
     growth = max(reach + max(b), reach / min(b[1:], default=1.0), 2.0)
-    every = max(1, int(575.0 / math.log(growth)))
+    return max(1, int(575.0 / math.log(growth)))
 
-    def pack(vals, ders, s):
-        return (vals, ders, s) if derivative else (vals, s)
 
-    # (pi_k, pi_{k-1}), and with them (pi'_k, pi'_{k-1}), share the log scale s
-    # of each point; a point whose four leave [1e-50, 1e50] is rescaled to 1,
-    # and one that underflowed to 0 keeps its scale
-    cur, s = x - a[0], 0.0 if scalar else np.zeros(x.shape)
-    dprev, dcur = (0.0 * prev, prev) if derivative else (None, None)  # pi'_0 = 0, pi'_1 = pi_0
-    out = {0: pack(prev, dprev, s)} if 0 in degrees else {}
-    for k in range(1, top + 1):
-        if k % every == 0 or k in degrees:
+def _three_term(x, a, b, outputs, checks, derivative=False):
+    """pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1} from pi_0 = 1 at the points x.
+
+    Yields (k, s, pi_k e^-s, pi_{k-1} e^-s, pi'_k e^-s) at each degree k of
+    ``outputs`` (ascending), with one log scale s per point; pi'_k is None
+    without ``derivative``.  a_k and b_k are read only after pi_k is
+    yielded, so a caller may fill them in then.  At each degree of
+    ``checks`` a point whose state has left [1e-50, 1e50] is rescaled to 1
+    and s becomes a new object; one that underflowed to 0 keeps its scale.
+    One point as a Python number runs in Python arithmetic: numpy's bits at
+    a real x; at a complex x numpy may fuse the multiply-adds of a product.
+    """
+    scalar = isinstance(x, (int, float, complex))
+    x = x if scalar else np.asarray(x)
+    # real nodes keep a real recurrence: it is half the work and half the memory
+    cur = 1.0 if scalar else np.ones_like(x, dtype=np.result_type(x, 1.0))
+    prev, s = 0.0 * cur, 0.0 if scalar else np.zeros(x.shape)
+    dcur = dprev = prev if derivative else None  # pi'_0 = pi'_{-1} = 0
+    top = outputs[-1]
+    for k in range(top + 1):
+        if k in checks:
             state = (cur, prev, dcur, dprev)[:4 if derivative else 2]
             if scalar:
                 m = max(map(abs, state))
@@ -305,14 +305,13 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
                 cur, prev = cur / m, prev / m
                 if derivative:
                     dcur, dprev = dcur / m, dprev / m
-        if k in degrees:
-            out[k] = pack(cur, dcur, s)
-        if k < top:
+        if k in outputs:
+            yield k, s, cur, prev, dcur
+        if k < top:  # pi_1 = x - a_0 and pi'_1 = pi_0, without the arithmetic on zeros
             xa = x - a[k]
             if derivative:
-                dprev, dcur = dcur, cur + xa * dcur - b[k] * dprev
-            prev, cur = cur, xa * cur - b[k] * prev
-    return out
+                dprev, dcur = dcur, cur + xa * dcur - b[k] * dprev if k else cur
+            prev, cur = cur, xa * cur - b[k] * prev if k else xa
 
 
 def _check_degree(t: RecurrenceTable, j: int):

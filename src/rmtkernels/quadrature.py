@@ -118,34 +118,36 @@ def cutoff_radius(w, direction: float) -> float:
     return float(r[hit[0]])
 
 
-def dense_radius(p, direction: float) -> float:
+def dense_radius(p, direction: float, level: float) -> float:
     """Radius covering the oscillatory region (equilibrium support plus margin).
 
-    The support is set by the potential ``p`` alone, so the criterion
-    V - min V >= 8 is n-independent.  The radius is the first 0.05 * 1.05^k
-    meeting it, or reaching 1e3.
+    The radius is the first 0.05 * 1.05^k with V - min V >= ``level``, or
+    reaching 1e3.  Degree-K polynomials for the weight e^(-nV) oscillate
+    over a region that grows with K/n (out to about sqrt(2K/n) for V = x^2),
+    so tables take level = max(8, 4K/n).
     """
     vmin = p(np.linspace(-6, 6, 1201)).min()
     r = np.cumprod(np.r_[0.05, np.full(204, 1.05)])  # r[-1] > 1e3
     with np.errstate(over="ignore"):
-        done = ~(p(direction * r) - vmin < 8.0) | (r >= 1e3)
+        done = ~(p(direction * r) - vmin < level) | (r >= 1e3)
     return float(r[np.argmax(done)])
 
 
-def build_weight_grid(w, dense_panels: int, order: int = 20, jacobi_order: int = 48) -> WeightGrid:
+def build_weight_grid(w, dense_panels: int, order: int = 20, jacobi_order: int = 48,
+                      max_degree: int = 0) -> WeightGrid:
     """Composite Gauss grid for the weight ``w`` (a WeightSpec) out to its underflow cutoffs.
 
     Each side of 0 holds, going outward: the origin panel at ``jacobi_order``,
-    ``dense_panels - 1`` uniform panels out to the dense radius at ``order``,
-    and panels growing by 1.7 out to the cutoff at ``max(12, order - 4)``.
-    The dense region is not cut at the cutoff: at large n the weight
-    underflows inside the support, where pi_j^2 w does not (Mhaskar & Saff,
-    Trans. AMS 285, 1984).
+    ``dense_panels - 1`` uniform panels at ``order`` out to the dense radius
+    for polynomials of degree ``max_degree``, and panels growing by 1.7 out
+    to the cutoff at ``max(12, order - 4)``.  The dense region is not cut at
+    the cutoff: at large n the weight underflows inside the support, where
+    pi_j^2 w does not (Mhaskar & Saff, Trans. AMS 285, 1984).
     """
     rules, panels = [], []
     for sgn in (-1.0, 1.0):
         far = sgn * cutoff_radius(w, sgn)
-        dense = sgn * dense_radius(w.potential, sgn)
+        dense = sgn * dense_radius(w.potential, sgn, max(8.0, 4.0 * max_degree / w.n))
         inner = abs(dense) / dense_panels
         kinds = [(np.array([0.0, sgn * inner]), jacobi_order),
                  (np.linspace(sgn * inner, dense, dense_panels), order)]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from rmtkernels.orthopoly import (
     PotentialSpec,
     PrecisionError,
-    QuadratureConfig,
     WeightDomainError,
     WeightSpec,
     build_recurrence,
@@ -71,9 +70,8 @@ def test_hermite_oracle_small_n():
 
 
 def test_hermite_oracle_deep_degrees():
-    cfg = QuadratureConfig(dense_panels=64, order=24)
     for n in (8, 64):
-        t = build_recurrence(WeightSpec(0.0, n, V_X2), 40, cfg)
+        t = build_recurrence(WeightSpec(0.0, n, V_X2), 40)
         ks = np.arange(1, 41)
         rel = np.abs(t.b[1:41] - ks / (2.0 * n)) / (ks / (2.0 * n))
         assert np.max(rel) < 1e-10
@@ -108,14 +106,28 @@ def test_certification_edge_n64():
     assert t.orthogonality_residual < 1e-9
 
 
-@pytest.mark.parametrize("n", [400, 512])
+@pytest.mark.parametrize("n", [400, 512, 800])
 def test_closed_form_b_at_large_n(n):
     # V = 2x^2: b_k = (k + 2a [k odd]) / (4n).  From n = 376 the weight
     # falls below e^-750 inside the support [-1, 1], where pi_K^2 w does not;
-    # a grid cut there passes the Gram check with b_k off by 2e-3
+    # a grid cut there passes the Gram check with b_k off by 2e-3.  From
+    # n = 745 sqrt(w) underflows there too, so the Stieltjes sums need a log
+    # scale per node
     t = build_recurrence(WeightSpec(0.3, n, V_2X2), n + 2)
     k = np.arange(1, n + 3)
     assert np.max(np.abs(t.b[1:] - (k + 0.6 * (k % 2)) / (4.0 * n))) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(-0.45, 2.5), n=st.integers(1, 128), data=st.data())
+def test_closed_form_b(alpha, n, data):
+    # V = 2x^2 at any degree up to 5n: past K = 2n pi_K oscillates beyond
+    # the support [-1, 1], out to about sqrt(K/n), so the dense grid grows with K/n
+    K = data.draw(st.integers(1, min(5 * n, 300)), label="K")
+    t = build_recurrence(WeightSpec(alpha, n, V_2X2), K)
+    k = np.arange(1, K + 1)
+    want = (k + 2.0 * alpha * (k % 2)) / (4.0 * n)
+    assert np.max(np.abs(t.b[1:] / want - 1.0)) < 1e-12
 
 
 def test_short_grid_is_refused(monkeypatch):
@@ -124,7 +136,7 @@ def test_short_grid_is_refused(monkeypatch):
     from rmtkernels import quadrature
 
     monkeypatch.setattr(quadrature, "cutoff_radius", lambda w, direction: 0.9)
-    monkeypatch.setattr(quadrature, "dense_radius", lambda p, direction: 0.9)
+    monkeypatch.setattr(quadrature, "dense_radius", lambda p, direction, level: 0.9)
     with pytest.raises(PrecisionError, match="outermost grid panel"):
         build_recurrence(WeightSpec(0.3, 32, V_2X2), 34)
 
@@ -273,11 +285,17 @@ def test_appell_derivative_identity():
             assert abs(((d - want) / want).to_complex()) < 1e-12
 
 
-def test_precision_error_on_excessive_degree():
-    # degree far beyond the certified band must fail loudly, not silently
+def test_precision_error_on_excessive_degree(monkeypatch):
+    # degree far beyond what the grid resolves must fail loudly, not silently:
+    # a dense region sized by V alone (level 8, out to 2.8) leaves pi_200 at
+    # n = 2, which oscillates out to 14, to the coarse tail panels
+    from rmtkernels import quadrature
+
+    dense_radius = quadrature.dense_radius
+    monkeypatch.setattr(quadrature, "dense_radius",
+                        lambda p, direction, level: dense_radius(p, direction, 8.0))
     with pytest.raises(PrecisionError):
-        build_recurrence(WeightSpec(0.0, 2, V_X2), 200,
-                         QuadratureConfig(dense_panels=8, order=6))
+        build_recurrence(WeightSpec(0.0, 2, V_X2), 200)
 
 
 def test_table_is_read_only(table_n8):

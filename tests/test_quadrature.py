@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from rmtkernels.oracle import _BUDGETS, _MAX_N
-from rmtkernels.orthopoly import PotentialSpec, QuadratureConfig, WeightSpec
+from rmtkernels.orthopoly import DENSE_PANELS, ORDER, PotentialSpec, WeightSpec
 from rmtkernels.quadrature import _jacgauss, build_weight_grid, legendre_panel
 
 
@@ -50,11 +50,11 @@ def _check_grid(g, w, jacobi_order, k):
 
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(-0.45, 2.5), n=st.integers(1, 256), k=EVEN_K,
-       dense_panels=st.integers(QuadratureConfig().dense_panels, 223))
+       dense_panels=st.integers(DENSE_PANELS, 223))
 def test_table_grid_moments_and_panels(alpha, n, k, dense_panels):
     # tables of degree n + 8 <= 264 build their grids with 48..223 dense panels
     w = WeightSpec(alpha, n, PotentialSpec((0.0, 0.0, 2.0)))
-    g = build_weight_grid(w, dense_panels, order=QuadratureConfig().order)
+    g = build_weight_grid(w, dense_panels, order=ORDER)
     _check_grid(g, w, 48, k)
 
 
