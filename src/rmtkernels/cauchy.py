@@ -37,13 +37,15 @@ node and every point for every requested degree and j - 1, and for the
 grid part one product of the column qw e^(logw) pi_j q, cached per table
 and degree (one whole-grid recurrence serves all degrees not yet cached),
 with the matrix of 1/(x_k - z_m), each point's near panels masked.  Each
-point's terms are summed on their own, and each node keeps its own log
-scale, so no point's value depends on the rest of its batch.
+point's terms are summed on their own, its pieces by one segmented sum over
+the batch, and each node keeps its own log scale, so no point's value
+depends on the rest of its batch.  A batch is checked and returned as
+arrays of mantissas and log scales; the one-point calls wrap theirs in a
+ScaledComplex.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,10 +118,8 @@ def _weighted(qw, logw, p, q, scale=None):
         lg = logw + np.log(mag)
     if scale is None:
         scale = float(lg.max())
-    out = np.zeros(pq.shape, dtype=complex)
-    nz = mag > 0
-    out[nz] = qw[nz] * np.exp(lg[nz] - scale) * (pq[nz] / mag[nz])
-    return out, scale
+    phase = np.divide(pq, mag, out=np.zeros_like(pq), where=mag > 0)
+    return qw * np.exp(lg - scale) * phase, scale
 
 
 def _grid_columns(t: RecurrenceTable, degrees) -> dict:
@@ -142,51 +142,52 @@ def _grid_columns(t: RecurrenceTable, degrees) -> dict:
 
 def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """h_j(z), including the 1/(2 pi i) prefactor; requires Im z != 0."""
-    return cauchy_transforms(t, [j], z)[j]
+    return ScaledComplex.from_parts(*cauchy_transforms(t, [j], z)[j])
 
 
 def cauchy_transform_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """d/dz h_j(z) = 1/(2 pi i) * integral pi_j w / (x-z)^2 dx."""
-    return cauchy_transforms(t, [j], z, power=2)[j]
+    return ScaledComplex.from_parts(*cauchy_transforms(t, [j], z, power=2)[j])
 
 
 def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
-    """{j: h_j(z)} for each j in ``degrees`` (h'_j(z) at ``power`` 2); requires Im z != 0.
+    """{j: (mantissas, log scales)} of h_j(z) for each j in ``degrees`` (h'_j(z) at ``power`` 2).
 
-    ``z`` is one point, for which each h_j(z) is a ScaledComplex, or a 1-d
-    array of points, summed as one batch, for which it is a list with one
-    per point.
+    ``z`` is one point or an array of points, summed as one batch; the two
+    arrays have z's shape, and h_j = mantissa e^(log scale) at each point.
+    Requires Im z != 0.
 
     At power 2, h'_j = (S'_j - S_j q'/q) / (2 pi i q) with S'_j the integral
     of pi_j q w / (x - z)^2, so both powers sum the same terms, against
     u = 1/(x - z) or u (u - q'(z)/q(z)).  For Im z < 0 both powers are
     -conj of their values at conj z.  Each point has its own error estimate;
     CauchyConvergenceError is raised if one exceeds 1e-6 relative, naming
-    that point and degree, so no value is returned unchecked.
+    the first such degree and point, so no value is returned unchecked.
     """
     zs = np.asarray(z, dtype=complex)
-    single, zs = zs.ndim == 0, zs.reshape(-1).tolist()
-    if not all(w.imag for w in zs):
+    shape, zs = zs.shape, zs.reshape(-1)
+    points = [w.conjugate() if w.imag < 0 else w for w in zs.tolist()]  # the points summed
+    if not all(w.imag for w in points):
         raise CauchyDomainError("Cauchy transform requires Im z != 0")
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
-    points = [w.conjugate() if w.imag < 0 else w for w in zs]  # the points summed
     zu = np.array(points, dtype=complex)
     a, b, start, stop = t.grid.panels
     u_grid = 1.0 / (t.grid.x - zu[:, None])
     split, shift = [], []  # pieces in the order of their points, and z - x0 per piece
-    counts = [0] * len(zs)  # pieces per point
+    counts, first = [0] * zs.size, {}  # pieces per point; the first piece of each point with any
     for m, i in zip(*(k.tolist() for k in np.nonzero(_near_panels(t, zu)))):
         u_grid[m, start[i]:stop[i]] = 0.0  # near panels leave the point's grid sum
         # pieces per panel: near panels need not be adjacent, and a piece that
         # bridged a gap would count the grid panels in it twice
         split.append(_pieces(a[i], b[i], points[m]))
         x0 = split[-1][0]
+        first.setdefault(m, len(shift))
         shift += [points[m] - x0[0]] * x0.size
         counts[m] += x0.size
-    cuts = [0, *itertools.accumulate(counts)]  # point m has pieces cuts[m]:cuts[m+1]
-    counts, shift = np.array(counts), np.array(shift)
+    has, first = np.array([*first.items()], dtype=int).reshape(-1, 2).T
+    shift = np.array(shift)
     pieces = [np.concatenate(c) for c in zip(*split)]
     rules = [weighted_rule(*pieces, order, t.weight) for order in _ORDERS] if split else []
     xs = np.concatenate([x0 + off for x0, off, _, _ in rules] + [zu])
@@ -198,44 +199,43 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
         u = 1.0 / (off - np.repeat(shift, order))
         local.append((order, slice(lo, lo + off.size), u, qw, logw))
         lo += off.size
+    cut16, cut24 = (first * order for order in _ORDERS)  # each point's first node per order
     grid = _grid_columns(t, degrees)
-    out = {}
+    below, out = zs.imag < 0, {}
     for j in degrees:
         col, scale = grid[j]
         p, q, s = cols[j][0], _q(t, cols, j), cols[j][-1]
-        qz, sz = q[-len(zs):], s[-len(zs):].tolist()
-        r = _q(t, cols, j, part=1)[-len(zs):] / qz if power == 2 else None
+        qz, sz = q[-zs.size:], s[-zs.size:]
+        r = _q(t, cols, j, part=1)[-zs.size:] / qz if power == 2 else None
 
         def kernel(u, order=None):
             """u, or u (u - q'(z)/q(z)) at power 2, on the grid rows or the pieces at ``order``."""
             if r is None:
                 return u
-            return u * (u - (r[:, None] if order is None else np.repeat(r, counts * order)))
+            return u * (u - (r[:, None] if order is None else np.repeat(r, counts).repeat(order)))
 
         grid_terms = col * kernel(u_grid)
-        # the order-24 pieces join the sum; the order-16 ones are its check
-        check, fine = (
-            _weighted(qw, logw + 2.0 * s[nodes], p[nodes], q[nodes], scale)[0] * kernel(u, order)
-            for order, nodes, u, qw, logw in local) if local else (None, None)
-        totals, masses = grid_terms.sum(axis=1).tolist(), np.abs(grid_terms).sum(axis=1).tolist()
-        hs = []
-        for m, w in enumerate(zs):
-            total, mass, err = totals[m], masses[m], 0.0
-            if cuts[m] < cuts[m + 1]:
-                f = fine[cuts[m] * _ORDERS[1]:cuts[m + 1] * _ORDERS[1]]
-                fs = complex(f.sum())
-                total += fs
-                mass += float(np.abs(f).sum())
-                err = abs(complex(check[cuts[m] * _ORDERS[0]:cuts[m + 1] * _ORDERS[0]].sum()) - fs)
-            err += _EPS * mass
-            if err > _TOLERANCE * abs(total):
-                raise CauchyConvergenceError(
-                    f"error estimate {err / abs(total) if total else math.inf:.3e} relative "
-                    f"at j={j}, z={w}"
-                )
-            h = ScaledComplex.from_parts(_INV_2PI_I * total / qz[m], scale - sz[m])
-            hs.append(-h.conjugate() if w.imag < 0 else h)
-        out[j] = hs[0] if single else hs
+        total, mass = grid_terms.sum(axis=1), np.abs(grid_terms).sum(axis=1)
+        delta = np.zeros(zs.size)  # |order-16 sum - order-24 sum| of the pieces
+        if local:
+            # the order-24 pieces join the sum; the order-16 ones are its check
+            check, fine = (_weighted(qw, logw + 2.0 * s[nodes], p[nodes], q[nodes], scale)[0]
+                           * kernel(u, order) for order, nodes, u, qw, logw in local)
+            fs = np.add.reduceat(fine, cut24)  # per point
+            total[has] += fs
+            mass[has] += np.add.reduceat(np.abs(fine), cut24)
+            delta[has] = np.abs(np.add.reduceat(check, cut16) - fs)
+        err = delta + _EPS * mass
+        bad = err > _TOLERANCE * np.abs(total)
+        if bad.any():
+            m = bad.argmax()
+            raise CauchyConvergenceError(
+                f"error estimate {err[m] / abs(total[m]) if total[m] else math.inf:.3e} "
+                f"relative at j={j}, z={complex(zs[m])}"
+            )
+        h = _INV_2PI_I * total / qz
+        h[below] = -h[below].conj()
+        out[j] = h.reshape(shape), (scale - sz).reshape(shape)
     return out
 
 
@@ -260,13 +260,11 @@ def plemelj_jump_check(t: RecurrenceTable, j: int, x: float, eps_list) -> JumpRe
     eps_list = sorted(float(e) for e in eps_list)
     target = _pi_w(t, j, x).to_complex()
     t_abs = abs(target)
-    jumps = []
-    residuals = []
     # h_j(x - i eps) = -conj h_j(x + i eps), so the jump is h + conj h above
-    for h in cauchy_transforms(t, [j], x + 1j * np.array(eps_list))[j]:
-        jump = (h + h.conjugate()).to_complex()
-        jumps.append(jump)
-        residuals.append(abs(jump - target) / t_abs if t_abs > 0 else abs(jump))
+    mant, log = cauchy_transforms(t, [j], x + 1j * np.array(eps_list))[j]
+    jumps = [ScaledComplex.from_parts(2.0 * v.real, s).to_complex()
+             for v, s in zip(mant.tolist(), log.tolist())]
+    residuals = [abs(jump - target) / t_abs if t_abs > 0 else abs(jump) for jump in jumps]
     extr = _neville_at_zero(eps_list, jumps)
     extr_res = abs(extr - target) / t_abs if t_abs > 0 else abs(extr)
     return JumpReport(x=x, j=j, eps=eps_list, residuals=residuals,

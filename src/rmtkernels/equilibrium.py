@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class EquilibriumMeasure:
     ell: float
     v_at_0: float
     v_prime_at_0: float
-    potential: PotentialSpec = field(repr=False, default=None)
 
     @property
     def center(self) -> float:
@@ -133,7 +132,6 @@ def solve_equilibrium(p: PotentialSpec) -> EquilibriumMeasure:
     eq = EquilibriumMeasure(
         b0=b0, a1=a1, cheb_coeffs=d, psi0=0.0, ell=0.0,
         v_at_0=float(p(0.0)), v_prime_at_0=float(p.derivative(0.0)),
-        potential=p,
     )
 
     # a posteriori one-cut checks

@@ -6,10 +6,13 @@ Families I and III have a vanishing numerator on the diagonal and are
 switched to the derivative (l'Hopital) form near it.
 
 :func:`kernel_grid` evaluates a kernel at every pair of two lists of
-points: the columns come per point through the table's cache, the Cauchy
-columns of all points not yet cached from one batched sum, and the grid is
-assembled as numpy arrays of mantissas and log scales.  :func:`w_kernel`
-and :func:`w_kernel_times_gap` are its one-pair calls.
+points.  Its columns are (F_lo, F_hi, log scale) rows, one per point,
+cached on the table: the Cauchy rows of all points not yet cached come
+from one batched sum, and the derivative rows of all confluent pairs from
+one more fetch.  The grid, confluent pairs included, is assembled as numpy
+arrays of mantissas and log scales.  A ScaledComplex is built only by the
+one-pair and one-point calls :func:`w_kernel`, :func:`w_kernel_times_gap`
+and :func:`y_matrix`.
 """
 
 from __future__ import annotations
@@ -56,34 +59,39 @@ def _kind(family: KernelFamily, side: int) -> str:
     return "h" if use_h else "pi"
 
 
-def _pairs(t, kind, lo, hi, zs, derivative=False):
-    """[(F_lo(z), F_hi(z)) for z in zs] for the column ``kind`` ("pi" or "h"), or their derivatives.
+def _pairs(t, kind, lo, hi, zs, derivative=False) -> np.ndarray:
+    """Rows (F_lo(z), F_hi(z), log scale) for z in zs of the column ``kind`` ("pi" or "h").
 
-    Each pair is cached on ``t`` under (kind, derivative, (lo, hi), z), so a
-    kernel grid evaluates every column once per point instead of once per
-    pair of points.  Below the axis the cache holds the pair at conj z, so
-    a point and its mirror image share one entry: pi_j(conj z) =
-    conj pi_j(z) and h_j(conj z) = -conj h_j(z), and so for the derivatives.
-    One :func:`cauchy_transforms` call sums every Cauchy pair not yet
-    cached; a polynomial pair is one one-point recurrence.
+    With ``derivative`` the rows hold F'_lo and F'_hi.  Each pair is under
+    its larger log scale: the scales differ by O(1), so the ratio of F_hi
+    to F_lo keeps its relative accuracy, however large the scales are.  The
+    rows form a complex array; the log scale is the real part of its last
+    column.  Each row is cached on ``t`` under
+    (kind, derivative, (lo, hi), z), so a kernel grid evaluates every
+    column once per point instead of once per pair of points.  Below the
+    axis the cache holds the row at conj z, so a point and its mirror image
+    share one entry: pi_j(conj z) = conj pi_j(z) and h_j(conj z) =
+    -conj h_j(z), and so for the derivatives.  One batched
+    :func:`cauchy_transforms` call sums every Cauchy pair not yet cached;
+    a polynomial pair is one one-point recurrence.
     """
     def compute(missing):
         us = [z for *_, z in missing]
         if kind == "h":
             h = cauchy_transforms(t, (lo, hi), np.array(us), power=2 if derivative else 1)
-            return list(zip(h[lo], h[hi]))
-        out = []
-        for z in us:
-            cols = monic_values_scaled(t, (lo, hi), z, derivative=derivative)
-            # (value, log scale), or (value, derivative, log scale)
-            out.append(tuple(ScaledComplex.from_parts(c[-2], c[-1]) for c in (cols[lo], cols[hi])))
-        return out
+            cols = zip(*(v.tolist() for j in (lo, hi) for v in h[j]))
+        else:  # (value, log scale), or (value, derivative, log scale)
+            cols = (c[lo][-2:] + c[hi][-2:] for c in
+                    (monic_values_scaled(t, (lo, hi), z, derivative=derivative) for z in us))
+        return [(f_lo * math.exp(s_lo - top), f_hi * math.exp(s_hi - top), top)
+                for f_lo, s_lo, f_hi, s_hi in cols for top in [max(s_lo, s_hi)]]
 
     sign = -1.0 if kind == "h" else 1.0
-    pairs = t.memo([(kind, derivative, (lo, hi), z.conjugate() if z.imag < 0 else z) for z in zs],
-                   compute)
-    return [tuple(sign * v.conjugate() for v in pair) if z.imag < 0 else pair
-            for z, pair in zip(zs, pairs)]
+    rows = t.memo([(kind, derivative, (lo, hi), z.conjugate() if z.imag < 0 else z) for z in zs],
+                  compute)
+    return np.array([(sign * f_lo.conjugate(), sign * f_hi.conjugate(), top) if z.imag < 0
+                     else (f_lo, f_hi, top) for z, (f_lo, f_hi, top) in zip(zs, rows)],
+                    dtype=complex).reshape(-1, 3)
 
 
 def _degrees(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas):
@@ -99,27 +107,13 @@ def _degrees(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas):
     return hi, lo
 
 
-def _scaled_pairs(pairs):
-    """(F_lo, F_hi, log scale): arrays over the points, each pair under its larger log scale.
-
-    Within a pair the log scales differ by O(1), so the ratio of F_hi to
-    F_lo keeps its relative accuracy, however large the scales are.
-    """
-    rows = []
-    for pair in pairs:
-        top = max((v.log_scale for v in pair if v.mantissa), default=0.0)
-        rows.append([v.mantissa * math.exp(v.log_scale - top) if v.mantissa else 0j
-                     for v in pair] + [top])
-    rows = np.array(rows)
-    return rows[:, 0], rows[:, 1], rows[:, 2].real
-
-
 def kernel_grid(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas, gap=False):
     """W_{family, n+m}(zeta, eta) at every pair of ``zetas`` and ``etas``, or with ``gap`` (zeta - eta) W.
 
     Returns (mantissas, log scales), arrays of shape (len(zetas), len(etas))
     whose products are the values.  Pairs of families I and III within the
-    confluence threshold of the diagonal take the derivative form one by one.
+    confluence threshold of the diagonal take the derivative form
+    F'_hi F_lo - F'_lo F_hi, their derivative columns fetched in one batch.
     """
     zetas = np.asarray(zetas, dtype=complex).reshape(-1).tolist()
     etas = np.asarray(etas, dtype=complex).reshape(-1).tolist()
@@ -131,22 +125,22 @@ def kernel_grid(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas, g
     kinds = _kind(family, 0), _kind(family, 1)
     if kinds[0] == kinds[1]:  # one batch for the points of both arguments
         both = _pairs(t, kinds[0], lo, hi, zetas + etas)
-        cols = both[:len(zetas)], both[len(zetas):]
+        f, g = both[:len(zetas)], both[len(zetas):]
     else:
-        cols = (_pairs(t, kind, lo, hi, points) for kind, points in zip(kinds, (zetas, etas)))
-    (f_lo, f_hi, f_log), (g_lo, g_hi, g_log) = map(_scaled_pairs, cols)
+        f, g = (_pairs(t, kind, lo, hi, points) for kind, points in zip(kinds, (zetas, etas)))
     # F_hi(zeta) G_lo(eta) - F_lo(zeta) G_hi(eta)
-    num = f_hi[:, None] * g_lo[None, :] - f_lo[:, None] * g_hi[None, :]
-    log = f_log[:, None] + g_log[None, :]
+    num = f[:, 1, None] * g[None, :, 0] - f[:, 0, None] * g[None, :, 1]
+    log = np.add.outer(f[:, 2].real, g[:, 2].real)
     if gap:
         return num, log
     diff = np.subtract.outer(zetas, etas)
     out = num / np.where(diff == 0, 1.0, diff)
     if family is not KernelFamily.II:
-        confluent = np.abs(diff) < confluence_threshold(np.array(zetas))[:, None]
-        for i, k in zip(*np.nonzero(confluent)):
-            v = _confluent(family, t, hi, lo, zetas[i])
-            out[i, k], log[i, k] = v.mantissa, v.log_scale
+        i, k = np.nonzero(np.abs(diff) < confluence_threshold(np.array(zetas))[:, None])
+        if i.size:
+            d = _pairs(t, kinds[0], lo, hi, [zetas[r] for r in i], derivative=True)
+            out[i, k] = d[:, 1] * f[i, 0] - d[:, 0] * f[i, 1]
+            log[i, k] = (d[:, 2] + f[i, 2]).real
     return out, log
 
 
@@ -154,13 +148,6 @@ def w_kernel(family: KernelFamily, t: RecurrenceTable, m: int, zeta, eta) -> Sca
     """W_{family, n+m}(zeta, eta) = (F_{n+m}(zeta) G_{n+m-1}(eta) - F_{n+m-1}(zeta) G_{n+m}(eta)) / (zeta - eta)."""
     mant, log = kernel_grid(family, t, m, [zeta], [eta])
     return ScaledComplex.from_parts(mant[0, 0], log[0, 0])
-
-
-def _confluent(family, t, hi, lo, zeta) -> ScaledComplex:
-    """Diagonal limit F'_{hi} F_{lo} - F'_{lo} F_{hi} at zeta."""
-    (f_lo, f_hi), = _pairs(t, _kind(family, 0), lo, hi, [zeta])
-    (d_lo, d_hi), = _pairs(t, _kind(family, 0), lo, hi, [zeta], derivative=True)
-    return d_hi * f_lo - d_lo * f_hi
 
 
 def w_kernel_times_gap(family: KernelFamily, t: RecurrenceTable, m: int,
@@ -177,7 +164,8 @@ def y_matrix(t: RecurrenceTable, m: int, z) -> YColumns:
     hi, lo = n + m, n + m - 1
     if z.imag == 0.0:
         raise CauchyDomainError("second column of Y needs Im z != 0")
-    (p_lo, p_hi), = _pairs(t, "pi", lo, hi, [z])
-    (h_lo, h_hi), = _pairs(t, "h", lo, hi, [z])
+    rows = (_pairs(t, kind, lo, hi, [z])[0] for kind in ("pi", "h"))
+    (p_lo, p_hi), (h_lo, h_hi) = ([ScaledComplex.from_parts(v, r[2].real) for v in r[:2]]
+                                  for r in rows)
     factor = ScaledComplex.from_parts(-TWO_PI_I, t.log_gamma_sq(lo))
     return YColumns(y11=p_hi, y21=factor * p_lo, y12=h_hi, y22=factor * h_lo)

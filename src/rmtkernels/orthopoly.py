@@ -247,7 +247,8 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
         _check_degree(t, j)
     top = degrees[-1]
     a, b = t.a[:top + 1].tolist(), t.b[:top + 1].tolist()
-    checks = set(range(0, top + 1, _cadence(x, a, b))).union(degrees)
+    step = _cadence(x, a, b)  # (pi_0, pi_{-1}) = (1, 0) needs no check
+    checks = set(range(step, top + 1, step)).union(degrees)
     return {k: (cur, dcur, s) if derivative else (cur, s)
             for k, s, cur, _, dcur in _three_term(x, a, b, degrees, checks, derivative)}
 

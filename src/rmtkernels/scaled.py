@@ -108,9 +108,6 @@ class ScaledComplex:
             self.mantissa / other.mantissa, self.log_scale - other.log_scale
         ).normalized()
 
-    def __rtruediv__(self, other) -> "ScaledComplex":
-        return _coerce(other) / self
-
     def __add__(self, other) -> "ScaledComplex":
         other = _coerce(other)
         if self.mantissa == 0:
@@ -132,19 +129,6 @@ class ScaledComplex:
 
     def __sub__(self, other) -> "ScaledComplex":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "ScaledComplex":
-        return _coerce(other) + (-self)
-
-    def __abs__(self) -> float:
-        if self.mantissa == 0:
-            return 0.0
-        la = self.log_abs()
-        if la > 700.0:
-            return math.inf
-        if la < -700.0:
-            return 0.0
-        return math.exp(la)
 
     def phase(self) -> float:
         return cmath.phase(self.mantissa)

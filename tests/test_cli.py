@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,21 @@ def test_oracle_inverse_requires_n3(capsys):
     assert "n 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("potential", ["0,0,2", "0,0,0,0,1"])
+@pytest.mark.parametrize("alpha", ["0", "0.3"])
+@pytest.mark.parametrize("check,n", [("product", 2), ("product", 3), ("ratio", 2),
+                                     ("ratio", 3), ("inverse", 3)])
+def test_oracle_kernel_checks(check, n, alpha, potential, capsys):
+    # the quadrature oracle against kernel_grid's family I at m = 1
+    # (product), family II at m = 0 (ratio) and family III at m = -1
+    # (inverse); all agree to a few ulps, far inside the checks' tolerances
+    assert main(["oracle", "--check", check, "--n", str(n), "--alpha", alpha,
+                 "--potential", potential]) == EXIT_OK
+    out = capsys.readouterr().out
+    match = re.fullmatch(rf"{check}: .*, rel err = (\S+) -> PASS\n", out)
+    assert match and float(match[1]) < 1e-13, out
+
+
 def _assert_one_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -130,11 +146,12 @@ def test_domain_error_is_usage_error(argv, table_file, capsys):
     ["universality", "--case", "T1", "--alpha", "0.3", "--potential", "0,0,2",
      "--n", "16,8"],
     ["universality", "--case", "T1", "--alpha", "0.3", "--potential", "0,0,2", "--n", "8"],
+    ["universality", "--case", "T1", "--alpha", "0.3", "--potential", "0,0,2", "--n", "8,x"],
     ["recurrence", "--alpha", "0", "--potential", "0,0,2", "--n", "4",
      "--max-degree", "-1"],
 ], ids=["table-missing", "table-directory", "table-malformed", "table-missing-key",
         "table-fractional-degree", "universality-decreasing-n", "universality-one-n",
-        "recurrence-negative-degree"])
+        "universality-malformed-n", "recurrence-negative-degree"])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "malformed.json").write_text("{")
     (tmp_path / "no_coeffs.json").write_text(json.dumps({"alpha": 0.3, "n": 6}))

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from rmtkernels.cauchy import (
     CauchyConvergenceError,
     CauchyDomainError,
     cauchy_transform,
+    cauchy_transforms,
     plemelj_jump_check,
 )
 from rmtkernels.finite_kernels import (
@@ -16,7 +18,13 @@ from rmtkernels.finite_kernels import (
     w_kernel_times_gap,
     y_matrix,
 )
-from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence, eval_monic
+from rmtkernels.orthopoly import (
+    PotentialSpec,
+    WeightSpec,
+    build_recurrence,
+    eval_monic,
+    monic_values_scaled,
+)
 from rmtkernels.scaled import ScaledComplex
 
 
@@ -171,8 +179,10 @@ def test_kernel_grid_is_exact_arithmetic_on_its_columns():
     # F_hi(zeta) G_lo(eta) - F_lo(zeta) G_hi(eta) cancels by up to 100-fold
     # on the study's T2a grid at n = 64; with each column pair under one log
     # scale, only O(1) scale differences enter exp(), and the grid matches
-    # 40-digit arithmetic on the same columns to a few ulps (summing the two
-    # log scales of each product instead costs 2.8e-13 here)
+    # 40-digit arithmetic on the batched columns it is built from, the
+    # Cauchy transforms of all zetas and the polynomials at each eta, to a
+    # few ulps (summing the two log scales of each product instead costs
+    # 2.8e-13 here)
     mp = pytest.importorskip("mpmath")
     n = 64
     t = build_recurrence(WeightSpec(0.0, n, PotentialSpec((0.0, 0.0, 2.0))), n + 8)
@@ -180,15 +190,17 @@ def test_kernel_grid_is_exact_arithmetic_on_its_columns():
     zetas = [z / s for z in (0.5 + 0.15j, -0.4 + 0.6j, 1.3 + 0.3j, -1.1 + 0.9j)]
     etas = [e / s for e in (0.4, -0.3, 1.1 + 0.5j, -0.8 - 0.6j)]
     mant, log = kernel_grid(KernelFamily.II, t, 0, zetas, etas, gap=True)
+    h = cauchy_transforms(t, [n - 1, n], np.array(zetas))
 
-    def exact(v):
-        return mp.mpc(v.mantissa) * mp.exp(v.log_scale)
+    def exact(v, s):
+        return mp.mpc(complex(v)) * mp.exp(float(s))
 
     with mp.workdps(40):
-        for i, zeta in enumerate(zetas):
-            f_lo, f_hi = cauchy_transform(t, n - 1, zeta), cauchy_transform(t, n, zeta)
+        for i in range(len(zetas)):
+            f_lo, f_hi = (exact(h[j][0][i], h[j][1][i]) for j in (n - 1, n))
             for k, eta in enumerate(etas):
-                g_lo, g_hi = eval_monic(t, n - 1, eta), eval_monic(t, n, eta)
-                want = exact(f_hi) * exact(g_lo) - exact(f_lo) * exact(g_hi)
+                p = monic_values_scaled(t, [n - 1, n], complex(eta))
+                g_lo, g_hi = (exact(*p[j]) for j in (n - 1, n))
+                want = f_hi * g_lo - f_lo * g_hi
                 got = mp.mpc(complex(mant[i, k])) * mp.exp(log[i, k])
                 assert abs(got - want) < 5e-14 * abs(want), (i, k)

@@ -246,13 +246,14 @@ def test_grid_confluent_and_zero_pairs(monkeypatch):
     case = TheoremCase(Theorem.T1, 0.3, V_2X2, zeta_grid=(zeta,),
                        eta_grid=(zeta + 1e-6, root, -0.3), n_list=(8, 16))
     confluent = []
-    compute = finite_kernels._confluent
+    compute = finite_kernels._pairs
 
-    def counting(family, t, hi, lo, z):
-        confluent.append((t.weight.n, z))
-        return compute(family, t, hi, lo, z)
+    def counting(t, kind, lo, hi, zs, derivative=False):
+        if derivative:  # the one fetch of the derivative columns per grid
+            confluent.append((t.weight.n, *zs))
+        return compute(t, kind, lo, hi, zs, derivative)
 
-    monkeypatch.setattr(finite_kernels, "_confluent", counting)
+    monkeypatch.setattr(finite_kernels, "_pairs", counting)
     rep = convergence_study(case)
     assert confluent == [(8, zeta / s), (16, zeta / (2 * s))]
     for n_, z, e, lhs, *_ in rep.records:
