@@ -87,7 +87,7 @@ def confluence_threshold(zeta: complex) -> float:
 
 
 def limit_kernel(kid: LimitKernelId, alpha: float, zeta, eta) -> complex:
-    """The limiting kernel, principal branches, derivative form on the diagonal."""
+    """The limiting kernel, principal branches; near the diagonal the midpoint's derivative form."""
     zeta, eta = complex(zeta), complex(eta)
     _check_half_planes(kid, zeta, eta)
     f, g, sz, se, denom, sign = _SPEC[kid]
@@ -97,7 +97,7 @@ def limit_kernel(kid: LimitKernelId, alpha: float, zeta, eta) -> complex:
 
     same_family = f is g
     if same_family and abs(zeta - eta) < confluence_threshold(zeta):
-        return _diagonal(kid, alpha, zeta)
+        return _diagonal(kid, alpha, (zeta + eta) / 2)
 
     num = (f(nu_p, _PI * zeta) * g(nu_m, _PI * eta)
            - f(nu_m, _PI * zeta) * g(nu_p, _PI * eta))
@@ -105,7 +105,7 @@ def limit_kernel(kid: LimitKernelId, alpha: float, zeta, eta) -> complex:
 
 
 def _diagonal(kid: LimitKernelId, alpha: float, zeta: complex) -> complex:
-    """Limit eta -> zeta for the same-family kernels (I, III+, III-).
+    """Limit eta -> zeta for the same-family kernels (I, III+, III-), at ``zeta``.
 
     With F(z) = z^p f_nu(pi z), the quotient limit is
     sign * pi * (F'_p F_m - F'_m F_p) / denom, and the z^p prefactor

@@ -37,11 +37,11 @@ node and every point for every requested degree and j - 1, and for the
 grid part one product of the column qw e^(logw) pi_j q, cached per table
 and degree (one whole-grid recurrence serves all degrees not yet cached),
 with the matrix of 1/(x_k - z_m), each point's near panels masked.  Each
-point's terms are summed on their own, its pieces by one segmented sum over
-the batch, and each node keeps its own log scale, so no point's value
-depends on the rest of its batch.  A batch is checked and returned as
-arrays of mantissas and log scales; the one-point calls wrap theirs in a
-ScaledComplex.
+point's terms are summed on their own, its pieces by np.bincount over the
+index ``who`` of each refined node's point, and each node keeps its own log
+scale, so no point's value depends on the rest of its batch.  A batch is
+checked and returned as arrays of mantissas and log scales; the one-point
+calls wrap theirs in a ScaledComplex.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import RecurrenceTable, _check_degree, eval_weight, monic_values_scaled
+from .orthopoly import (RecurrenceTable, _check_degree, eval_monic, eval_weight,
+                        monic_values_scaled)
 from .quadrature import weighted_rule
 from .scaled import ScaledComplex
 
@@ -147,84 +148,78 @@ def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:
 
 def cauchy_transform_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
     """d/dz h_j(z) = 1/(2 pi i) * integral pi_j w / (x-z)^2 dx."""
-    return ScaledComplex.from_parts(*cauchy_transforms(t, [j], z, power=2)[j])
+    return ScaledComplex.from_parts(*cauchy_transforms(t, [j], z, derivative=True)[j])
 
 
-def cauchy_transforms(t: RecurrenceTable, degrees, z, power: int = 1) -> dict:
-    """{j: (mantissas, log scales)} of h_j(z) for each j in ``degrees`` (h'_j(z) at ``power`` 2).
+def _sums(who, v, size: int):
+    """Per-point sums of the complex terms v, each belonging to the point ``who`` names."""
+    return np.bincount(who, v.real, size) + 1j * np.bincount(who, v.imag, size)
+
+
+def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) -> dict:
+    """{j: (mantissas, log scales)} of h_j(z), or h'_j(z) with ``derivative``, for j in ``degrees``.
 
     ``z`` is one point or an array of points, summed as one batch; the two
     arrays have z's shape, and h_j = mantissa e^(log scale) at each point.
-    Requires Im z != 0.
+    Requires finite z with Im z != 0.
 
-    At power 2, h'_j = (S'_j - S_j q'/q) / (2 pi i q) with S'_j the integral
-    of pi_j q w / (x - z)^2, so both powers sum the same terms, against
-    u = 1/(x - z) or u (u - q'(z)/q(z)).  For Im z < 0 both powers are
-    -conj of their values at conj z.  Each point has its own error estimate;
-    CauchyConvergenceError is raised if one exceeds 1e-6 relative, naming
-    the first such degree and point, so no value is returned unchecked.
+    h'_j = (S'_j - S_j q'/q) / (2 pi i q) with S'_j the integral of
+    pi_j q w / (x - z)^2, so the value and the derivative sum the same
+    terms, against u = 1/(x - z) or u (u - q'(z)/q(z)).  For Im z < 0 both
+    are -conj of their values at conj z.  Each point has its own error
+    estimate; CauchyConvergenceError is raised if one exceeds 1e-6
+    relative, naming the first such degree and point, so no value is
+    returned unchecked.
     """
     zs = np.asarray(z, dtype=complex)
     shape, zs = zs.shape, zs.reshape(-1)
-    points = [w.conjugate() if w.imag < 0 else w for w in zs.tolist()]  # the points summed
-    if not all(w.imag for w in points):
-        raise CauchyDomainError("Cauchy transform requires Im z != 0")
+    if not (np.isfinite(zs).all() and zs.imag.all()):
+        raise CauchyDomainError("Cauchy transform requires a finite z with Im z != 0")
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
-    zu = np.array(points, dtype=complex)
+    below = zs.imag < 0
+    zu = np.where(below, zs.conj(), zs)  # the points summed
+    points = zu.tolist()
     a, b, start, stop = t.grid.panels
     u_grid = 1.0 / (t.grid.x - zu[:, None])
-    split, shift = [], []  # pieces in the order of their points, and z - x0 per piece
-    counts, first = [0] * zs.size, {}  # pieces per point; the first piece of each point with any
+    split, owner = [], []  # pieces in the order of their points, and each piece's point
     for m, i in zip(*(k.tolist() for k in np.nonzero(_near_panels(t, zu)))):
         u_grid[m, start[i]:stop[i]] = 0.0  # near panels leave the point's grid sum
         # pieces per panel: near panels need not be adjacent, and a piece that
         # bridged a gap would count the grid panels in it twice
         split.append(_pieces(a[i], b[i], points[m]))
-        x0 = split[-1][0]
-        first.setdefault(m, len(shift))
-        shift += [points[m] - x0[0]] * x0.size
-        counts[m] += x0.size
-    has, first = np.array([*first.items()], dtype=int).reshape(-1, 2).T
-    shift = np.array(shift)
+        owner += [m] * split[-1][0].size
     pieces = [np.concatenate(c) for c in zip(*split)]
     rules = [weighted_rule(*pieces, order, t.weight) for order in _ORDERS] if split else []
     xs = np.concatenate([x0 + off for x0, off, _, _ in rules] + [zu])
-    cols = monic_values_scaled(t, {max(j - 1, 0) for j in degrees} | set(degrees),
-                               xs, derivative=power == 2)
+    cols = monic_values_scaled(t, {max(j - 1, 0) for j in degrees} | set(degrees), xs,
+                               derivative=derivative)
     local, lo = [], 0
-    for order, (_, off, qw, logw) in zip(_ORDERS, rules):
+    for order, (x0, off, qw, logw) in zip(_ORDERS, rules):
+        who = np.repeat(owner, order)  # the point of each node
         # x - z from the offsets, exact where the pieces are narrowest
-        u = 1.0 / (off - np.repeat(shift, order))
-        local.append((order, slice(lo, lo + off.size), u, qw, logw))
+        local.append((who, slice(lo, lo + off.size), 1.0 / (off - (zu[who] - x0)), qw, logw))
         lo += off.size
-    cut16, cut24 = (first * order for order in _ORDERS)  # each point's first node per order
     grid = _grid_columns(t, degrees)
-    below, out = zs.imag < 0, {}
+    out = {}
     for j in degrees:
         col, scale = grid[j]
         p, q, s = cols[j][0], _q(t, cols, j), cols[j][-1]
         qz, sz = q[-zs.size:], s[-zs.size:]
-        r = _q(t, cols, j, part=1)[-zs.size:] / qz if power == 2 else None
-
-        def kernel(u, order=None):
-            """u, or u (u - q'(z)/q(z)) at power 2, on the grid rows or the pieces at ``order``."""
-            if r is None:
-                return u
-            return u * (u - (r[:, None] if order is None else np.repeat(r, counts).repeat(order)))
-
-        grid_terms = col * kernel(u_grid)
+        r = _q(t, cols, j, part=1)[-zs.size:] / qz if derivative else None
+        grid_terms = col * (u_grid * (u_grid - r[:, None]) if derivative else u_grid)
         total, mass = grid_terms.sum(axis=1), np.abs(grid_terms).sum(axis=1)
-        delta = np.zeros(zs.size)  # |order-16 sum - order-24 sum| of the pieces
+        delta = 0.0  # |order-16 sum - order-24 sum| of the pieces
         if local:
             # the order-24 pieces join the sum; the order-16 ones are its check
             check, fine = (_weighted(qw, logw + 2.0 * s[nodes], p[nodes], q[nodes], scale)[0]
-                           * kernel(u, order) for order, nodes, u, qw, logw in local)
-            fs = np.add.reduceat(fine, cut24)  # per point
-            total[has] += fs
-            mass[has] += np.add.reduceat(np.abs(fine), cut24)
-            delta[has] = np.abs(np.add.reduceat(check, cut16) - fs)
+                           * (u * (u - r[who]) if derivative else u)
+                           for who, nodes, u, qw, logw in local)
+            fs = _sums(local[1][0], fine, zs.size)
+            total += fs
+            mass += np.bincount(local[1][0], np.abs(fine), zs.size)
+            delta = np.abs(_sums(local[0][0], check, zs.size) - fs)
         err = delta + _EPS * mass
         bad = err > _TOLERANCE * np.abs(total)
         if bad.any():
@@ -258,7 +253,7 @@ def plemelj_jump_check(t: RecurrenceTable, j: int, x: float, eps_list) -> JumpRe
     if x == 0.0:
         raise CauchyDomainError("jump check undefined at the weight kink x = 0")
     eps_list = sorted(float(e) for e in eps_list)
-    target = _pi_w(t, j, x).to_complex()
+    target = (eval_monic(t, j, x) * eval_weight(t.weight, x)).to_complex()
     t_abs = abs(target)
     # h_j(x - i eps) = -conj h_j(x + i eps), so the jump is h + conj h above
     mant, log = cauchy_transforms(t, [j], x + 1j * np.array(eps_list))[j]
@@ -280,8 +275,3 @@ def _neville_at_zero(xs, ys):
             vals[i] = (x_k * vals[i] - x_i * vals[i + 1]) / (x_k - x_i)
     return vals[0]
 
-
-def _pi_w(t: RecurrenceTable, j: int, x: float) -> ScaledComplex:
-    from .orthopoly import eval_monic
-
-    return eval_monic(t, j, x) * eval_weight(t.weight, x)

@@ -87,9 +87,11 @@ def _parse_potential(text: str) -> PotentialSpec:
 def _parse_complex(text: str) -> complex:
     try:
         re, im = (float(v) for v in text.split(","))
-        return complex(re, im)
     except ValueError as exc:
         raise UsageError(f"invalid complex value {text!r}; expected 're,im'") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise UsageError(f"non-finite complex value {text!r}")
+    return complex(re, im)
 
 
 def _parse_int_list(text: str):

@@ -2,17 +2,21 @@
 
 Family I pairs polynomial values, family II a Cauchy transform in the first
 slot with a polynomial in the second, family III Cauchy transforms in both.
-Families I and III have a vanishing numerator on the diagonal and are
-switched to the derivative (l'Hopital) form near it.
+Families I and III have a vanishing numerator on the diagonal.  A pair
+within 1e-7 max(1, |zeta|) of it takes the derivative (l'Hopital) form at
+its midpoint (zeta + eta)/2: W is symmetric, so that form errs by
+O(|zeta - eta|^2), and the quotient outside loses at most ~1e-9 to
+cancellation.  Family III keeps the quotient for a pair on opposite sides
+of the real axis, where h jumps.
 
 :func:`kernel_grid` evaluates a kernel at every pair of two lists of
 points.  Its columns are (F_lo, F_hi, log scale) rows, one per point,
 cached on the table: the Cauchy rows of all points not yet cached come
-from one batched sum, and the derivative rows of all confluent pairs from
-one more fetch.  The grid, confluent pairs included, is assembled as numpy
-arrays of mantissas and log scales.  A ScaledComplex is built only by the
-one-pair and one-point calls :func:`w_kernel`, :func:`w_kernel_times_gap`
-and :func:`y_matrix`.
+from one batched sum, and the rows at the midpoints of all confluent
+pairs from two more fetches, values and derivatives.  The grid, confluent
+pairs included, is assembled as numpy arrays of mantissas and log scales.
+A ScaledComplex is built only by the one-pair and one-point calls
+:func:`w_kernel`, :func:`w_kernel_times_gap` and :func:`y_matrix`.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class YColumns:
 
 
 def confluence_threshold(zeta):
-    return 1e-4 * np.maximum(1.0, np.abs(zeta))
+    return 1e-7 * np.maximum(1.0, np.abs(zeta))
 
 
 def _kind(family: KernelFamily, side: int) -> str:
@@ -78,7 +82,7 @@ def _pairs(t, kind, lo, hi, zs, derivative=False) -> np.ndarray:
     def compute(missing):
         us = [z for *_, z in missing]
         if kind == "h":
-            h = cauchy_transforms(t, (lo, hi), np.array(us), power=2 if derivative else 1)
+            h = cauchy_transforms(t, (lo, hi), np.array(us), derivative)
             cols = zip(*(v.tolist() for j in (lo, hi) for v in h[j]))
         else:  # (value, log scale), or (value, derivative, log scale)
             cols = (c[lo][-2:] + c[hi][-2:] for c in
@@ -112,8 +116,9 @@ def kernel_grid(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas, g
 
     Returns (mantissas, log scales), arrays of shape (len(zetas), len(etas))
     whose products are the values.  Pairs of families I and III within the
-    confluence threshold of the diagonal take the derivative form
-    F'_hi F_lo - F'_lo F_hi, their derivative columns fetched in one batch.
+    confluence threshold of the diagonal (for family III, on one side of
+    the axis) take the derivative form F'_hi F_lo - F'_lo F_hi at their
+    midpoint, its value and derivative columns fetched in one batch each.
     """
     zetas = np.asarray(zetas, dtype=complex).reshape(-1).tolist()
     etas = np.asarray(etas, dtype=complex).reshape(-1).tolist()
@@ -136,11 +141,15 @@ def kernel_grid(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas, g
     diff = np.subtract.outer(zetas, etas)
     out = num / np.where(diff == 0, 1.0, diff)
     if family is not KernelFamily.II:
-        i, k = np.nonzero(np.abs(diff) < confluence_threshold(np.array(zetas))[:, None])
+        near = np.abs(diff) < confluence_threshold(np.array(zetas))[:, None]
+        if family is KernelFamily.III:  # h jumps across the axis: no derivative form there
+            near &= np.equal.outer(np.imag(zetas) > 0, np.imag(etas) > 0)
+        i, k = np.nonzero(near)
         if i.size:
-            d = _pairs(t, kinds[0], lo, hi, [zetas[r] for r in i], derivative=True)
-            out[i, k] = d[:, 1] * f[i, 0] - d[:, 0] * f[i, 1]
-            log[i, k] = (d[:, 2] + f[i, 2]).real
+            mid = [(zetas[r] + etas[c]) / 2 for r, c in zip(i.tolist(), k.tolist())]
+            v, d = (_pairs(t, kinds[0], lo, hi, mid, derivative=der) for der in (False, True))
+            out[i, k] = d[:, 1] * v[:, 0] - d[:, 0] * v[:, 1]
+            log[i, k] = (d[:, 2] + v[:, 2]).real
     return out, log
 
 

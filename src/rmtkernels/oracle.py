@@ -56,7 +56,6 @@ def _andreief_sum(x, wv, n, g):
 class JointDensitySpec:
     w: WeightSpec
     n: int
-    z_n: ScaledComplex
     _grids: list = field(repr=False, default=None)  # [(x, wv, log_scale), ...]
     _z_raw: list = field(repr=False, default=None)  # raw partition sums per budget
 
@@ -79,8 +78,7 @@ def make_joint_density(w: WeightSpec) -> JointDensitySpec:
         raise OracleError(
             f"partition function budgets disagree: {z_vals[0]} vs {z_vals[1]}"
         )
-    z_n = ScaledComplex.from_parts(1.0, z_vals[1])
-    return JointDensitySpec(w=w, n=n, z_n=z_n, _grids=grids, _z_raw=z_raw)
+    return JointDensitySpec(w=w, n=n, _grids=grids, _z_raw=z_raw)
 
 
 def _average(d: JointDensitySpec, g, rel_tol: float) -> ScaledComplex:

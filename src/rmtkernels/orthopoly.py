@@ -22,16 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import WeightGrid, build_weight_grid
+from .quadrature import WeightDomainError, WeightGrid, build_weight_grid
 from .scaled import ScaledComplex
 
 
 class PrecisionError(RuntimeError):
     """Raised when the orthogonality self-check fails."""
-
-
-class WeightDomainError(ValueError):
-    pass
 
 
 class DegreeError(IndexError):
@@ -47,6 +43,8 @@ class PotentialSpec:
     def __post_init__(self):
         c = tuple(float(v) for v in self.coeffs)
         object.__setattr__(self, "coeffs", c)
+        if not all(map(math.isfinite, c)):
+            raise WeightDomainError("potential coefficients must be finite")
         trimmed = np.trim_zeros(np.asarray(c), "b")
         if trimmed.size <= 1:
             raise WeightDomainError("constant potential violates the growth condition")
@@ -77,8 +75,8 @@ class WeightSpec:
     potential: PotentialSpec
 
     def __post_init__(self):
-        if self.alpha <= -0.5:
-            raise WeightDomainError("alpha must exceed -1/2 for an integrable weight")
+        if not -0.5 < self.alpha < math.inf:  # false for nan too
+            raise WeightDomainError("alpha must be finite and exceed -1/2 for an integrable weight")
         if self.n < 1:
             raise WeightDomainError("n must be a positive integer")
 

@@ -92,18 +92,3 @@ def check_gamma2_jump(alpha: float, moduli=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0)) -> 
     return JumpCheckResult(alpha=alpha, moduli=list(moduli), residuals=residuals,
                            max_residual=max(residuals))
 
-
-def det_psi(alpha: float, zeta, sector: PsiSector) -> complex:
-    m = psi_alpha(alpha, zeta, sector)
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def small_zeta_growth_slope(alpha: float, sector: PsiSector, column: int,
-                            radii=(1e-3, 1e-4, 1e-5, 1e-6)) -> float:
-    """log-log slope of the largest entry of one column as zeta -> 0."""
-    mid = math.pi / 8 if sector is PsiSector.S1 else 3 * math.pi / 8
-    mags = []
-    for r in radii:
-        m = psi_alpha(alpha, r * cmath.exp(1j * mid), sector)
-        mags.append(float(np.max(np.abs(m[:, column]))))
-    return float(np.polyfit(np.log(radii), np.log(mags), 1)[0])

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class WeightDomainError(ValueError):
+    """A weight outside the domain the grid and the recurrence are built for."""
+
+
 @functools.lru_cache(maxsize=256)
 def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
@@ -114,7 +118,7 @@ def cutoff_radius(w, direction: float) -> float:
         margin = w.n * w.potential(direction * r) - max(0.0, 2.0 * w.alpha) * np.log(r) - 750.0
     hit = np.flatnonzero(margin > 0)
     if hit.size == 0:
-        raise ValueError("potential does not grow fast enough for a finite cutoff")
+        raise WeightDomainError("potential does not grow fast enough for a finite cutoff")
     return float(r[hit[0]])
 
 

@@ -9,6 +9,7 @@ cross products) are verified by the self-test suite below.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -114,8 +115,6 @@ def bessel_j_series(nu: float, z: complex, terms: int = 60) -> complex:
         return 1 + 0j if nu == 0 else 0j
     half = z / 2.0
     # principal branch of (z/2)^nu
-    import cmath
-
     prefactor = cmath.exp(nu * cmath.log(half)) / _sp().gamma(nu + 1.0)
     total = 0j
     term = 1 + 0j
@@ -171,6 +170,3 @@ def selftest_rows(alphas=(0.0, 0.3, 1.2), npoints: int = 20):
             rows.append((name, 0.0, zc, abs(got - want) / abs(want)))
     return rows
 
-
-def selftest_max_residual(alphas=(0.0, 0.3, 1.2), npoints: int = 20) -> float:
-    return max(r[3] for r in selftest_rows(alphas, npoints))

@@ -82,6 +82,28 @@ def test_diagonal_confluence():
         assert diag == pytest.approx(off, rel=1e-2, abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.2])
+def test_kernel_I_near_the_diagonal_matches_mpmath(alpha):
+    # J_I(zeta, zeta + delta) for delta from 1e-12 to 1e-3 along both axes
+    # against the quotient in 50-digit arithmetic: inside the threshold the
+    # derivative form is taken at the midpoint, so its error is O(delta^2)
+    mp = pytest.importorskip("mpmath")
+
+    def quotient(zeta, eta):
+        z, e = mp.mpc(zeta), mp.mpc(eta)
+        jz, je = ([mp.besselj(nu, mp.pi * w) for nu in (alpha + 0.5, alpha - 0.5)]
+                  for w in (z, e))
+        return (mp.pi * z ** (0.5 - alpha) * e ** (0.5 - alpha) * (jz[0] * je[1] - jz[1] * je[0])
+                / (2 * (z - e)))
+
+    with mp.workdps(50):
+        for zeta in (0.3, 0.02 + 0.01j, 0.9, -0.5 + 0.2j):
+            for delta in (10.0 ** e * d for e in range(-12, -2) for d in (1, 1j)):
+                want = quotient(zeta, zeta + delta)
+                got = limit_kernel(LimitKernelId.I, alpha, zeta, zeta + delta)
+                assert abs(got - want) < 3e-9 * abs(want), (zeta, delta)
+
+
 def test_diagonal_sine_kernel_value():
     assert limit_kernel(LimitKernelId.I, 0.0, 0.7, 0.7) == pytest.approx(1.0, rel=1e-12)
 

@@ -17,7 +17,13 @@ from rmtkernels.cauchy import (
     plemelj_jump_check,
 )
 from rmtkernels.finite_kernels import KernelFamily, w_kernel
-from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence
+from rmtkernels.orthopoly import (
+    PotentialSpec,
+    WeightSpec,
+    build_recurrence,
+    eval_monic,
+    eval_weight,
+)
 from rmtkernels.quadrature import legendre_panel
 from rmtkernels.scaled import ScaledComplex
 
@@ -63,6 +69,11 @@ def test_domain_and_range_errors(table_gauss_n1):
         cauchy_transform(table_gauss_n1, 0, 0.5)
     with pytest.raises(IndexError):
         cauchy_transform(table_gauss_n1, 99, 1j)
+    for z in (complex(math.nan, 0.3), complex(math.inf, 0.3), complex(0.3, math.inf)):
+        with pytest.raises(CauchyDomainError, match="finite"):
+            cauchy_transform(table_gauss_n1, 0, z)
+    with pytest.raises(CauchyDomainError, match="finite"):
+        cauchy_transforms(table_gauss_n1, [0], np.array([0.3 + 1j, complex(math.nan, 1.0)]))
 
 
 def test_degrees_together_match_single_degree_calls():
@@ -77,14 +88,15 @@ def test_degrees_together_match_single_degree_calls():
         assert not cauchy._near_panels(t, bulk_far).any()
         assert cauchy._near_panels(t, off_bulk).any()
         for z in (near_origin, bulk_far, off_bulk):
-            for power, single in ((1, cauchy_transform), (2, cauchy_transform_derivative)):
+            for derivative, single in ((False, cauchy_transform),
+                                       (True, cauchy_transform_derivative)):
                 for j in (8, 9):
-                    pair = cauchy_transforms(t, [j - 1, j], z, power)
+                    pair = cauchy_transforms(t, [j - 1, j], z, derivative)
                     assert sorted(pair) == [j - 1, j]
                     for k in (j - 1, j):
                         want = single(t, k, z)
                         err = (scaled(pair[k]) - want).log_abs() - want.log_abs()
-                        assert err < math.log(1e-13), (alpha, z, power, k, err)
+                        assert err < math.log(1e-13), (alpha, z, derivative, k, err)
 
     # at alpha = 1, h_8 (even) vanishes at 0 like z, so near 0 the sum cancels
     # beyond the relative tolerance; h_7 (odd) does not vanish there
@@ -107,17 +119,17 @@ def test_batch_matches_one_point_calls():
     zs = [z for w in (near_origin, bulk_far, off_bulk) for z in (w, w.conjugate())]
     for alpha in (0.0, 0.3):
         t = build_recurrence(WeightSpec(alpha, 8, V_2X2), 16)
-        for power in (1, 2):
-            batch = cauchy_transforms(t, [7, 8], np.array(zs), power)
+        for derivative in (False, True):
+            batch = cauchy_transforms(t, [7, 8], np.array(zs), derivative)
             assert sorted(batch) == [7, 8]
             assert all(v.shape == (len(zs),) for h in batch.values() for v in h)
             for m, z in enumerate(zs):
-                single = cauchy_transforms(t, [7, 8], z, power)
+                single = cauchy_transforms(t, [7, 8], z, derivative)
                 assert all(v.shape == () for h in single.values() for v in h)
                 for j in (7, 8):
                     want = scaled(single[j])
                     err = (scaled(batch[j], m) - want).log_abs() - want.log_abs()
-                    assert err < math.log(1e-13), (alpha, z, power, j, err)
+                    assert err < math.log(1e-13), (alpha, z, derivative, j, err)
 
 
 def test_batch_of_points_far_apart():
@@ -125,14 +137,14 @@ def test_batch_of_points_far_apart():
     # scale, so the point near 0 loses no bits to the one far from it
     t = build_recurrence(WeightSpec(0.3, 64, V_2X2), 66)
     zs = [0.01 + 0.01j, 1e3j, 5 + 1j, -0.2 - 0.001j]
-    for power in (1, 2):
-        batch = cauchy_transforms(t, [64, 65], np.array(zs), power)
+    for derivative in (False, True):
+        batch = cauchy_transforms(t, [64, 65], np.array(zs), derivative)
         for m, z in enumerate(zs):
-            single = cauchy_transforms(t, [64, 65], z, power)
+            single = cauchy_transforms(t, [64, 65], z, derivative)
             for j in (64, 65):
                 want = scaled(single[j])
                 err = (scaled(batch[j], m) - want).log_abs() - want.log_abs()
-                assert err < math.log(1e-13), (z, power, j, err)
+                assert err < math.log(1e-13), (z, derivative, j, err)
 
 
 def miller_h(alpha, n, j, z):
@@ -297,7 +309,7 @@ def test_plemelj_jump_sums_the_upper_points_once(table_n8, monkeypatch):
     rep = plemelj_jump_check(table_n8, 3, x, eps)
     monkeypatch.undo()
     assert len(calls) == 1 and np.all(np.asarray(calls[0][2]).imag > 0)
-    target = cauchy._pi_w(table_n8, 3, x).to_complex()
+    target = (eval_monic(table_n8, 3, x) * eval_weight(table_n8.weight, x)).to_complex()
     for e, res in zip(rep.eps, rep.residuals):
         jump = (cauchy_transform(table_n8, 3, complex(x, e))
                 - cauchy_transform(table_n8, 3, complex(x, -e))).to_complex()
@@ -352,7 +364,7 @@ def test_matches_high_precision_reference(alpha, n, j, z, power):
     want = reference_h(alpha, n, j, z, 65, power)
     assert abs(reference_h(alpha, n, j, z, 50, power) - want) < 1e-14 * abs(want)
     t = build_recurrence(WeightSpec(alpha, n, V_2X2), n + 1)
-    got = scaled(cauchy_transforms(t, [j], z, power)[j]).to_complex()
+    got = scaled(cauchy_transforms(t, [j], z, derivative=power == 2)[j]).to_complex()
     assert abs(got - want) < 1e-12 * abs(want)
 
 

@@ -128,9 +128,14 @@ def table_file(tmp_path, capsys):
      "--zeta", "0.5,-0.1", "--eta", "0.2,0"],
     ["parametrix", "--alpha", "0.3", "--zeta", "0,0", "--sector", "1"],
     ["ratio-check", "--alpha", "0", "--potential", "0,0,2", "--zeta", "0.5,0"],
+    ["recurrence", "--alpha", "inf", "--potential", "0,0,2", "--n", "4", "--max-degree", "6"],
+    ["recurrence", "--alpha", "nan", "--potential", "0,0,2", "--n", "4", "--max-degree", "6"],
+    ["recurrence", "--alpha", "0", "--potential", "0,0,1e-300", "--n", "1",
+     "--max-degree", "2"],
 ], ids=["cauchy-degree", "kernel-degree", "cauchy-real-z", "kernel-II-diagonal",
         "recurrence-alpha", "limit-kernel-half-plane", "parametrix-origin",
-        "ratio-check-real-zeta"])
+        "ratio-check-real-zeta", "recurrence-infinite-alpha", "recurrence-nan-alpha",
+        "recurrence-flat-potential"])
 def test_domain_error_is_usage_error(argv, table_file, capsys):
     argv = [a.replace("{table}", table_file) for a in argv]
     assert main(argv) == EXIT_USAGE
@@ -149,16 +154,27 @@ def test_domain_error_is_usage_error(argv, table_file, capsys):
     ["universality", "--case", "T1", "--alpha", "0.3", "--potential", "0,0,2", "--n", "8,x"],
     ["recurrence", "--alpha", "0", "--potential", "0,0,2", "--n", "4",
      "--max-degree", "-1"],
+    ["cauchy", "--table", "{table}", "--j", "3", "--z", "nan,0.3"],
+    ["cauchy", "--table", "{table}", "--j", "3", "--z", "inf,0.3"],
+    ["kernel", "--family", "I", "--table", "{table}", "--zeta", "nan,0", "--eta", "0.2,0"],
+    ["ratio-check", "--alpha", "0", "--potential", "0,0,2", "--zeta", "nan,0.5"],
+    ["oracle", "--check", "heine", "--n", "2", "--alpha", "0", "--potential", "0,0,1",
+     "--points", "nan,0"],
+    ["recurrence", "--alpha", "0", "--potential", "0,0,nan", "--n", "4", "--max-degree", "6"],
+    ["equilibrium", "--potential", "0,0,nan"],
 ], ids=["table-missing", "table-directory", "table-malformed", "table-missing-key",
         "table-fractional-degree", "universality-decreasing-n", "universality-one-n",
-        "universality-malformed-n", "recurrence-negative-degree"])
-def test_bad_input_is_usage_error(argv, tmp_path, capsys):
+        "universality-malformed-n", "recurrence-negative-degree", "cauchy-nan-z",
+        "cauchy-infinite-z", "kernel-nan-zeta", "ratio-check-nan-zeta", "oracle-nan-point",
+        "recurrence-nan-potential", "equilibrium-nan-potential"])
+def test_bad_input_is_usage_error(argv, table_file, tmp_path, capsys):
     (tmp_path / "malformed.json").write_text("{")
     (tmp_path / "no_coeffs.json").write_text(json.dumps({"alpha": 0.3, "n": 6}))
     (tmp_path / "fractional_degree.json").write_text(json.dumps(
         {"alpha": 0.3, "n": 6, "coeffs": [0, 0, 2], "max_degree": 6.5,
          "a": [], "b": [], "log_norm_sq": []}))
-    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == EXIT_USAGE
+    argv = [a.replace("{tmp}", str(tmp_path)).replace("{table}", table_file) for a in argv]
+    assert main(argv) == EXIT_USAGE
     _assert_one_error_line(capsys.readouterr().err)
 
 

@@ -57,20 +57,21 @@ def test_family_II_pole_on_diagonal(table_n6):
 
 
 def test_confluence_continuity(table_n6):
-    # quotient and derivative forms agree across the switching annulus
     # quotient form at separation g vs derivative form at the midpoint: the
     # discrepancy is the O(g^2) curvature term, ~5e-6 at g = 1e-3 here
     t = table_n6
     zeta = 0.37 + 0.21j
-    for gap, tol in ((1e-4 + 1e-12, 1e-6), (3e-4, 1e-5), (1e-3, 1e-4), (1e-2, 1e-3)):
+    for gap, tol in ((1e-4, 1e-6), (3e-4, 1e-5), (1e-3, 1e-4), (1e-2, 1e-3)):
         mid = zeta + gap / 2
         diag = w_kernel(KernelFamily.I, t, 0, mid, mid).to_complex()
         quo = w_kernel(KernelFamily.I, t, 0, zeta, zeta + gap).to_complex()
         assert quo == pytest.approx(diag, rel=tol)
-    # continuity just outside the switching threshold
-    a = w_kernel(KernelFamily.I, t, 0, zeta, zeta + 2e-4).to_complex()
-    b = w_kernel(KernelFamily.I, t, 0, zeta, zeta + 2.001e-4).to_complex()
-    assert a == pytest.approx(b, rel=1e-5)
+    # continuity across the switching threshold 1e-7, the derivative form
+    # just inside it and the quotient just outside: W itself moves by
+    # ~2e-8 relative between the two
+    a = w_kernel(KernelFamily.I, t, 0, zeta, zeta + 0.99e-7).to_complex()
+    b = w_kernel(KernelFamily.I, t, 0, zeta, zeta + 1.01e-7).to_complex()
+    assert a == pytest.approx(b, rel=1e-7)
 
 
 def test_confluence_continuity_family_III(table_n6):
@@ -204,3 +205,45 @@ def test_kernel_grid_is_exact_arithmetic_on_its_columns():
                 want = f_hi * g_lo - f_lo * g_hi
                 got = mp.mpc(complex(mant[i, k])) * mp.exp(log[i, k])
                 assert abs(got - want) < 5e-14 * abs(want), (i, k)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_family_I_near_the_diagonal_matches_50_digit_arithmetic(n):
+    # W_I(zeta, zeta + delta) against the quotient in 50-digit arithmetic on
+    # the table's own a_k and b_k, for delta from 1e-12 to 1e-3 along both
+    # axes: the pairs within the threshold take the derivative form at the
+    # midpoint, the others the quotient, which loses at most ~1e-9 to
+    # cancellation just outside the threshold
+    mp = pytest.importorskip("mpmath")
+    t = build_recurrence(WeightSpec(0.3, n, PotentialSpec((0.0, 0.0, 2.0))), n)
+    a, b = t.a.tolist(), t.b.tolist()
+
+    def monic(z):  # (pi_{n-1}(z), pi_n(z))
+        prev, cur = mp.mpf(0), mp.mpf(1)
+        for k in range(n):
+            prev, cur = cur, (z - a[k]) * cur - b[k] * prev
+        return prev, cur
+
+    with mp.workdps(50):
+        for zeta in (0.3, 0.02 + 0.01j, 0.9, -0.5 + 0.2j):
+            for delta in (10.0 ** e * d for e in range(-12, -2) for d in (1, 1j)):
+                eta = zeta + delta
+                (z_lo, z_hi), (e_lo, e_hi) = monic(mp.mpc(zeta)), monic(mp.mpc(eta))
+                want = (z_hi * e_lo - z_lo * e_hi) / (mp.mpc(zeta) - mp.mpc(eta))
+                got = w_kernel(KernelFamily.I, t, 0, zeta, eta)
+                got = mp.mpc(got.mantissa) * mp.exp(got.log_scale)
+                assert abs(got - want) < 3e-9 * abs(want), (zeta, delta)
+
+
+def test_family_III_across_the_axis_is_the_quotient():
+    # h jumps across the real axis, so a pair with zeta and eta on opposite
+    # sides keeps the quotient form however close they are: the derivative
+    # form there would be W(zeta, zeta) of one side only
+    t = build_recurrence(WeightSpec(0.3, 8, PotentialSpec((0.0, 0.0, 2.0))), 9)
+    for im in (4e-5, 4e-8):
+        zeta, eta = 0.3 + im * 1j, 0.3 - im * 1j
+        h = {(z, j): cauchy_transform(t, j, z) for z in (zeta, eta) for j in (7, 8)}
+        for z, e in ((zeta, eta), (eta, zeta)):
+            want = (h[z, 8] * h[e, 7] - h[z, 7] * h[e, 8]).to_complex() / (z - e)
+            got = w_kernel(KernelFamily.III, t, 0, z, e).to_complex()
+            assert abs(got - want) < 1e-12 * abs(want), (z, e)

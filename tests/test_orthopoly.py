@@ -41,9 +41,26 @@ def test_potential_rejects_negative_leading():
         PotentialSpec((0.0, 0.0, -1.0))
 
 
+def test_potential_rejects_non_finite_coefficients():
+    for c in (math.nan, math.inf):
+        with pytest.raises(WeightDomainError, match="finite"):
+            PotentialSpec((0.0, 0.0, c))
+        with pytest.raises(WeightDomainError, match="finite"):
+            PotentialSpec((c, 0.0, 1.0))
+
+
+def test_potential_too_flat_for_a_cutoff():
+    # 1e-300 x^2 has not underflowed the weight by |x| = 1.3^199
+    with pytest.raises(WeightDomainError, match="cutoff"):
+        build_recurrence(WeightSpec(0.0, 1, PotentialSpec((0.0, 0.0, 1e-300))), 2)
+
+
 def test_weight_alpha_bound():
     with pytest.raises(WeightDomainError):
         WeightSpec(-0.5, 4, V_X2)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(WeightDomainError, match="finite"):
+            WeightSpec(alpha, 4, V_X2)
     with pytest.raises(WeightDomainError):
         WeightSpec(0.0, 0, V_X2)
 

@@ -8,10 +8,8 @@ from rmtkernels.parametrix import (
     PsiSector,
     SectorError,
     check_gamma2_jump,
-    det_psi,
     gamma2_jump_matrix,
     psi_alpha,
-    small_zeta_growth_slope,
 )
 
 
@@ -27,6 +25,22 @@ def test_jump_matrix_is_unimodular():
         j = gamma2_jump_matrix(alpha)
         assert np.linalg.det(j) == pytest.approx(1.0, abs=1e-15)
         assert j[0, 1] == 0.0
+
+
+def det_psi(alpha: float, zeta, sector: PsiSector) -> complex:
+    m = psi_alpha(alpha, zeta, sector)
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def small_zeta_growth_slope(alpha: float, sector: PsiSector, column: int,
+                            radii=(1e-3, 1e-4, 1e-5, 1e-6)) -> float:
+    """log-log slope of the largest entry of one column as zeta -> 0."""
+    mid = math.pi / 8 if sector is PsiSector.S1 else 3 * math.pi / 8
+    mags = []
+    for r in radii:
+        m = psi_alpha(alpha, r * cmath.exp(1j * mid), sector)
+        mags.append(float(np.max(np.abs(m[:, column]))))
+    return float(np.polyfit(np.log(radii), np.log(mags), 1)[0])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.2])

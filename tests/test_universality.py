@@ -137,9 +137,9 @@ def test_study_evaluates_each_cauchy_column_once(monkeypatch):
     seen = []
     compute = finite_kernels.cauchy_transforms
 
-    def counting(t, degrees, z, power=1):
-        seen.append((id(t), tuple(degrees), power, np.atleast_1d(z).tolist()))
-        return compute(t, degrees, z, power)
+    def counting(t, degrees, z, derivative=False):
+        seen.append((id(t), tuple(degrees), derivative, np.atleast_1d(z).tolist()))
+        return compute(t, degrees, z, derivative)
 
     monkeypatch.setattr(finite_kernels, "cauchy_transforms", counting)
     universality._cached_table.cache_clear()
@@ -149,7 +149,7 @@ def test_study_evaluates_each_cauchy_column_once(monkeypatch):
     upper = {z.conjugate() if z.imag < 0 else z for z in case.zeta_grid + case.eta_grid}
     assert len(set(summed)) == len(summed) == len(case.n_list) * len(upper)
     assert len(seen) == len(case.n_list)
-    assert {(len(d), p) for _, d, p, _ in seen} == {(2, 1)}
+    assert {(len(d), der) for _, d, der, _ in seen} == {(2, False)}
 
     fresh = []
     for n, zeta, eta, *_ in rep.records:
@@ -232,7 +232,8 @@ def _kernel_root(t, zeta, lo, hi):
 
 
 def test_grid_confluent_and_zero_pairs(monkeypatch):
-    # one pair inside the confluence threshold takes the derivative form; one
+    # one pair inside the confluence threshold takes the derivative form at
+    # its midpoint, its columns fetched there; one
     # at a zero of the kernel far from the diagonal, where the numerator
     # cancels to rounding level, keeps the quotient form and is near 0, not
     # the diagonal value.  The grid path and the one-pair path give the same
@@ -244,7 +245,7 @@ def test_grid_confluent_and_zero_pairs(monkeypatch):
     t = universality._cached_table(0.3, V_2X2.coeffs, n)
     root = _kernel_root(t, zeta / s, n - 1, n) * s
     case = TheoremCase(Theorem.T1, 0.3, V_2X2, zeta_grid=(zeta,),
-                       eta_grid=(zeta + 1e-6, root, -0.3), n_list=(8, 16))
+                       eta_grid=(zeta + 1e-8, root, -0.3), n_list=(8, 16))
     confluent = []
     compute = finite_kernels._pairs
 
@@ -255,7 +256,11 @@ def test_grid_confluent_and_zero_pairs(monkeypatch):
 
     monkeypatch.setattr(finite_kernels, "_pairs", counting)
     rep = convergence_study(case)
-    assert confluent == [(8, zeta / s), (16, zeta / (2 * s))]
+    mids = []
+    for n_ in (8, 16):
+        z, e = (np.array([zeta, zeta + 1e-8], dtype=complex) / (n_ * eq.psi0)).tolist()
+        mids.append((n_, (z + e) / 2))
+    assert confluent == mids
     for n_, z, e, lhs, *_ in rep.records:
         assert abs(normalized_lhs(case, n_, z, e) - lhs) <= 1e-12 * abs(lhs)
     diagonal, at_root = (lhs for n_, _, e, lhs, *_ in rep.records if n_ == 8 and e != -0.3)
