@@ -161,7 +161,8 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
 
     ``z`` is one point or an array of points, summed as one batch; the two
     arrays have z's shape, and h_j = mantissa e^(log scale) at each point.
-    Requires finite z with Im z != 0.
+    The mantissas carry no power of 1/z, so they do not underflow at a far
+    z.  Requires finite z with Im z != 0.
 
     h'_j = (S'_j - S_j q'/q) / (2 pi i q) with S'_j the integral of
     pi_j q w / (x - z)^2, so the value and the derivative sum the same
@@ -182,7 +183,12 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
     zu = np.where(below, zs.conj(), zs)  # the points summed
     points = zu.tolist()
     a, b, start, stop = t.grid.panels
-    u_grid = 1.0 / (t.grid.x - zu[:, None])
+    # u = f/(x - z), f the largest power of 2 not above max(1, |z|): an exact
+    # scaling, taken out in the log scale, that keeps u(u - r) off the
+    # subnormals at a far z, where 1/(x - z)^2 would underflow
+    f = np.ldexp(0.5, np.maximum(np.frexp(np.abs(zu))[1], 1))
+    log_f = (2.0 if derivative else 1.0) * np.log(f)
+    u_grid = f[:, None] / (t.grid.x - zu[:, None])
     split, owner = [], []  # pieces in the order of their points, and each piece's point
     for m, i in zip(*(k.tolist() for k in np.nonzero(_near_panels(t, zu)))):
         u_grid[m, start[i]:stop[i]] = 0.0  # near panels leave the point's grid sum
@@ -199,7 +205,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
     for order, (x0, off, qw, logw) in zip(_ORDERS, rules):
         who = np.repeat(owner, order)  # the point of each node
         # x - z from the offsets, exact where the pieces are narrowest
-        local.append((who, slice(lo, lo + off.size), 1.0 / (off - (zu[who] - x0)), qw, logw))
+        local.append((who, slice(lo, lo + off.size), f[who] / (off - (zu[who] - x0)), qw, logw))
         lo += off.size
     grid = _grid_columns(t, degrees)
     out = {}
@@ -207,7 +213,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
         col, scale = grid[j]
         p, q, s = cols[j][0], _q(t, cols, j), cols[j][-1]
         qz, sz = q[-zs.size:], s[-zs.size:]
-        r = _q(t, cols, j, part=1)[-zs.size:] / qz if derivative else None
+        r = f * _q(t, cols, j, part=1)[-zs.size:] / qz if derivative else None
         grid_terms = col * (u_grid * (u_grid - r[:, None]) if derivative else u_grid)
         total, mass = grid_terms.sum(axis=1), np.abs(grid_terms).sum(axis=1)
         delta = 0.0  # |order-16 sum - order-24 sum| of the pieces
@@ -221,7 +227,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
             mass += np.bincount(local[1][0], np.abs(fine), zs.size)
             delta = np.abs(_sums(local[0][0], check, zs.size) - fs)
         err = delta + _EPS * mass
-        bad = err > _TOLERANCE * np.abs(total)
+        bad = ~(err < _TOLERANCE * np.abs(total))  # a sum of exactly 0 is no value either
         if bad.any():
             m = bad.argmax()
             raise CauchyConvergenceError(
@@ -230,7 +236,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
             )
         h = _INV_2PI_I * total / qz
         h[below] = -h[below].conj()
-        out[j] = h.reshape(shape), (scale - sz).reshape(shape)
+        out[j] = h.reshape(shape), (scale - sz - log_f).reshape(shape)
     return out
 
 

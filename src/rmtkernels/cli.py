@@ -404,14 +404,16 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv):
-    """Pre-parse --config and inject file values for flags not on the CLI."""
-    if "--config" not in argv:
+    """Pre-parse --config and inject file values for flags not on the CLI, as --flag or --flag=."""
+    flags = [arg.partition("=")[0] for arg in argv]
+    if "--config" not in flags:
         return argv
-    idx = argv.index("--config")
-    try:
+    idx = flags.index("--config")
+    _, inline, path = argv[idx].partition("=")
+    if not inline:
+        if idx + 1 == len(argv):
+            raise UsageError("--config needs a file path")
         path = argv[idx + 1]
-    except IndexError:
-        raise UsageError("--config needs a file path")
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -430,7 +432,7 @@ def _apply_config(parser: _Parser, argv):
         flag = f"--{key}"
         if key not in known:
             raise UsageError(f"unknown config key {key!r}")
-        if flag in argv:
+        if flag in flags:
             continue  # explicit flag wins
         extra.extend([flag, str(value)])
     return argv + extra

@@ -7,12 +7,12 @@ and at large n the weight underflows inside the support, so no one scale
 holds every point.  The step builds the table by a discretized Stieltjes
 procedure on the composite Gauss grid of :mod:`rmtkernels.quadrature`, with
 the weight and the scales in log form so that every sum is O(1) though norms
-decay like e^(-c*n); it replays the table for the orthogonality self-check;
-and :func:`monic_values_scaled` evaluates polynomials and derivatives with it
-off the grid, at a numpy array of points or at one point given as a Python
-number, in Python arithmetic (a one-element array costs microseconds a step
-in numpy's per-call overhead).  :func:`eval_monic` and
-:func:`eval_monic_derivative` wrap it for one point.
+decay like e^(-c*n), and in the same pass checks the table on a second rule,
+the grid's panels at a higher Gauss order; and :func:`monic_values_scaled`
+evaluates polynomials and derivatives with it off the grid, at a numpy array
+of points or at one point given as a Python number, in Python arithmetic (a
+one-element array costs microseconds a step in numpy's per-call overhead).
+:func:`eval_monic` and :func:`eval_monic_derivative` wrap it for one point.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import WeightDomainError, WeightGrid, build_weight_grid
+from .quadrature import WeightDomainError, WeightGrid, build_weight_grid, weighted_rule
 from .scaled import ScaledComplex
 
 
 class PrecisionError(RuntimeError):
-    """Raised when the orthogonality self-check fails."""
+    """Raised when a recurrence table fails one of its checks."""
 
 
 class DegreeError(IndexError):
@@ -143,65 +143,49 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
     K = max_degree
     grid = build_weight_grid(w, dense_panels=max(DENSE_PANELS, int(0.8 * K) + 12),
                              order=ORDER, max_degree=K)
-    x, qw, logw = grid.x, grid.qw, grid.logw
+    # the check rule: the grid's panels at ORDER + 4 nodes each, run after the grid's nodes
+    lo, hi, start, stop = grid.panels
+    x0, off, qw, logw = weighted_rule(np.zeros(lo.size), lo, hi, ORDER + 4, w)
+    N = grid.x.size
+    x, qw, logw = (np.concatenate(pair) for pair in
+                   ((grid.x, x0 + off), (grid.qw, qw), (grid.logw, logw)))
 
-    # discretized Stieltjes: with pi_k = cur e^s at the nodes and the weights
-    # W = qw e^(logw + 2s - c), refreshed when s changes, S_k = sum W cur^2 is
-    # ||pi_k||^2 e^-c and O(1).  b_k is the ratio of two sums under one W.
+    # discretized Stieltjes on the grid's nodes [:N]: with pi_k = cur e^s at
+    # the nodes and the weights W = qw e^(logw + 2s - c), refreshed when s
+    # changes, S_k = sum W cur^2 is ||pi_k||^2 e^-c and O(1).  b_k is the
+    # ratio of two sums under one W.  The check rule's nodes [N:] carry the
+    # table's pi_k along, and its ||pi_k||^2 and <pi_k, pi_{k-1}> against
+    # the grid's norms measure the grid's quadrature error, which no sum on
+    # the grid itself can show (Gautschi, Orthogonal Polynomials, 2004).
     a, b, log_norm_sq = (np.zeros(K + 1) for _ in range(3))
-    s_w = None
+    s_w, residual = None, 0.0
     for k, s, cur, prev, _ in _three_term(x, a, b, range(K + 1), range(K + 1)):
         if s is not s_w:
             e = logw + 2.0 * s
-            c = float(e.max())
+            c = float(e[:N].max())
             W = qw * np.exp(e - c)
-            Wx, s_w = W * x, s
-            s_prev = float(np.dot(W, prev * prev))
+            Wg, Wc, s_w = W[:N], W[N:], s
+            Wx = Wg * x[:N]
+            s_prev = float(np.dot(Wg, prev[:N] * prev[:N]))
         p2 = cur * cur
-        sk = float(np.dot(W, p2))
+        sk = float(np.dot(Wg, p2[:N]))
         if not (sk > 0) or not math.isfinite(sk):
             raise PrecisionError(f"lost positivity of the norm at degree {k}")
         log_norm_sq[k] = math.log(sk) + c
-        a[k] = float(np.dot(Wx, p2)) / sk
+        a[k] = float(np.dot(Wx, p2[:N])) / sk
         b[k] = sk / s_prev if k else 0.0
+        cross = abs(np.dot(Wc, cur[N:] * prev[N:])) / math.sqrt(sk * s_prev) if k else 0.0
+        defect = float(np.max((abs(np.dot(Wc, p2[N:]) / sk - 1.0), cross)))
+        if not defect <= 1e-7:
+            raise PrecisionError(f"orthogonality residual {defect:.3e} at degree {k} on the "
+                                 f"check rule exceeds 1e-7: the grid does not resolve pi_{k}")
+        residual = max(residual, defect)
         s_prev = sk
 
     # pi_K^2 w must have decayed before the grid ends on either side
-    _, _, start, stop = grid.panels
-    edge = max(np.dot(W[i:j], p2[i:j]) for i, j in zip(start[[0, -1]], stop[[0, -1]])) / sk
+    edge = max(np.dot(Wg[i:j], p2[i:j]) for i, j in zip(start[[0, -1]], stop[[0, -1]])) / sk
     if edge > 1e-15:
         raise PrecisionError(f"the outermost grid panel holds {edge:.3e} of ||pi_{K}||^2")
-
-    # orthogonality self-check on the Gram matrix of the rows
-    # pi_j sqrt(qw w) / ||pi_j||, each O(1), replayed over chunks of K + 1 nodes
-    # or 512 KiB, whichever is more: one (K+1) x N array would set the peak
-    # memory on large tables, and more chunks cost numpy calls on small ones.
-    # Row j is cur F e^(c - log ||pi_j||), F = sqrt(qw) e^(logw/2 + s - c)
-    # refreshed when s changes; the replay rescales at the growth bound's cadence.
-    checks = range(0, K + 1, _cadence(x, a, b))
-    G = np.zeros((K + 1, K + 1))
-    size = max(K + 1, (1 << 19) // (8 * (K + 1)))
-    for lo in range(0, x.size, size):
-        nodes = slice(lo, lo + size)
-        rows, logc = np.empty((K + 1, x[nodes].size)), np.empty(K + 1)
-        s_f = None
-        for k, s, cur, _, _ in _three_term(x[nodes], a, b, range(K + 1), checks):
-            if s is not s_f:
-                e = 0.5 * logw[nodes] + s
-                c = float(e.max())
-                F, s_f = np.sqrt(qw[nodes]) * np.exp(e - c), s
-            np.multiply(cur, F, out=rows[k])
-            logc[k] = c
-        rows *= np.exp(logc - 0.5 * log_norm_sq)[:, None]
-        G += rows @ rows.T
-    d = np.sqrt(np.abs(np.diag(G)))
-    R = np.abs(G) / np.outer(d, d)
-    np.fill_diagonal(R, 0.0)
-    residual = float(R.max())
-    if not residual <= 1e-7:
-        i, j = np.unravel_index(np.argmax(R), R.shape)
-        raise PrecisionError(f"orthogonality residual {residual:.3e} at degrees ({i},{j}) "
-                             f"exceeds 1e-7; lower max_degree")
     for arr in (a, b, log_norm_sq):
         arr.setflags(write=False)
 
@@ -232,7 +216,8 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     """pi_j at many (real or complex) points for each j in ``degrees``.
 
     ``x`` is a numpy array, vectorized over, or one point as a Python
-    number (int, float or complex), for which the values are numbers.
+    number (int, float or complex), for which the values are numbers; a
+    point that is not finite raises WeightDomainError.
     Returns {j: (values, log_scale)}: pi_j(x) = values e^log_scale, with
     one log scale per point, an array of x's shape (a float for one
     number).  The values are real when x is real, complex otherwise.
@@ -261,6 +246,8 @@ def _cadence(x, a, b):
     alone (no b_k) at x near 0 the bound would be 1 and its logarithm 0.
     """
     reach = abs(x) if isinstance(x, (int, float, complex)) else float(np.abs(x).max(initial=0.0))
+    if not math.isfinite(reach):  # nan too
+        raise WeightDomainError("polynomials are evaluated at finite points only")
     reach += max(map(abs, a)) + 1.0
     growth = max(reach + max(b), reach / min(b[1:], default=1.0), 2.0)
     return max(1, int(575.0 / math.log(growth)))

@@ -86,12 +86,16 @@ def weighted_rule(x0, lo, hi, order: int, w):
     |x|^(2a) in qw; the others are Gauss-Legendre with 2a log|x| in logw.
     Every piece carries -nV in logw.
     """
-    off, qw = legendre_panel(lo[:, None], hi[:, None], order)
-    logw = 2.0 * w.alpha * np.log(np.abs(x0[:, None] + off))
-    for i in np.flatnonzero((x0 + lo == 0.0) | (x0 + hi == 0.0)):
+    jac = (x0 + lo == 0.0) | (x0 + hi == 0.0)
+    if jac.all():  # numpy makes a Gauss-Legendre rule slower than an eigh of Jacobi's
+        off, qw = np.empty((2, lo.size, order))
+    else:
+        off, qw = legendre_panel(lo[:, None], hi[:, None], order)
+    for i in np.flatnonzero(jac):
         end = x0[i] + (hi[i] if x0[i] + lo[i] == 0.0 else lo[i])
         xj, qw[i] = jacobi_panel(end, order, 2.0 * w.alpha)
-        off[i], logw[i] = xj - x0[i], 0.0
+        off[i] = xj - x0[i]
+    logw = np.where(jac[:, None], 0.0, 2.0 * w.alpha * np.log(np.abs(x0[:, None] + off)))
     base, off = np.repeat(x0, order), off.ravel()
     return base, off, qw.ravel(), logw.ravel() - w.n * w.potential(base + off)
 
@@ -148,7 +152,7 @@ def build_weight_grid(w, dense_panels: int, order: int = 20, jacobi_order: int =
     the cutoff: at large n the weight underflows inside the support, where
     pi_j^2 w does not (Mhaskar & Saff, Trans. AMS 285, 1984).
     """
-    rules, panels = [], []
+    pieces = {}  # Gauss order -> the (a, b) edges of its panels on both sides
     for sgn in (-1.0, 1.0):
         far = sgn * cutoff_radius(w, sgn)
         dense = sgn * dense_radius(w.potential, sgn, max(8.0, 4.0 * max_degree / w.n))
@@ -158,9 +162,13 @@ def build_weight_grid(w, dense_panels: int, order: int = 20, jacobi_order: int =
         if abs(far) > abs(dense) * (1 + 1e-12):
             kinds.append((np.array(_tail_edges(dense, far)), max(12, order - 4)))
         for edges, p_order in kinds:
-            a, b = np.minimum(edges[:-1], edges[1:]), np.maximum(edges[:-1], edges[1:])
-            rules.append(weighted_rule(np.zeros(a.size), a, b, p_order, w))
-            panels.append((a, b, np.full(a.size, p_order)))
+            pieces.setdefault(p_order, []).append(
+                (np.minimum(edges[:-1], edges[1:]), np.maximum(edges[:-1], edges[1:])))
+    rules, panels = [], []
+    for p_order, ab in pieces.items():  # one rule per Gauss order
+        a, b = (np.concatenate(col) for col in zip(*ab))
+        rules.append(weighted_rule(np.zeros(a.size), a, b, p_order, w))
+        panels.append((a, b, np.full(a.size, p_order)))
 
     base, off, qw, logw = (np.concatenate(col) for col in zip(*rules))
     x = base + off

@@ -23,9 +23,8 @@ import numpy as np
 from .bessel_limits import LimitKernelId, limit_kernel, _HALF_PLANES, _PI
 from .cauchy import CauchyDomainError
 from .equilibrium import solve_equilibrium
-from .finite_kernels import KernelFamily, kernel_grid, w_kernel_times_gap
+from .finite_kernels import KernelFamily, kernel_grid
 from .orthopoly import PotentialSpec, WeightSpec, build_recurrence
-from .scaled import ScaledComplex
 
 
 class ScaleCancellationError(RuntimeError):
@@ -135,19 +134,19 @@ def _cached_equilibrium(coeffs: tuple):
     return solve_equilibrium(PotentialSpec(coeffs))
 
 
-def _normalized_grid(case: TheoremCase, n: int, zetas, etas) -> np.ndarray:
+def _normalized_grid(fam: KernelFamily, alpha: float, p: PotentialSpec, m: int, n: int,
+                     zetas, etas) -> np.ndarray:
     """normalized_lhs at every pair of ``zetas`` and ``etas``, from one kernel grid, as arrays."""
     zetas, etas = np.asarray(zetas, dtype=complex), np.asarray(etas, dtype=complex)
-    t = _cached_table(case.alpha, case.potential.coeffs, n)
-    eq = _cached_equilibrium(case.potential.coeffs)
+    t = _cached_table(alpha, p.coeffs, n)
+    eq = _cached_equilibrium(p.coeffs)
     s = n * eq.psi0
-    fam = _FAMILY[case.theorem]
     drift = eq.v_prime_at_0 / (2.0 * eq.psi0)
-    log_amp = 2.0 * case.alpha * math.log(s) + n * eq.v_at_0
+    log_amp = 2.0 * alpha * math.log(s) + n * eq.v_at_0
 
     # gamma^2 W / s, or gamma^2 (zeta - eta) W for family II, over e^pref
-    mant, log = kernel_grid(fam, t, case.m, zetas / s, etas / s, gap=fam is KernelFamily.II)
-    log = log + t.log_gamma_sq(n + case.m - 1)
+    mant, log = kernel_grid(fam, t, m, zetas / s, etas / s, gap=fam is KernelFamily.II)
+    log = log + t.log_gamma_sq(n + m - 1)
     zeta, eta = zetas[:, None], etas[None, :]
     if fam is KernelFamily.II:
         pref = -drift * (zeta - eta)
@@ -172,7 +171,8 @@ def _normalized_grid(case: TheoremCase, n: int, zetas, etas) -> np.ndarray:
 
 def normalized_lhs(case: TheoremCase, n: int, zeta, eta) -> complex:
     """Finite-kernel side with the scaling and exponential prefactor removed."""
-    return complex(_normalized_grid(case, n, [zeta], [eta])[0, 0])
+    return complex(_normalized_grid(_FAMILY[case.theorem], case.alpha, case.potential, case.m,
+                                    n, [zeta], [eta])[0, 0])
 
 
 def limit_target(case: TheoremCase, zeta, eta) -> complex:
@@ -194,7 +194,8 @@ def convergence_study(case: TheoremCase) -> ConvergenceReport:
     # the limits do not depend on n
     targets = np.array([limit_target(case, zeta, eta) for zeta, eta in pairs])
     for n in case.n_list:
-        lhs = _normalized_grid(case, n, case.zeta_grid, case.eta_grid).ravel()
+        lhs = _normalized_grid(_FAMILY[case.theorem], case.alpha, case.potential, case.m, n,
+                               case.zeta_grid, case.eta_grid).ravel()
         err = np.abs(lhs - targets)
         records.extend((n, zeta, eta, v, tgt, e) for (zeta, eta), v, tgt, e in
                        zip(pairs, lhs.tolist(), targets.tolist(), err.tolist()))
@@ -226,16 +227,9 @@ def ratio_convergence_check(alpha: float, p: PotentialSpec, zeta,
     if zeta.imag == 0.0:
         raise CauchyDomainError("ratio check needs Im zeta != 0")
     start = time.perf_counter()
-    eq = _cached_equilibrium(p.coeffs)
-    values = []
-    errors = []
-    for n in n_list:
-        t = _cached_table(alpha, p.coeffs, n)
-        zs = zeta / (n * eq.psi0)
-        core = w_kernel_times_gap(KernelFamily.II, t, 0, zs, zs)
-        val = (ScaledComplex.from_parts(2j * _PI, t.log_gamma_sq(n - 1)) * core).to_complex()
-        values.append(val)
-        errors.append(abs(val - 1.0))
+    values = [2j * _PI * complex(_normalized_grid(KernelFamily.II, alpha, p, 0, n, [zeta],
+                                                  [zeta])[0, 0]) for n in n_list]
+    errors = [abs(val - 1.0) for val in values]
     slope = float(np.polyfit(np.log(n_list), np.log(np.maximum(errors, 1e-300)), 1)[0]) \
         if len(n_list) > 1 else math.nan
     passed = all(e < 0.1 for e in errors)

@@ -285,6 +285,20 @@ def test_derivative_far_field_sign(table_gauss_n1):
     assert got == pytest.approx(lead, rel=1e-3)
 
 
+@pytest.mark.parametrize("z", [1e160j, 1e200j, 0.3 + 1e300j])
+def test_far_field_asymptotes_far_out(table_a03_n8, z):
+    # h_j ~ -||pi_j||^2 z^(-j-1) / (2 pi i) and h'_j ~ (j+1) ||pi_j||^2
+    # z^(-j-2) / (2 pi i), with relative corrections O(|z|^-2): the terms
+    # 1/(x - z)^2 of h'_j alone would be subnormal or 0 out here
+    t, j = table_a03_n8, 8
+    for value, p, c in ((cauchy_transform(t, j, z), j + 1, -1.0),
+                        (cauchy_transform_derivative(t, j, z), j + 2, j + 1.0)):
+        want = ScaledComplex.from_parts(c / (2j * math.pi) * cmath.exp(-1j * p * cmath.phase(z)),
+                                        t.log_norm_sq[j] - p * math.log(abs(z)))
+        assert abs(value.log_abs() - want.log_abs()) < 1e-10, p
+        assert abs(cmath.phase(value.mantissa / want.mantissa)) < 1e-10, p
+
+
 def test_plemelj_jump_support_grid(table_n8):
     xs = np.linspace(-1.1, 1.1, 21)
     xs = xs[np.abs(xs) > 1e-9]

@@ -178,6 +178,15 @@ def test_bad_input_is_usage_error(argv, table_file, tmp_path, capsys):
     _assert_one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("family, zeta", [("II", "0.3,1e200"), ("III", "0.3,1e300")])
+def test_kernel_far_out_is_not_zero(family, zeta, table_file, capsys):
+    assert main(["kernel", "--family", family, "--table", table_file,
+                 "--zeta", zeta, "--eta", "0.2,0.5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    mantissa = re.search(r"mantissa = (\S+) ([+-]) (\S+)i", out)
+    assert abs(complex(float(mantissa[1]), float(mantissa[3]))) > 1e-60, out
+
+
 def test_tampered_table_rejected(table_file, capsys):
     with open(table_file) as fh:
         doc = json.load(fh)
@@ -254,6 +263,16 @@ def test_config_file_preloads_flags(tmp_path, capsys):
     # explicit flag wins over the config value
     assert main(["--config", str(cfg), "ratio-check", "--zeta", "0.5,-0.5"]) == EXIT_OK
     capsys.readouterr()
+    # so it does in the --flag=value form, for the flag and for --config
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert main(argv + ["ratio-check", "--n=8"]) == EXIT_OK
+        assert re.findall(r"^n = (\d+)", capsys.readouterr().out, re.M) == ["8"]
+        assert main(argv + ["ratio-check", "--n=8,x"]) == EXIT_USAGE
+        _assert_one_error_line(capsys.readouterr().err)
+    # the --config=file form reads the file: its zeta on the real axis fails
+    cfg.write_text(json.dumps({"alpha": 0.0, "potential": "0,0,2", "zeta": "0.5,0"}))
+    assert main([f"--config={cfg}", "ratio-check"]) == EXIT_USAGE
+    _assert_one_error_line(capsys.readouterr().err)
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from rmtkernels.finite_kernels import (
 )
 from rmtkernels.orthopoly import (
     PotentialSpec,
+    WeightDomainError,
     WeightSpec,
     build_recurrence,
     eval_monic,
@@ -45,6 +47,9 @@ def test_domain_errors(table_n6):
         w_kernel(KernelFamily.III, table_n6, 0, 0.5 + 0.1j, 0.1)
     with pytest.raises(IndexError):
         w_kernel(KernelFamily.I, table_n6, 99, 0.5, 0.1)
+    for zeta in (math.nan, math.inf):
+        with pytest.raises(WeightDomainError, match="finite"):
+            w_kernel(KernelFamily.I, table_n6, 0, zeta, 0.2)
 
 
 def test_family_II_pole_on_diagonal(table_n6):
@@ -247,3 +252,20 @@ def test_family_III_across_the_axis_is_the_quotient():
             want = (h[z, 8] * h[e, 7] - h[z, 7] * h[e, 8]).to_complex() / (z - e)
             got = w_kernel(KernelFamily.III, t, 0, z, e).to_complex()
             assert abs(got - want) < 1e-12 * abs(want), (z, e)
+
+
+@pytest.mark.parametrize("family, zeta", [(KernelFamily.III, 0.3 + 1e300j),
+                                          (KernelFamily.II, 0.3 + 1e200j)])
+def test_kernel_far_out_is_the_quotient(family, zeta):
+    # at a far zeta h_7 and h_8 differ by a factor ~zeta, and their mantissas
+    # must not underflow when a pair is put under one scale: the kernel is
+    # the quotient of one-point columns in log form, not an exact 0
+    t = build_recurrence(WeightSpec(0.3, 8, PotentialSpec((0.0, 0.0, 2.0))), 9)
+    eta = 0.2 + 0.5j
+    col = {KernelFamily.II: eval_monic, KernelFamily.III: cauchy_transform}[family]
+    num = cauchy_transform(t, 8, zeta) * col(t, 7, eta) \
+        - cauchy_transform(t, 7, zeta) * col(t, 8, eta)
+    want = num * ScaledComplex.from_parts(1.0 / (zeta - eta), 0.0)
+    got = w_kernel(family, t, 0, zeta, eta)
+    assert abs(got.log_abs() - want.log_abs()) < 1e-10
+    assert abs(cmath.phase(got.mantissa / want.mantissa)) < 1e-10

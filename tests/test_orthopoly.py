@@ -192,6 +192,13 @@ def ScaledPow(z, j):
 def test_monic_out_of_range(table_gauss_n1):
     with pytest.raises(IndexError):
         eval_monic(table_gauss_n1, 99, 0.0)
+    # a non-finite point is outside the domain, as for eval_weight
+    for z in (math.nan, math.inf, complex(0.0, -math.inf), np.array([0.5, math.nan])):
+        with pytest.raises(WeightDomainError, match="finite"):
+            monic_values_scaled(table_gauss_n1, [3], z)
+    for evaluate in (eval_monic, eval_monic_derivative):
+        with pytest.raises(WeightDomainError, match="finite"):
+            evaluate(table_gauss_n1, 3, math.nan)
 
 
 def test_derivative_trivial_and_explicit(table_gauss_n1):
@@ -300,6 +307,34 @@ def test_appell_derivative_identity():
             d = eval_monic_derivative(t, j, z)
             want = j * eval_monic(t, j - 1, z)
             assert abs(((d - want) / want).to_complex()) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_check_rule_sees_grid_error(monkeypatch, n):
+    # Gauss order 2 panels leave b_k off by 6e-5 (n = 8) to 0.1 (n = 64),
+    # though the polynomials are orthogonal on that grid by construction;
+    # the check rule at order 6 on the same panels sees it
+    from rmtkernels import orthopoly
+
+    monkeypatch.setattr(orthopoly, "ORDER", 2)
+    with pytest.raises(PrecisionError, match="orthogonality residual .* at degree"):
+        build_recurrence(WeightSpec(0.3, n, V_2X2), n + 8)
+
+
+@pytest.mark.parametrize("qw", [0.0, math.nan])
+def test_check_rule_rejects_a_void_sum(monkeypatch, qw):
+    # a check sum of zero or nan fails the table, with no math-domain error
+    from rmtkernels import orthopoly
+
+    rule = orthopoly.weighted_rule
+
+    def void(*args):
+        x0, off, weights, logw = rule(*args)
+        return x0, off, np.full_like(weights, qw), logw
+
+    monkeypatch.setattr(orthopoly, "weighted_rule", void)
+    with pytest.raises(PrecisionError, match="at degree 0"):
+        build_recurrence(WeightSpec(0.3, 8, V_2X2), 16)
 
 
 def test_precision_error_on_excessive_degree(monkeypatch):
