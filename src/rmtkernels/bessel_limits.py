@@ -16,7 +16,6 @@ from .specfun import (
     SpecfunDomainError,
     bessel_j,
     bessel_j_derivative,
-    bessel_y,
     hankel1,
     hankel1_derivative,
     hankel2,
@@ -119,13 +118,3 @@ def _diagonal(kid: LimitKernelId, alpha: float, zeta: complex) -> complex:
     wronsk = df(nu_p, w) * f(nu_m, w) - df(nu_m, w) * f(nu_p, w)
     return sign * _PI * p2 * _PI * wronsk / denom
 
-
-def ratio_identity_value(alpha: float, zeta) -> complex:
-    """pi^2 zeta / 2 * (J_{a+1/2} Y_{a-1/2} - J_{a-1/2} Y_{a+1/2})(pi zeta); equals 1."""
-    zeta = complex(zeta)
-    if zeta == 0 or (zeta.imag == 0.0 and zeta.real <= 0.0):
-        raise SpecfunDomainError("zeta must be nonzero and off the cut")
-    w = _PI * zeta
-    nu_p, nu_m = alpha + 0.5, alpha - 0.5
-    val = bessel_j(nu_p, w) * bessel_y(nu_m, w) - bessel_j(nu_m, w) * bessel_y(nu_p, w)
-    return _PI * _PI * zeta / 2.0 * val

@@ -273,10 +273,10 @@ def _cmd_oracle(args) -> int:
     if args.n != 3:
         raise UsageError("--check inverse requires --n 3")
     x1, x2 = (pts + [complex(0.3, 0.5), complex(-0.2, 0.5)])[:2]
-    c1 = ScaledComplex.from_parts(-2j * math.pi, t.log_gamma_sq(1))
-    c2 = ScaledComplex.from_parts(-2j * math.pi, t.log_gamma_sq(2))
-    rhs = (-0.5) * (c1 * c2 * (w_kernel(KernelFamily.III, t, -1, x1, x2)
-                               + w_kernel(KernelFamily.III, t, -1, x2, x1)))
+    # -c1 c2 (W(x1, x2) + W(x2, x1)) / 2 with c_k = -2 pi i gamma_k^2; W_III is
+    # symmetric, so that is 4 pi^2 gamma_1^2 gamma_2^2 W(x1, x2)
+    rhs = ScaledComplex.from_parts(4 * math.pi ** 2, t.log_gamma_sq(1) + t.log_gamma_sq(2)) \
+        * w_kernel(KernelFamily.III, t, -1, x1, x2)
     return done("inverse", average_inverse_pair(d, x1, x2), rhs, 1e-4)
 
 
@@ -404,16 +404,22 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv):
-    """Pre-parse --config and inject file values for flags not on the CLI, as --flag or --flag=."""
-    flags = [arg.partition("=")[0] for arg in argv]
-    if "--config" not in flags:
-        return argv
-    idx = flags.index("--config")
-    _, inline, path = argv[idx].partition("=")
-    if not inline:
-        if idx + 1 == len(argv):
-            raise UsageError("--config needs a file path")
-        path = argv[idx + 1]
+    """Make the values in the --config file the defaults of the flags they name.
+
+    --config is read as the top-level parser reads it, abbreviations
+    included; a flag on the command line, in any form, then wins over its
+    default.  A key is the long flag name without dashes; one that no
+    subcommand takes is rejected, one that only another subcommand takes
+    does nothing.
+    """
+    pre = _Parser(prog="rmtkernels", add_help=False)
+    pre.add_argument("--config")
+    # the subcommand and its flags, so that one of them (--c for --check) is
+    # not taken for an abbreviated --config
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -421,21 +427,21 @@ def _apply_config(parser: _Parser, argv):
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
-    known = set()
-    for action_group in parser._subparsers._group_actions:
-        for sub_parser in action_group.choices.values():
-            for action in sub_parser._actions:
+    actions = {}
+    for sub_parser in parser._subparsers._group_actions[0].choices.values():
+        for action in sub_parser._actions:
+            if action.default is not argparse.SUPPRESS:  # all but --help
                 for opt in action.option_strings:
-                    known.add(opt.lstrip("-"))
-    extra = []
-    for key, value in sorted(doc.items()):
-        flag = f"--{key}"
-        if key not in known:
+                    actions.setdefault(opt.lstrip("-"), []).append(action)
+    for key, value in doc.items():
+        if key not in actions:
             raise UsageError(f"unknown config key {key!r}")
-        if flag in flags:
-            continue  # explicit flag wins
-        extra.extend([flag, str(value)])
-    return argv + extra
+        for action in actions[key]:
+            if action.choices is not None and str(value) not in map(str, action.choices):
+                raise UsageError(f"config key {key!r}: {value!r} is not one of "
+                                 f"{', '.join(map(str, action.choices))}")
+            action.default = str(value)  # argparse applies the flag's type to a str default
+            action.required = False
 
 
 def main(argv=None) -> int:
@@ -455,7 +461,7 @@ def _dispatch(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, DegreeError, CauchyDomainError, WeightDomainError,

@@ -49,9 +49,6 @@ class YColumns:
     y12: ScaledComplex
     y22: ScaledComplex
 
-    def det(self) -> ScaledComplex:
-        return self.y11 * self.y22 - self.y12 * self.y21
-
 
 def confluence_threshold(zeta):
     return 1e-7 * np.maximum(1.0, np.abs(zeta))

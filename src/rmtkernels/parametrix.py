@@ -79,16 +79,20 @@ class JumpCheckResult:
     max_residual: float
 
 
-def check_gamma2_jump(alpha: float, moduli=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0)) -> JumpCheckResult:
+# |zeta| of the points on the arg = pi/4 ray where the jump is checked
+_JUMP_MODULI = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+
+
+def check_gamma2_jump(alpha: float) -> JumpCheckResult:
     """S2 formula vs S1 formula times the ray jump, both limited to arg = pi/4."""
     jump = gamma2_jump_matrix(alpha)
     residuals = []
-    for r in moduli:
+    for r in _JUMP_MODULI:
         zeta = r * cmath.exp(0.25j * math.pi)
         lhs = psi_alpha(alpha, zeta, PsiSector.S2, _boundary_ok=True)
         rhs = psi_alpha(alpha, zeta, PsiSector.S1, _boundary_ok=True) @ jump
         scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
         residuals.append(float(np.max(np.abs(lhs - rhs)) / scale))
-    return JumpCheckResult(alpha=alpha, moduli=list(moduli), residuals=residuals,
+    return JumpCheckResult(alpha=alpha, moduli=list(_JUMP_MODULI), residuals=residuals,
                            max_residual=max(residuals))
 

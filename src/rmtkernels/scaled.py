@@ -5,6 +5,12 @@ Cauchy transforms grow or decay like e^(c*n) and overflow double precision
 long before n reaches desk scale.  A ScaledComplex stores an O(1) complex
 mantissa together with a real natural-log exponent, so products of such
 quantities stay representable.
+
+A ScaledComplex is the one-point read-out of the package: it is constructed
+from a (mantissa, log scale) pair, multiplied, and read as a plain complex,
+a log modulus or a phase.  Sums of such values are taken in the batched
+(mantissa, log) arrays of :mod:`rmtkernels.cauchy` and
+:mod:`rmtkernels.finite_kernels`.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ from dataclasses import dataclass
 
 _MANTISSA_LO = 1e-2
 _MANTISSA_HI = 1e2
-# beyond this log-scale gap the smaller addend is below one ulp of the larger
-_ABSORB_GAP = 800.0
 
 
 @dataclass(frozen=True)
@@ -40,10 +44,6 @@ class ScaledComplex:
     def zero() -> "ScaledComplex":
         return ScaledComplex(0j, 0.0)
 
-    @staticmethod
-    def one() -> "ScaledComplex":
-        return ScaledComplex(1 + 0j, 0.0)
-
     # -- normalization -----------------------------------------------------
 
     def normalized(self) -> "ScaledComplex":
@@ -57,10 +57,6 @@ class ScaledComplex:
             return self
         return ScaledComplex(m / a, self.log_scale + math.log(a))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
     # -- queries -----------------------------------------------------------
 
     def log_abs(self) -> float:
@@ -68,6 +64,9 @@ class ScaledComplex:
         if self.mantissa == 0:
             return -math.inf
         return self.log_scale + math.log(abs(self.mantissa))
+
+    def phase(self) -> float:
+        return cmath.phase(self.mantissa)
 
     def to_complex(self) -> complex:
         """Fold the exponent back into a plain complex; raises on overflow."""
@@ -80,13 +79,7 @@ class ScaledComplex:
             return 0j
         return self.mantissa * math.exp(self.log_scale)
 
-    def conjugate(self) -> "ScaledComplex":
-        return ScaledComplex(self.mantissa.conjugate(), self.log_scale)
-
     # -- arithmetic --------------------------------------------------------
-
-    def __neg__(self) -> "ScaledComplex":
-        return ScaledComplex(-self.mantissa, self.log_scale)
 
     def __mul__(self, other) -> "ScaledComplex":
         other = _coerce(other)
@@ -97,41 +90,6 @@ class ScaledComplex:
         ).normalized()
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ScaledComplex":
-        other = _coerce(other)
-        if other.mantissa == 0:
-            raise ZeroDivisionError("division by zero ScaledComplex")
-        if self.mantissa == 0:
-            return ScaledComplex.zero()
-        return ScaledComplex(
-            self.mantissa / other.mantissa, self.log_scale - other.log_scale
-        ).normalized()
-
-    def __add__(self, other) -> "ScaledComplex":
-        other = _coerce(other)
-        if self.mantissa == 0:
-            return other
-        if other.mantissa == 0:
-            return self
-        if self.log_scale >= other.log_scale:
-            hi, lo = self, other
-        else:
-            hi, lo = other, self
-        gap = lo.log_scale - hi.log_scale
-        if gap < -_ABSORB_GAP:
-            return hi
-        return ScaledComplex(
-            hi.mantissa + lo.mantissa * math.exp(gap), hi.log_scale
-        ).normalized()
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ScaledComplex":
-        return self + (-_coerce(other))
-
-    def phase(self) -> float:
-        return cmath.phase(self.mantissa)
 
 
 def _coerce(value) -> ScaledComplex:

@@ -108,8 +108,8 @@ def hankel2_derivative(order, z) -> complex:
 # -- reference series, used only for independent verification ---------------
 
 
-def bessel_j_series(nu: float, z: complex, terms: int = 60) -> complex:
-    """Ascending power series for J_nu, independent of the scipy path."""
+def bessel_j_series(nu: float, z: complex) -> complex:
+    """Ascending power series for J_nu, 60 terms, independent of the scipy path."""
     z = complex(z)
     if z == 0:
         return 1 + 0j if nu == 0 else 0j
@@ -119,7 +119,7 @@ def bessel_j_series(nu: float, z: complex, terms: int = 60) -> complex:
     total = 0j
     term = 1 + 0j
     q = half * half
-    for k in range(terms):
+    for k in range(60):
         if k > 0:
             term *= -q / (k * (nu + k))
         total += term
@@ -137,11 +137,14 @@ def bessel_y_reflection(nu: float, z: complex) -> complex:
 # -- identity self-test suite ------------------------------------------------
 
 
-def selftest_rows(alphas=(0.0, 0.3, 1.2), npoints: int = 20):
-    """Residuals of the connection identities; rows of (identity, alpha, z, residual)."""
+def selftest_rows():
+    """Residuals of the connection identities at alpha 0, 0.3, 1.2 and 20 points in [0.15, 28].
+
+    Rows of (identity, alpha, z, residual).
+    """
     rows = []
-    zs = np.linspace(0.15, 28.0, npoints)
-    for alpha in alphas:
+    zs = np.linspace(0.15, 28.0, 20)
+    for alpha in (0.0, 0.3, 1.2):
         nu_p, nu_m = alpha + 0.5, alpha - 0.5
         for z in zs:
             zc = complex(z)

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence
+from rmtkernels.specfun import bessel_j, bessel_y
 
 # one line per acceptance criterion, filled by tests/test_acceptance.py and
 # replayed after the run (pytest capture would otherwise swallow them)
@@ -10,6 +13,32 @@ ACCEPTANCE_LINES = []
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+def quotient(a, b) -> complex:
+    """a / b for two ScaledComplex values, from the mantissas and exp of the log-scale gap.
+
+    Neither value is folded into a plain complex, so this holds where
+    ``to_complex`` under- or overflows (h_j at 1e300i, pi_j at 1e200).
+    """
+    return a.mantissa / b.mantissa * math.exp(a.log_scale - b.log_scale)
+
+
+def rel_err(a, b) -> float:
+    """|a/b - 1| for two ScaledComplex values, by :func:`quotient`."""
+    return abs(quotient(a, b) - 1.0)
+
+
+def ratio_identity_value(alpha, zeta) -> complex:
+    """pi^2 zeta / 2 * (J_{a+1/2} Y_{a-1/2} - J_{a-1/2} Y_{a+1/2})(pi zeta), which equals 1.
+
+    bessel_y raises SpecfunDomainError for zeta on (-inf, 0].
+    """
+    zeta = complex(zeta)
+    w = math.pi * zeta
+    nu_p, nu_m = alpha + 0.5, alpha - 0.5
+    val = bessel_j(nu_p, w) * bessel_y(nu_m, w) - bessel_j(nu_m, w) * bessel_y(nu_p, w)
+    return math.pi * math.pi * zeta / 2.0 * val
 
 
 V_X2 = PotentialSpec((0.0, 0.0, 1.0))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from rmtkernels import specfun
-from rmtkernels.bessel_limits import LimitKernelId, limit_kernel, ratio_identity_value
+from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
 from rmtkernels.cauchy import plemelj_jump_check
 from rmtkernels.equilibrium import solve_equilibrium, variational_residuals
 from rmtkernels.oracle import (
@@ -39,6 +39,8 @@ from rmtkernels.universality import (
     ratio_convergence_check,
 )
 
+from conftest import ratio_identity_value
+
 V_X2 = PotentialSpec((0.0, 0.0, 1.0))
 V_2X2 = PotentialSpec((0.0, 0.0, 2.0))
 
@@ -56,7 +58,7 @@ def _report(num, passed, detail):
 
 def test_acceptance_01_special_function_identities():
     start = time.time()
-    worst = max(r[3] for r in specfun.selftest_rows(alphas=(0.0, 0.3, 1.2), npoints=20))
+    worst = max(r[3] for r in specfun.selftest_rows())
     for alpha in (0.0, 0.3, 1.2):
         for z in np.linspace(0.2, 10.0, 20):
             worst = max(worst, abs(ratio_identity_value(alpha, float(z)) - 1.0))
@@ -145,9 +147,8 @@ def test_acceptance_04_determinantal_identities():
             got = average_inverse_pair(d, x1, x2).to_complex()
             c1 = ScaledComplex.from_parts(-2j * _PI, t.log_gamma_sq(1))
             c2 = ScaledComplex.from_parts(-2j * _PI, t.log_gamma_sq(2))
-            s = (w_kernel(KernelFamily.III, t, -1, x1, x2)
-                 + w_kernel(KernelFamily.III, t, -1, x2, x1))
-            want = -0.5 * (c1 * c2 * s).to_complex()
+            want = -0.5 * ((c1 * c2 * w_kernel(KernelFamily.III, t, -1, x1, x2)).to_complex()
+                           + (c1 * c2 * w_kernel(KernelFamily.III, t, -1, x2, x1)).to_complex())
             worst_inv = max(worst_inv, abs(got - want) / abs(want))
     elapsed = time.time() - start
     ok = (worst_prod < 1e-5 and worst_ratio < 1e-5 and worst_inv < 1e-4

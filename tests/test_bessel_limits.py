@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from rmtkernels.bessel_limits import (
-    LimitKernelId,
-    limit_kernel,
-    ratio_identity_value,
-)
+from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
 from rmtkernels.specfun import SpecfunDomainError
+
+from conftest import ratio_identity_value
 
 _PI = math.pi
 

@@ -277,11 +277,46 @@ def test_config_file_preloads_flags(tmp_path, capsys):
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # seed and grid were flags that did nothing; they are unknown keys now
-    for key in ("nonsense", "seed", "grid"):
+    # seed and grid were flags that did nothing; they are unknown keys now,
+    # and so is help, which no config value could drive
+    for key in ("nonsense", "seed", "grid", "help"):
         cfg.write_text(json.dumps({key: 1}))
         assert main(["--config", str(cfg), "specfun-selftest"]) == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_loses_to_an_abbreviated_flag(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "t.json"
+    cfg.write_text(json.dumps({"max-degree": 12}))
+    assert main(["--config", str(cfg), "recurrence", "--alpha", "0", "--potential", "0,0,2",
+                 "--n", "4", "--max", "6", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["max_degree"] == 6
+    capsys.readouterr()
+    # --c after the subcommand abbreviates --check, not --config
+    cfg.write_text(json.dumps({"alpha": 0.0}))
+    assert main(["--config", str(cfg), "oracle", "--c", "heine", "--n", "2",
+                 "--potential", "0,0,2"]) == EXIT_OK
+
+
+def test_abbreviated_config_is_read(tmp_path, capsys):
+    # the file's zeta on the real axis fails, as it does under --config
+    cfg = tmp_path / "cfg2.json"
+    cfg.write_text(json.dumps({"zeta": "0.5,0.0"}))
+    assert main(["--conf", str(cfg), "ratio-check", "--alpha", "0",
+                 "--potential", "0,0,2"]) == EXIT_USAGE
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_config_keys_of_other_subcommands(tmp_path, capsys):
+    # a key that only another subcommand takes does nothing here; a value
+    # outside its flag's choices is rejected like the flag itself
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "I"}))
+    assert main(["--config", str(cfg), "specfun-selftest"]) == EXIT_OK
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"family": "IV"}))
+    assert main(["--config", str(cfg), "kernel"]) == EXIT_USAGE
+    _assert_one_error_line(capsys.readouterr().err)
 
 
 def _fresh_env():

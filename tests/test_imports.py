@@ -1,12 +1,17 @@
-"""Every name that a module of the package imports is used in that module, and
-every import of the package is at module level but specfun's lazy one of scipy."""
+"""Every name that a module of the package imports is used in that module,
+every import of the package is at module level but specfun's lazy one of
+scipy, and every module-level function of the package has a caller in the
+package or the benchmark."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rmtkernels"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rmtkernels"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -64,3 +69,52 @@ def test_imports_are_at_module_level(path):
     found = [(line, mod) for line, mod in local_imports(path.read_text())
              if (path.name, mod) not in LOCAL_IMPORTS_ALLOWED]
     assert found == []
+
+
+# independent references that the tests compare the package against; the
+# package itself has no use for them
+UNCALLED_ALLOWED = {("specfun.py", "bessel_y_reflection")}
+
+
+def _names(tree) -> Counter:
+    """How often each name is read, imported or listed in a dotted string ("module.name") in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+(\.\w+)*", node.value)):
+            found.update(node.value.split("."))
+    return found
+
+
+def uncalled_functions(package: dict, others=()) -> list:
+    """(file, name) of each module-level function in ``package`` (file name -> source)
+    that neither ``package`` nor the sources ``others`` name outside its own def."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    total = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        total.update(_names(tree))
+    return sorted((name, node.name) for name, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and total[node.name] <= _names(node)[node.name])
+
+
+def test_uncalled_functions_finds_a_function_without_a_caller():
+    package = {
+        "a.py": ("def f(n):\n    return f(n - 1)\n\ndef g():\n    return 1\n\n"
+                 "def h():\n    return g()\n\ndef k():\n    pass\n\n"
+                 "def m():\n    \"\"\"Not k.\"\"\"\n"),
+        "b.py": "from .a import h\n",
+    }
+    assert uncalled_functions(package, ['LAYERS = ("a.k",)\n']) == [("a.py", "f"), ("a.py", "m")]
+
+
+def test_every_package_function_has_a_caller():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert set(uncalled_functions(sources, bench)) == UNCALLED_ALLOWED

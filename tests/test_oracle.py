@@ -23,6 +23,8 @@ from rmtkernels.orthopoly import (
 )
 from rmtkernels.scaled import ScaledComplex
 
+from conftest import rel_err
+
 V_X2 = PotentialSpec((0.0, 0.0, 1.0))
 V_2X2 = PotentialSpec((0.0, 0.0, 2.0))
 
@@ -133,18 +135,19 @@ def test_ratio_at_coincident_points_is_one():
 
 def test_inverse_pair_matches_symmetrized_kernel():
     # <1/(det det)> at n = 3 against the two-Cauchy-transform kernel at
-    # shifted degree, symmetrized over the argument order
+    # shifted degree, symmetrized over the argument order:
+    # -c1 c2 (W(x1, x2) + W(x2, x1)) / 2 with c_k = -2 pi i gamma_k^2.  W_III
+    # is symmetric, so that is 4 pi^2 gamma_1^2 gamma_2^2 W(x1, x2)
     for alpha, pot in ((0.0, V_X2), (0.3, V_2X2)):
         w = WeightSpec(alpha, 3, pot)
         d = make_joint_density(w)
         t = build_recurrence(w, 7)
         x1, x2 = 0.5 + 0.4j, -0.3 - 0.6j
+        w12 = w_kernel(KernelFamily.III, t, -1, x1, x2)
+        assert rel_err(w_kernel(KernelFamily.III, t, -1, x2, x1), w12) < 1e-13
         got = average_inverse_pair(d, x1, x2).to_complex()
-        c1 = ScaledComplex.from_parts(-2j * math.pi, t.log_gamma_sq(1))
-        c2 = ScaledComplex.from_parts(-2j * math.pi, t.log_gamma_sq(2))
-        s = (w_kernel(KernelFamily.III, t, -1, x1, x2)
-             + w_kernel(KernelFamily.III, t, -1, x2, x1))
-        want = (-0.5 * (c1 * c2 * s).to_complex())
+        c = ScaledComplex.from_parts(4 * math.pi ** 2, t.log_gamma_sq(1) + t.log_gamma_sq(2))
+        want = (c * w12).to_complex()
         assert _rel(got, want) < 1e-4
 
 

@@ -217,8 +217,8 @@ def test_grid_path_matches_one_pair_calls():
 def _kernel_root(t, zeta, lo, hi):
     """A real eta near which pi_hi(zeta) pi_lo(eta) - pi_lo(zeta) pi_hi(eta) vanishes."""
     def num(eta):
-        return (eval_monic(t, hi, zeta) * eval_monic(t, lo, eta)
-                - eval_monic(t, lo, zeta) * eval_monic(t, hi, eta)).to_complex().real
+        return ((eval_monic(t, hi, zeta) * eval_monic(t, lo, eta)).to_complex()
+                - (eval_monic(t, lo, zeta) * eval_monic(t, hi, eta)).to_complex()).real
 
     a, b = zeta + 0.02, zeta + 1.0
     for x in np.linspace(a, b, 200):
