@@ -58,10 +58,13 @@ class PotentialSpec:
     def degree(self) -> int:
         return len(np.trim_zeros(np.asarray(self.coeffs), "b")) - 1
 
-    # np.polynomial is looked up per call: numpy loads it lazily, and
-    # importing it with the package would add to every CLI cold start
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
+        """V(x) by Horner's rule in numpy's polyval order, so with polyval's bits."""
+        c = self.coeffs
+        v = c[-1] + x * 0
+        for ck in c[-2::-1]:
+            v = ck + v * x
+        return v
 
     def derivative(self, x):
         P = np.polynomial.polynomial
@@ -106,7 +109,7 @@ class RecurrenceTable:
     """Monic recurrence pi_{j+1} = (x - a_j) pi_j - b_j pi_{j-1}, with norms in log form.
 
     The arrays are read-only, so values derived from them and cached on the
-    table by :meth:`memo` cannot go stale.
+    table, by :meth:`memo` or in ``_steps``, cannot go stale.
     """
 
     weight: WeightSpec
@@ -117,6 +120,15 @@ class RecurrenceTable:
     grid: WeightGrid
     orthogonality_residual: float = 0.0
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # a and b as lists, and per top degree k the bounds _cadence takes over
+    # degrees 0..k: max |a_j|, max b_j and min b_j over j >= 1 (1 at k = 0)
+    _steps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bounds = (np.maximum.accumulate(np.abs(self.a)), np.maximum.accumulate(self.b),
+                  np.r_[1.0, np.minimum.accumulate(self.b[1:])])
+        object.__setattr__(self, "_steps", (self.a.tolist(), self.b.tolist(),
+                                            np.column_stack(bounds).tolist()))
 
     def memo(self, keys, compute):
         """The values cached on this table under ``keys``, as a list.
@@ -229,18 +241,19 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     for j in degrees:
         _check_degree(t, j)
     top = degrees[-1]
-    a, b = t.a[:top + 1].tolist(), t.b[:top + 1].tolist()
-    step = _cadence(x, a, b)  # (pi_0, pi_{-1}) = (1, 0) needs no check
+    a, b, bounds = t._steps
+    step = _cadence(x, *bounds[top])  # (pi_0, pi_{-1}) = (1, 0) needs no check
     checks = set(range(step, top + 1, step)).union(degrees)
     return {k: (cur, dcur, s) if derivative else (cur, s)
             for k, s, cur, _, dcur in _three_term(x, a, b, degrees, checks, derivative)}
 
 
-def _cadence(x, a, b):
+def _cadence(x, a_max, b_max, b_min):
     """Steps between rescaling checks at the points x (an array or a number).
 
     Per step (pi_k, pi_{k-1}) grows at most by reach + max b and shrinks at
-    most by min b / reach, reach = max |x| + max |a| + 1: checked this often
+    most by min b / reach, reach = max |x| + max |a| + 1, with the bounds
+    ``a_max``, ``b_max`` and ``b_min`` over the degrees run: checked this often
     it stays within 1e250 of [1e-50, 1e50], so nothing overflows for
     |x| < 1e250.  A bound of at least 2 only checks more often; with degree 0
     alone (no b_k) at x near 0 the bound would be 1 and its logarithm 0.
@@ -248,8 +261,8 @@ def _cadence(x, a, b):
     reach = abs(x) if isinstance(x, (int, float, complex)) else float(np.abs(x).max(initial=0.0))
     if not math.isfinite(reach):  # nan too
         raise WeightDomainError("polynomials are evaluated at finite points only")
-    reach += max(map(abs, a)) + 1.0
-    growth = max(reach + max(b), reach / min(b[1:], default=1.0), 2.0)
+    reach += a_max + 1.0
+    growth = max(reach + b_max, reach / b_min, 2.0)
     return max(1, int(575.0 / math.log(growth)))
 
 

@@ -10,7 +10,9 @@ and logw = -nV(x) there.
 
 That rule is :func:`weighted_rule`, the one way a Gauss panel carries the
 weight: it builds the grid's panels here and the pieces into which
-:mod:`rmtkernels.cauchy` refines the panels near z.
+:mod:`rmtkernels.cauchy` refines the panels near z.  Every Gauss rule,
+Gauss-Legendre included (exponent 0), comes from one Golub-Welsch
+generator, :func:`_jacgauss`, and its one cache.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ import numpy as np
 
 class WeightDomainError(ValueError):
     """A weight outside the domain the grid and the recurrence are built for."""
-
-
-@functools.lru_cache(maxsize=256)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
 
 
 @functools.lru_cache(maxsize=256)
@@ -50,7 +47,7 @@ def _jacgauss(order: int, beta: float):
 
 
 def legendre_panel(a: float, b: float, order: int):
-    t, w = _leggauss(order)
+    t, w = _jacgauss(order, 0.0)
     half = 0.5 * (b - a)
     return a + half * (t + 1.0), half * w
 
@@ -87,7 +84,7 @@ def weighted_rule(x0, lo, hi, order: int, w):
     Every piece carries -nV in logw.
     """
     jac = (x0 + lo == 0.0) | (x0 + hi == 0.0)
-    if jac.all():  # numpy makes a Gauss-Legendre rule slower than an eigh of Jacobi's
+    if jac.all():  # no piece takes the Gauss-Legendre rule: do not build it
         off, qw = np.empty((2, lo.size, order))
     else:
         off, qw = legendre_panel(lo[:, None], hi[:, None], order)
@@ -115,9 +112,18 @@ def _tail_edges(start: float, end: float):
     return edges
 
 
+# the radii cutoff_radius and dense_radius search, and the x grid on which
+# dense_radius takes min V; fixed, so no grid rebuilds them
+_CUTOFF_RADII = np.cumprod(np.r_[1.0, np.full(199, 1.3)])
+_DENSE_RADII = np.cumprod(np.r_[0.05, np.full(204, 1.05)])  # [-1] > 1e3
+_VMIN_GRID = np.linspace(-6, 6, 1201)
+for _arr in (_CUTOFF_RADII, _DENSE_RADII, _VMIN_GRID):
+    _arr.setflags(write=False)
+
+
 def cutoff_radius(w, direction: float) -> float:
     """Smallest L = 1.3^k, k < 200, with n V(sgn L) - max(0, 2a) log L above 750 (underflow)."""
-    r = np.cumprod(np.r_[1.0, np.full(199, 1.3)])
+    r = _CUTOFF_RADII
     with np.errstate(over="ignore"):
         margin = w.n * w.potential(direction * r) - max(0.0, 2.0 * w.alpha) * np.log(r) - 750.0
     hit = np.flatnonzero(margin > 0)
@@ -134,8 +140,8 @@ def dense_radius(p, direction: float, level: float) -> float:
     over a region that grows with K/n (out to about sqrt(2K/n) for V = x^2),
     so tables take level = max(8, 4K/n).
     """
-    vmin = p(np.linspace(-6, 6, 1201)).min()
-    r = np.cumprod(np.r_[0.05, np.full(204, 1.05)])  # r[-1] > 1e3
+    vmin = p(_VMIN_GRID).min()
+    r = _DENSE_RADII
     with np.errstate(over="ignore"):
         done = ~(p(direction * r) - vmin < level) | (r >= 1e3)
     return float(r[np.argmax(done)])

@@ -354,15 +354,21 @@ def test_closed_output_pipe_exits_quietly(buffered):
 
 
 def test_cold_start_does_not_import_scipy():
-    # the CLI's cold start and a table build need numpy only, and the cold
-    # start does not load numpy's lazily imported polynomial package either
+    # the CLI's cold start, a table build, the oracle and a refined Cauchy
+    # transform need numpy only, and none of them loads numpy's lazily
+    # imported polynomial package either (the equilibrium measure does)
     assert _scipy_modules_after(
         "import sys, rmtkernels\n"
-        "from rmtkernels import cli\n"
+        "from rmtkernels import cli, oracle\n"
+        "from rmtkernels.cauchy import cauchy_transform\n"
         "from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence\n"
         "cli.build_parser()\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
-        "build_recurrence(WeightSpec(0.3, 4, PotentialSpec((0, 0, 2))), 8)\n"
+        "t = build_recurrence(WeightSpec(0.3, 4, PotentialSpec((0, 0, 2))), 8)\n"
+        "w = WeightSpec(0.3, 2, PotentialSpec((0, 0, 2)))\n"
+        "oracle.average_char_poly(oracle.make_joint_density(w), 0.7)\n"
+        "cauchy_transform(t, 4, 0.3 + 1e-3j)\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
     ) == "[]"
 
 

@@ -71,9 +71,16 @@ def test_imports_are_at_module_level(path):
     assert found == []
 
 
-# independent references that the tests compare the package against; the
-# package itself has no use for them
-UNCALLED_ALLOWED = {("specfun.py", "bessel_y_reflection")}
+# functions that nothing in the package or the benchmark calls, kept on
+# purpose, with the reason for each
+UNCALLED_ALLOWED = {
+    ("specfun.py", "bessel_y_reflection"):
+        "independent reference: the tests compare specfun's Y against it",
+    ("finite_kernels.py", "y_matrix"):
+        "public API: README lists it among the one-point calls",
+    ("cauchy.py", "plemelj_jump_check"):
+        "public API: ACCEPTANCE 5 checks the boundary jump through it",
+}
 
 
 def _names(tree) -> Counter:
@@ -94,8 +101,10 @@ def _names(tree) -> Counter:
 
 def uncalled_functions(package: dict, others=()) -> list:
     """(file, name) of each module-level function in ``package`` (file name -> source)
-    that neither ``package`` nor the sources ``others`` name outside its own def."""
-    trees = {name: ast.parse(source) for name, source in package.items()}
+    that neither ``package`` nor the sources ``others`` name outside its own def.
+    ``__init__.py`` only re-exports, so what it names is not called."""
+    trees = {name: ast.parse(source) for name, source in package.items()
+             if name != "__init__.py"}
     total = Counter()
     for tree in [*trees.values(), *map(ast.parse, others)]:
         total.update(_names(tree))
@@ -110,6 +119,7 @@ def test_uncalled_functions_finds_a_function_without_a_caller():
                  "def h():\n    return g()\n\ndef k():\n    pass\n\n"
                  "def m():\n    \"\"\"Not k.\"\"\"\n"),
         "b.py": "from .a import h\n",
+        "__init__.py": "from .a import f, m\n\n__all__ = [\"f\", \"m\"]\n",
     }
     assert uncalled_functions(package, ['LAYERS = ("a.k",)\n']) == [("a.py", "f"), ("a.py", "m")]
 
@@ -117,4 +127,4 @@ def test_uncalled_functions_finds_a_function_without_a_caller():
 def test_every_package_function_has_a_caller():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert set(uncalled_functions(sources, bench)) == UNCALLED_ALLOWED
+    assert set(uncalled_functions(sources, bench)) == set(UNCALLED_ALLOWED)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import roots_jacobi
 
+from rmtkernels import quadrature
 from rmtkernels.oracle import _BUDGETS, _MAX_N
-from rmtkernels.orthopoly import DENSE_PANELS, ORDER, PotentialSpec, WeightSpec
+from rmtkernels.orthopoly import DENSE_PANELS, ORDER, PotentialSpec, WeightSpec, build_recurrence
 from rmtkernels.quadrature import _jacgauss, build_weight_grid, legendre_panel
 
 
@@ -17,6 +19,72 @@ def test_gauss_jacobi_matches_scipy(order, beta):
     x_ref, w_ref = roots_jacobi(order, 0.0, beta)
     assert np.max(np.abs(x - x_ref)) < 1e-14
     assert np.max(np.abs(w - w_ref) / w_ref) < 1e-11
+
+
+def _legendre_reference(order, mp):
+    """Gauss-Legendre nodes and weights at mpmath's precision: Newton on P_order
+    from the asymptotic guesses cos(pi (i - 1/4) / (order + 1/2))."""
+    def p_and_dp(x):
+        p0, p1 = mp.mpf(1), x
+        for k in range(1, order):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, order * (x * p1 - p0) / (x * x - 1)
+
+    nodes, weights = [], []
+    for i in range(1, order + 1):
+        x = mp.cos(mp.pi * (i - mp.mpf(0.25)) / (order + mp.mpf(0.5)))
+        for _ in range(100):
+            p, dp = p_and_dp(x)
+            x -= p / dp
+            if abs(p / dp) < mp.mpf(10) ** (5 - mp.dps):
+                break
+        _, dp = p_and_dp(x)
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes[::-1], weights[::-1]
+
+
+@pytest.mark.parametrize("order", [8, 10, 12, 16, 20, 24, 28, 36, 48])
+def test_gauss_legendre_matches_40_digits(order):
+    # every Gauss-Legendre panel takes the Golub-Welsch rule at exponent 0
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    nodes, weights = _legendre_reference(order, mp)
+    x, w = legendre_panel(-1.0, 1.0, order)
+    assert np.array_equal(w, _jacgauss(order, 0.0)[1])
+    assert max(abs(mp.mpf(float(a)) - b) for a, b in zip(x, nodes)) < 2e-15
+    assert max(abs(mp.mpf(float(a)) / b - 1) for a, b in zip(w, weights)) < 5e-13
+
+
+def test_table_build_computes_each_rule_once(monkeypatch):
+    # one generator and one cache: at alpha = 0.3 a table takes Gauss-Legendre
+    # at the tail, dense and check orders and Gauss-Jacobi (exponent 0.6) at
+    # the origin and check orders, and no Gauss-Legendre rule at the origin's
+    computed = []
+
+    @functools.lru_cache(maxsize=None)
+    def recording(order, beta):
+        computed.append((order, beta))
+        return _jacgauss.__wrapped__(order, beta)
+
+    monkeypatch.setattr(quadrature, "_jacgauss", recording)
+    build_recurrence(WeightSpec(0.3, 4, PotentialSpec((0.0, 0.0, 2.0))), 8)
+    assert sorted(computed) == [(16, 0.0), (20, 0.0), (24, 0.0), (24, 0.6), (48, 0.6)]
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 2.0), (0.0, 0.5, 0.0, 0.0, 1.0),
+                                    (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0)],
+                         ids=["2x^2", "x^4+x/2", "x^6+x^2/2"])
+def test_potential_is_polyval_bitwise(coeffs):
+    v = PotentialSpec(coeffs)
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(-6.0, 6.0, 2000), rng.standard_normal(2000) * 50.0,
+                        [0.0, -0.0, 1e-300, -1e-20, 1.3 ** 199]])
+    want = np.polynomial.polynomial.polyval(x, coeffs)
+    assert np.array_equal(v(x), want)
+    assert np.array_equal(v(x.reshape(5, -1)), want.reshape(5, -1))
+    assert all(v(float(t)) == u for t, u in zip(x[::50], want[::50]))
+    assert v(3) == np.polynomial.polynomial.polyval(3.0, coeffs)
 
 
 def test_legendre_panels_broadcast_bitwise():
