@@ -6,9 +6,11 @@ carries (pi_k, pi_{k-1}) under one log scale per point: off the support
 and at large n the weight underflows inside the support, so no one scale
 holds every point.  The step builds the table by a discretized Stieltjes
 procedure on the composite Gauss grid of :mod:`rmtkernels.quadrature`, with
-the weight and the scales in log form so that every sum is O(1) though norms
-decay like e^(-c*n), and in the same pass checks the table on a second rule,
-the grid's panels at a higher Gauss order; and :func:`monic_values_scaled`
+the weight and the scales in log form so that every sum stays in range though
+norms decay like e^(-c*n), and in the same pass checks the table on a second
+rule, the grid's panels at a higher Gauss order.  The build checks for
+rescaling on a growth budget: only once the steps since the last check may
+have moved the state 200 nats.  :func:`monic_values_scaled`
 evaluates polynomials and derivatives with it off the grid, at a numpy array
 of points or at one point given as a Python number, in Python arithmetic (a
 one-element array costs microseconds a step in numpy's per-call overhead).
@@ -164,14 +166,20 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
 
     # discretized Stieltjes on the grid's nodes [:N]: with pi_k = cur e^s at
     # the nodes and the weights W = qw e^(logw + 2s - c), refreshed when s
-    # changes, S_k = sum W cur^2 is ||pi_k||^2 e^-c and O(1).  b_k is the
+    # changes, S_k = sum W cur^2 is ||pi_k||^2 e^-c and in range.  b_k is the
     # ratio of two sums under one W.  The check rule's nodes [N:] carry the
     # table's pi_k along, and its ||pi_k||^2 and <pi_k, pi_{k-1}> against
     # the grid's norms measure the grid's quadrature error, which no sum on
     # the grid itself can show (Gautschi, Orthogonal Polynomials, 2004).
+    # The state is checked for rescaling only once the steps since the last
+    # check may have moved it 200 nats: from within [1e-50, 1e50] it stays
+    # within about 1e+-137, so cur^2 cannot overflow.  |x - a_k| + 1 <= reach,
+    # as a_k is a weighted mean of the grid's nodes.
     a, b, log_norm_sq = (np.zeros(K + 1) for _ in range(3))
+    reach = 2.0 * float(np.abs(x).max()) + 1.0
+    checks, budget = set(), 0.0
     s_w, residual = None, 0.0
-    for k, s, cur, prev, _ in _three_term(x, a, b, range(K + 1), range(K + 1)):
+    for k, s, cur, prev, _ in _three_term(x, a, b, range(K + 1), checks):
         if s is not s_w:
             e = logw + 2.0 * s
             c = float(e[:N].max())
@@ -186,13 +194,20 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
         log_norm_sq[k] = math.log(sk) + c
         a[k] = float(np.dot(Wx, p2[:N])) / sk
         b[k] = sk / s_prev if k else 0.0
-        cross = abs(np.dot(Wc, cur[N:] * prev[N:])) / math.sqrt(sk * s_prev) if k else 0.0
-        defect = float(np.max((abs(np.dot(Wc, p2[N:]) / sk - 1.0), cross)))
+        # between checks sk can fall to 1e-162 (alpha = -0.45, n = 1024): sk * s_prev underflows
+        cross = abs(np.dot(Wc, cur[N:] * prev[N:])) / math.sqrt(sk) / math.sqrt(s_prev) if k else 0
+        # max returns a nan first argument, so a nan norm term fails the check
+        defect = float(max(abs(np.dot(Wc, p2[N:]) / sk - 1.0), cross))
         if not defect <= 1e-7:
             raise PrecisionError(f"orthogonality residual {defect:.3e} at degree {k} on the "
                                  f"check rule exceeds 1e-7: the grid does not resolve pi_{k}")
         residual = max(residual, defect)
         s_prev = sk
+        bk = float(b[k]) if k else 1.0  # the step to degree k + 1; pi_1 = x - a_0 takes no b
+        budget += _log_growth(reach, bk, bk)
+        if budget > 200.0:
+            checks.add(k + 1)
+            budget = 0.0
 
     # pi_K^2 w must have decayed before the grid ends on either side
     edge = max(np.dot(Wg[i:j], p2[i:j]) for i, j in zip(start[[0, -1]], stop[[0, -1]])) / sk
@@ -251,19 +266,28 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
 def _cadence(x, a_max, b_max, b_min):
     """Steps between rescaling checks at the points x (an array or a number).
 
-    Per step (pi_k, pi_{k-1}) grows at most by reach + max b and shrinks at
-    most by min b / reach, reach = max |x| + max |a| + 1, with the bounds
-    ``a_max``, ``b_max`` and ``b_min`` over the degrees run: checked this often
-    it stays within 1e250 of [1e-50, 1e50], so nothing overflows for
-    |x| < 1e250.  A bound of at least 2 only checks more often; with degree 0
-    alone (no b_k) at x near 0 the bound would be 1 and its logarithm 0.
+    With reach = max |x| + max |a| + 1 and the bounds ``a_max``, ``b_max``
+    and ``b_min`` over the degrees run, :func:`_log_growth` bounds each step:
+    checked this often (pi_k, pi_{k-1}) stays within 1e250 of [1e-50, 1e50],
+    so nothing overflows for |x| < 1e250.
     """
     reach = abs(x) if isinstance(x, (int, float, complex)) else float(np.abs(x).max(initial=0.0))
     if not math.isfinite(reach):  # nan too
         raise WeightDomainError("polynomials are evaluated at finite points only")
     reach += a_max + 1.0
-    growth = max(reach + b_max, reach / b_min, 2.0)
-    return max(1, int(575.0 / math.log(growth)))
+    return max(1, int(575.0 / _log_growth(reach, b_max, b_min)))
+
+
+def _log_growth(reach, b_max, b_min):
+    """Nats by which one step can move max(|pi_k|, |pi_{k-1}|) either way.
+
+    With |x - a_k| + 1 <= reach and b_min <= b_k <= b_max, pi_{k+1} =
+    (x - a_k) pi_k - b_k pi_{k-1} grows it at most by reach + b_max and
+    shrinks it at most by b_min / reach.  A bound of at least 2 only checks
+    more often; with degree 0 alone (no b_k) at x near 0 the bound would be
+    1 and its logarithm 0.
+    """
+    return math.log(max(reach + b_max, reach / b_min, 2.0))
 
 
 def _three_term(x, a, b, outputs, checks, derivative=False):
@@ -275,6 +299,9 @@ def _three_term(x, a, b, outputs, checks, derivative=False):
     yielded, so a caller may fill them in then.  At each degree of
     ``checks`` a point whose state has left [1e-50, 1e50] is rescaled to 1
     and s becomes a new object; one that underflowed to 0 keeps its scale.
+    ``checks`` is read as each degree comes, like a and b: the table build
+    adds the next degree once its growth budget is spent, and the
+    evaluator fixes them up front by :func:`_cadence`.
     One point as a Python number runs in Python arithmetic: numpy's bits at
     a real x; at a complex x numpy may fuse the multiply-adds of a product.
     """

@@ -140,11 +140,17 @@ def dense_radius(p, direction: float, level: float) -> float:
     over a region that grows with K/n (out to about sqrt(2K/n) for V = x^2),
     so tables take level = max(8, 4K/n).
     """
-    vmin = p(_VMIN_GRID).min()
+    vmin = _vmin(p)
     r = _DENSE_RADII
     with np.errstate(over="ignore"):
         done = ~(p(direction * r) - vmin < level) | (r >= 1e3)
     return float(r[np.argmax(done)])
+
+
+@functools.lru_cache(maxsize=64)
+def _vmin(p) -> float:
+    """min V on _VMIN_GRID, once per potential: a grid takes it for both sides."""
+    return p(_VMIN_GRID).min()
 
 
 def build_weight_grid(w, dense_panels: int, order: int = 20, jacobi_order: int = 48,

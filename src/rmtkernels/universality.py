@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel_limits import LimitKernelId, limit_kernel, _HALF_PLANES, _PI
+from .bessel_limits import LimitKernelId, limit_grid, _HALF_PLANES, _PI
 from .cauchy import CauchyDomainError
 from .equilibrium import solve_equilibrium
 from .finite_kernels import KernelFamily, kernel_grid
@@ -175,15 +175,6 @@ def normalized_lhs(case: TheoremCase, n: int, zeta, eta) -> complex:
                                     n, [zeta], [eta])[0, 0])
 
 
-def limit_target(case: TheoremCase, zeta, eta) -> complex:
-    """Right-hand side the normalized kernel converges to."""
-    kid = _LIMIT[case.theorem]
-    val = limit_kernel(kid, case.alpha, zeta, eta)
-    if _FAMILY[case.theorem] is KernelFamily.II:
-        return (complex(zeta) - complex(eta)) * val
-    return val
-
-
 def convergence_study(case: TheoremCase) -> ConvergenceReport:
     """Each n's grid is normalized as one array; records run over zeta, then eta."""
     start = time.perf_counter()
@@ -191,8 +182,10 @@ def convergence_study(case: TheoremCase) -> ConvergenceReport:
     worst = []
     records = []
     pairs = [(zeta, eta) for zeta in case.zeta_grid for eta in case.eta_grid]
-    # the limits do not depend on n
-    targets = np.array([limit_target(case, zeta, eta) for zeta, eta in pairs])
+    # the limits do not depend on n: one limit grid per case
+    targets = limit_grid(_LIMIT[case.theorem], case.alpha, case.zeta_grid, case.eta_grid).ravel()
+    if _FAMILY[case.theorem] is KernelFamily.II:  # the normalized kernel carries the gap
+        targets = np.array([(zeta - eta) * v for (zeta, eta), v in zip(pairs, targets.tolist())])
     for n in case.n_list:
         lhs = _normalized_grid(_FAMILY[case.theorem], case.alpha, case.potential, case.m, n,
                                case.zeta_grid, case.eta_grid).ravel()

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
+from rmtkernels import specfun as sf
+from rmtkernels.bessel_limits import LimitKernelId, limit_grid, limit_kernel
 from rmtkernels.specfun import SpecfunDomainError
 
 from conftest import ratio_identity_value
@@ -149,3 +150,89 @@ def test_alpha_half_integer_guard_case():
     assert np.isfinite(v.real) and np.isfinite(v.imag)
     v = limit_kernel(LimitKernelId.III_plus, 0.5, 0.4 + 0.3j, 0.6 + 0.2j)
     assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+
+# per kernel, the scalar formula's (f, g, zeta power sign, eta power sign,
+# denominator, sign, f', half-plane of zeta, half-plane of eta)
+_FORMULA = {
+    LimitKernelId.I: (sf.bessel_j, sf.bessel_j, -1, -1, 2.0, 1.0, sf.bessel_j_derivative, 0, 0),
+    LimitKernelId.II_plus: (sf.hankel1, sf.bessel_j, 1, -1, 4.0, 1.0, None, 1, 0),
+    LimitKernelId.II_minus: (sf.hankel2, sf.bessel_j, 1, -1, 4.0, -1.0, None, -1, 0),
+    LimitKernelId.III_plus: (sf.hankel1, sf.hankel1, 1, 1, 8.0, 1.0, sf.hankel1_derivative, 1, 1),
+    LimitKernelId.III_pm: (sf.hankel1, sf.hankel2, 1, 1, 8.0, -1.0, None, 1, -1),
+    LimitKernelId.III_minus: (sf.hankel2, sf.hankel2, 1, 1, 8.0, 1.0, sf.hankel2_derivative, -1, -1),
+}
+
+
+def _scalar_formula(kid, alpha, zeta, eta):
+    """The kernel from scalar specfun calls, and the size of its terms: the
+    quotient, or on the diagonal of a same-family kernel the derivative form
+    at the midpoint.  At alpha = 0 the III+ and III- kernels vanish, so the
+    terms, not the value, set the scale of a rounding error."""
+    f, g, sz, se, denom, sign, df, _, _ = _FORMULA[kid]
+    p, m = alpha + 0.5, alpha - 0.5
+    if df is not None and abs(zeta - eta) < 1e-5 * max(1.0, abs(zeta)):
+        w = (zeta + eta) / 2
+        terms = (df(p, _PI * w) * f(m, _PI * w), df(m, _PI * w) * f(p, _PI * w))
+        front = sign * _PI ** 2 * w ** (2 * (sz * alpha + 0.5)) / denom
+    else:
+        terms = (f(p, _PI * zeta) * g(m, _PI * eta), f(m, _PI * zeta) * g(p, _PI * eta))
+        front = (sign * _PI * zeta ** (sz * alpha + 0.5) * eta ** (se * alpha + 0.5)
+                 / (denom * (zeta - eta)))
+    return front * (terms[0] - terms[1]), abs(front) * (abs(terms[0]) + abs(terms[1]))
+
+
+def _sweep_points(side):
+    """Points of one half-plane (0: any, the negative axis included)."""
+    if side == 0:
+        return [0.4, -0.7, 1.3 + 0.6j, -0.9 - 1.1j, 0.05 + 0.02j, 2.6 - 0.3j]
+    up = [0.5 + 0.15j, -0.4 + 0.6j, 1.3 + 0.3j, -1.1 + 0.9j, 0.02 + 0.01j, 2.2 + 1.7j]
+    return up if side > 0 else [z.conjugate() for z in up]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.2])
+@pytest.mark.parametrize("kid", list(LimitKernelId), ids=lambda k: k.value)
+def test_limit_grid_matches_the_scalar_formula(kid, alpha):
+    # every pair of a zeta array and an eta array in the kernel's half-planes;
+    # for the same-family kernels the etas also hold three of the zetas
+    # (exactly diagonal pairs) and points 1e-7 and 3e-6 from two others
+    # (confluent pairs).  Every entry is the one-pair call's, bit for bit
+    *_, df, sz, se = _FORMULA[kid]
+    zetas = _sweep_points(sz)
+    etas = [1.1 * e for e in (_sweep_points(se)[::-1] if se else _sweep_points(0)[1:])]
+    if df is not None:
+        etas += zetas[:3] + [zetas[3] + 1e-7, zetas[4] + 3e-6j]
+    grid = limit_grid(kid, alpha, zetas, etas)
+    assert grid.shape == (len(zetas), len(etas))
+    for i, zeta in enumerate(zetas):
+        for k, eta in enumerate(etas):
+            want, scale = _scalar_formula(kid, alpha, complex(zeta), complex(eta))
+            assert abs(grid[i, k] - want) <= 1e-13 * scale, (zeta, eta)
+            assert grid[i, k] == limit_kernel(kid, alpha, zeta, eta)
+
+
+@pytest.mark.parametrize("kid", list(LimitKernelId), ids=lambda k: k.value)
+def test_limit_grid_domain_errors(kid):
+    # one bad point among good ones fails the whole grid, with the error
+    # type of the one-pair call and of the scalar function it would reach:
+    # 0 in any slot; in a Hankel slot the branch cut and the other half-plane
+    f, g, *_, sz, se = _FORMULA[kid]
+    for slot, (fn, side) in enumerate(((f, sz), (g, se))):
+        good = [_sweep_points(sz)[:3], _sweep_points(se)[3:5]]
+        for z in [0.0] + ([-0.5, complex(-0.5, -0.0), complex(0.3, -0.2 * side)] if side else []):
+            points = list(good)
+            points[slot] = points[slot] + [z]
+            pair = [good[0][0], good[1][0]]
+            pair[slot] = z
+            with pytest.raises(SpecfunDomainError):
+                limit_grid(kid, 0.3, *points)
+            with pytest.raises(SpecfunDomainError):
+                limit_kernel(kid, 0.3, *pair)
+            if complex(z).imag == 0:  # the lower order, where J fails at 0 too
+                with pytest.raises(SpecfunDomainError):
+                    fn(-0.2, _PI * z)
+    # a mixed kernel (II+, II-) has a pole on the diagonal
+    if sz != se and 0 in (sz, se):
+        zeta = _sweep_points(sz)[0]
+        with pytest.raises(SpecfunDomainError, match="pole"):
+            limit_grid(kid, 0.3, _sweep_points(sz), [0.3, zeta])

@@ -126,6 +126,9 @@ def table_file(tmp_path, capsys):
      "--max-degree", "6"],
     ["limit-kernel", "--kernel", "II+", "--alpha", "0.3",
      "--zeta", "0.5,-0.1", "--eta", "0.2,0"],
+    ["limit-kernel", "--kernel", "II+", "--alpha", "0.3",
+     "--zeta", "0.3,0.2", "--eta", "0.3,0.2"],
+    ["limit-kernel", "--kernel", "I", "--alpha", "0.3", "--zeta", "1e-7,0", "--eta=-1e-7,0"],
     ["parametrix", "--alpha", "0.3", "--zeta", "0,0", "--sector", "1"],
     ["ratio-check", "--alpha", "0", "--potential", "0,0,2", "--zeta", "0.5,0"],
     ["recurrence", "--alpha", "inf", "--potential", "0,0,2", "--n", "4", "--max-degree", "6"],
@@ -133,7 +136,8 @@ def table_file(tmp_path, capsys):
     ["recurrence", "--alpha", "0", "--potential", "0,0,1e-300", "--n", "1",
      "--max-degree", "2"],
 ], ids=["cauchy-degree", "kernel-degree", "cauchy-real-z", "kernel-II-diagonal",
-        "recurrence-alpha", "limit-kernel-half-plane", "parametrix-origin",
+        "recurrence-alpha", "limit-kernel-half-plane", "limit-kernel-II-pole",
+        "limit-kernel-I-confluent-at-0", "parametrix-origin",
         "ratio-check-real-zeta", "recurrence-infinite-alpha", "recurrence-nan-alpha",
         "recurrence-flat-potential"])
 def test_domain_error_is_usage_error(argv, table_file, capsys):

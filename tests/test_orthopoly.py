@@ -137,6 +137,17 @@ def test_closed_form_b_at_large_n(n):
     assert np.max(np.abs(t.b[1:] - (k + 0.6 * (k % 2)) / (4.0 * n))) < 1e-12
 
 
+@pytest.mark.parametrize("alpha, n, K", [(-0.45, 1024, 1026), (2.5, 1024, 1026), (0.0, 1, 300)])
+def test_closed_form_b_at_the_budget_extremes(alpha, n, K):
+    # the Stieltjes pass checks for rescaling once its growth budget, 200
+    # nats, is spent.  At alpha = -0.45, b_1 = 0.1 / (4n) shrinks the state
+    # fastest (sk falls to about 1e-163 between checks at n = 1024); at n = 1 the
+    # grid reaches |x| = 19.4, so one step to K = 300 can grow it 2 |x| + 1 + b_k
+    t = build_recurrence(WeightSpec(alpha, n, V_2X2), K)
+    k = np.arange(1, K + 1)
+    assert np.max(np.abs(t.b[1:] / ((k + 2.0 * alpha * (k % 2)) / (4.0 * n)) - 1.0)) < 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(alpha=st.floats(-0.45, 2.5), n=st.integers(1, 128), data=st.data())
 def test_closed_form_b(alpha, n, data):

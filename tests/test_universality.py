@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rmtkernels import cauchy, finite_kernels, universality
-from rmtkernels.bessel_limits import LimitKernelId
+from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
 from rmtkernels.cauchy import CauchyDomainError
 from rmtkernels.orthopoly import PotentialSpec, eval_monic
 from rmtkernels.universality import (
@@ -14,7 +14,6 @@ from rmtkernels.universality import (
     TheoremCase,
     convergence_study,
     default_grid,
-    limit_target,
     normalized_lhs,
     ratio_convergence_check,
 )
@@ -28,7 +27,7 @@ def test_sine_kernel_point_value():
     # correction at this asymmetric point is the generic O(1/n)
     case = TheoremCase(Theorem.T1, 0.0, V_2X2, zeta_grid=(0.9,), eta_grid=(0.2,))
     want = math.sin(0.7 * math.pi) / (0.7 * math.pi)
-    assert limit_target(case, 0.9, 0.2) == pytest.approx(want, rel=1e-14)
+    assert limit_kernel(LimitKernelId.I, 0.0, 0.9, 0.2) == pytest.approx(want, rel=1e-14)
     e32 = abs(normalized_lhs(case, 32, 0.9, 0.2) - want)
     e64 = abs(normalized_lhs(case, 64, 0.9, 0.2) - want)
     assert e32 < 0.15 * abs(want)
@@ -54,10 +53,7 @@ def test_degree_shift_robustness():
         case = TheoremCase(Theorem.T1, 0.3, V_2X2, m=m,
                            zeta_grid=(0.5,), eta_grid=(-0.2,))
         vals.append(normalized_lhs(case, 48, 0.5, -0.2))
-    tgt = limit_target(
-        TheoremCase(Theorem.T1, 0.3, V_2X2, zeta_grid=(0.5,), eta_grid=(-0.2,)),
-        0.5, -0.2,
-    )
+    tgt = limit_kernel(LimitKernelId.I, 0.3, 0.5, -0.2)
     for v in vals:
         assert v == pytest.approx(tgt, rel=0.1)
 
@@ -84,11 +80,8 @@ def test_schwarz_invariant_between_theorem_pairs():
 
 def test_limit_targets_share_the_invariant():
     zeta, eta = 0.5 + 0.15j, 0.45
-    a = limit_target(TheoremCase(Theorem.T2a, 0.3, V_2X2,
-                                 zeta_grid=(zeta,), eta_grid=(eta,)), zeta, eta)
-    b = limit_target(TheoremCase(Theorem.T2b, 0.3, V_2X2,
-                                 zeta_grid=(zeta.conjugate(),), eta_grid=(eta,)),
-                     zeta.conjugate(), eta)
+    a = (zeta - eta) * limit_kernel(LimitKernelId.II_plus, 0.3, zeta, eta)
+    b = (zeta.conjugate() - eta) * limit_kernel(LimitKernelId.II_minus, 0.3, zeta.conjugate(), eta)
     # the gap factor (zeta - eta) conjugates along with the kernel, which
     # itself flips sign under conjugation, so the pair is related by -conj
     assert b == pytest.approx(-a.conjugate(), rel=1e-12)
@@ -310,18 +303,19 @@ def test_lower_half_plane_reads_the_upper_cache(monkeypatch):
 
 
 def test_study_evaluates_each_limit_once(monkeypatch):
-    # the limits do not depend on n: one limit_kernel call per (zeta, eta)
+    # the limits do not depend on n: one limit grid per case, over the case's
+    # own grids, whose entries are exactly the one-pair limit_kernel values
     case = TheoremCase(Theorem.T2b, 0.3, V_2X2, n_list=(8, 16, 32))
     calls = []
-    compute = universality.limit_kernel
+    compute = universality.limit_grid
 
-    def counting(kid, alpha, zeta, eta):
-        calls.append((zeta, eta))
-        return compute(kid, alpha, zeta, eta)
+    def counting(kid, alpha, zetas, etas):
+        calls.append((kid, alpha, tuple(zetas), tuple(etas)))
+        return compute(kid, alpha, zetas, etas)
 
-    monkeypatch.setattr(universality, "limit_kernel", counting)
+    monkeypatch.setattr(universality, "limit_grid", counting)
     rep = convergence_study(case)
-    assert sorted(calls, key=str) == sorted(
-        ((z, e) for z in case.zeta_grid for e in case.eta_grid), key=str)
-    assert [r[4] for r in rep.records] == [compute(LimitKernelId.II_minus, 0.3, z, e) * (z - e)
-                                           for z, e in calls] * len(case.n_list)
+    assert calls == [(LimitKernelId.II_minus, 0.3, case.zeta_grid, case.eta_grid)]
+    assert [r[4] for r in rep.records] == [
+        limit_kernel(LimitKernelId.II_minus, 0.3, z, e) * (z - e)
+        for z in case.zeta_grid for e in case.eta_grid] * len(case.n_list)
