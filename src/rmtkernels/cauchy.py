@@ -35,8 +35,9 @@ Points are summed in batches: one near-panel test, one weighted_rule call
 per order for the pieces of all points, one recurrence over every refined
 node and every point for every requested degree and j - 1, and for the
 grid part one product of the column qw e^(logw) pi_j q, cached per table
-and degree (one whole-grid recurrence serves all degrees not yet cached),
-with the matrix of 1/(x_k - z_m), each point's near panels masked.  Each
+and degree, with the matrix of 1/(x_k - z_m), each point's near panels
+masked.  pi_j at the grid nodes comes from the table: its top three degrees
+from its Stieltjes pass, any others from one whole-grid recurrence.  Each
 point's terms are summed on their own, its pieces by np.bincount over the
 index ``who`` of each refined node's point, and each node keeps its own log
 scale, so no point's value depends on the rest of its batch.  A batch is
@@ -126,11 +127,11 @@ def _weighted(qw, logw, p, q, scale=None):
 def _grid_columns(t: RecurrenceTable, degrees) -> dict:
     """{j: (qw e^logw pi_j q on the whole grid, its log scale)}, computed once per (table, j).
 
-    One recurrence over the grid serves every degree not yet cached.
+    pi_j at the grid nodes comes from :meth:`RecurrenceTable.grid_values`.
     """
     def compute(missing):
         g, js = t.grid, [j for _, j in missing]
-        cols = monic_values_scaled(t, {max(j - 1, 0) for j in js} | set(js), g.x)
+        cols = t.grid_values({max(j - 1, 0) for j in js} | set(js))
         out = []
         for j in js:
             col, scale = _weighted(g.qw, g.logw + 2.0 * cols[j][-1], cols[j][0], _q(t, cols, j))

@@ -49,6 +49,7 @@ from .universality import (
     ScaleCancellationError,
     Theorem,
     TheoremCase,
+    check_sizes,
     convergence_study,
     ratio_convergence_check,
 )
@@ -282,8 +283,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_ratio_check(args) -> int:
     p = _parse_potential(args.potential)
-    rep = ratio_convergence_check(args.alpha, p, _parse_complex(args.zeta),
-                                  _parse_int_list(args.n))
+    n_list = _parse_int_list(args.n)
+    try:
+        check_sizes(n_list, 1)
+    except ValueError as exc:
+        raise UsageError(f"invalid --n {args.n!r}: {exc}") from exc
+    rep = ratio_convergence_check(args.alpha, p, _parse_complex(args.zeta), n_list)
     for n, val, err in zip(rep.n_list, rep.values, rep.errors):
         print(f"n = {n}: value = {_fmt_c(val)}, |value - 1| = {_fmt(err)}")
     print(f"{'PASS' if rep.passed else 'FAIL'}")

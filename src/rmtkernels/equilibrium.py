@@ -12,12 +12,13 @@ No integral is taken numerically, and the module needs numpy only.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import PotentialSpec
+from .orthopoly import PotentialSpec, _horner
 
 
 class EquilibriumError(RuntimeError):
@@ -76,17 +77,41 @@ class EquilibriumMeasure:
         return r / (2.0 * math.pi) * total
 
 
-def _cheb_of_vprime(p: PotentialSpec, b0: float, a1: float) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _derivative_rows(coeffs: tuple) -> tuple:
+    """Coefficients of V', V'', ..., V^(deg V), each from the last as numpy's polyder takes them."""
+    rows, row = [], list(coeffs)
+    for _ in range(PotentialSpec(coeffs).degree):
+        row = [j * row[j] for j in range(1, len(row))]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _cheb_of_vprime(p: PotentialSpec, b0: float, a1: float) -> list:
     """Chebyshev-T coefficients of V'(c + r u), from its Taylor coefficients at c.
 
     Exact for a quadratic V: Chebyshev interpolation would move the endpoints
     of V = 2x^2 off +-1 by an ulp."""
-    P = np.polynomial.polynomial
     c = 0.5 * (b0 + a1)
     r = 0.5 * (a1 - b0)
-    taylor = [r ** m * P.polyval(c, P.polyder(p.coeffs, m + 1)) / math.factorial(m)
-              for m in range(p.degree)]
-    return np.polynomial.chebyshev.poly2cheb(taylor)
+    taylor = [r ** m * _horner(row, c) / math.factorial(m)
+              for m, row in enumerate(_derivative_rows(p.coeffs))]
+    return _poly2cheb(taylor)
+
+
+def _poly2cheb(pol: list) -> list:
+    """numpy's poly2cheb in Python arithmetic: its chebmulx and chebadd steps and trims."""
+    res = [0.0]  # numpy trims pol first; its top zeros leave res at [0.0] here
+    for coef in reversed(pol):
+        if res != [0.0]:  # x T_0 = T_1, x T_k = (T_{k-1} + T_{k+1}) / 2
+            half = [v / 2 for v in res[1:]]
+            res = [res[0] * 0, res[0]] + half
+            for i, v in enumerate(half):
+                res[i] += v
+        res[0] += coef
+        while len(res) > 1 and res[-1] == 0:  # numpy's trimseq
+            res.pop()
+    return res
 
 
 def _moment_conditions(p: PotentialSpec, b0: float, a1: float):
@@ -128,10 +153,10 @@ def solve_equilibrium(p: PotentialSpec) -> EquilibriumMeasure:
     else:
         raise EquilibriumError("endpoint Newton did not converge in 200 steps")
 
-    d = _cheb_of_vprime(p, b0, a1)
+    d = np.array(_cheb_of_vprime(p, b0, a1))
     eq = EquilibriumMeasure(
         b0=b0, a1=a1, cheb_coeffs=d, psi0=0.0, ell=0.0,
-        v_at_0=float(p(0.0)), v_prime_at_0=float(p.derivative(0.0)),
+        v_at_0=float(p(0.0)), v_prime_at_0=float(_horner(_derivative_rows(p.coeffs)[0], 0.0)),
     )
 
     # a posteriori one-cut checks

@@ -10,7 +10,9 @@ the weight and the scales in log form so that every sum stays in range though
 norms decay like e^(-c*n), and in the same pass checks the table on a second
 rule, the grid's panels at a higher Gauss order.  The build checks for
 rescaling on a growth budget: only once the steps since the last check may
-have moved the state 200 nats.  :func:`monic_values_scaled`
+have moved the state 200 nats.  It keeps its top three degrees at the grid
+nodes, which :meth:`RecurrenceTable.grid_values` serves without a second
+pass over the grid.  :func:`monic_values_scaled`
 evaluates polynomials and derivatives with it off the grid, at a numpy array
 of points or at one point given as a Python number, in Python arithmetic (a
 one-element array costs microseconds a step in numpy's per-call overhead).
@@ -20,6 +22,7 @@ one-element array costs microseconds a step in numpy's per-call overhead).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,16 +64,15 @@ class PotentialSpec:
         return len(np.trim_zeros(np.asarray(self.coeffs), "b")) - 1
 
     def __call__(self, x):
-        """V(x) by Horner's rule in numpy's polyval order, so with polyval's bits."""
-        c = self.coeffs
-        v = c[-1] + x * 0
-        for ck in c[-2::-1]:
-            v = ck + v * x
-        return v
+        return _horner(self.coeffs, x)
 
-    def derivative(self, x):
-        P = np.polynomial.polynomial
-        return P.polyval(x, P.polyder(self.coeffs))
+
+def _horner(c, x):
+    """sum_k c_k x^k by Horner's rule in numpy's polyval order, so with polyval's bits."""
+    v = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        v = ck + v * x
+    return v
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class WeightSpec:
     def __post_init__(self):
         if not -0.5 < self.alpha < math.inf:  # false for nan too
             raise WeightDomainError("alpha must be finite and exceed -1/2 for an integrable weight")
-        if self.n < 1:
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
             raise WeightDomainError("n must be a positive integer")
 
 
@@ -111,7 +113,7 @@ class RecurrenceTable:
     """Monic recurrence pi_{j+1} = (x - a_j) pi_j - b_j pi_{j-1}, with norms in log form.
 
     The arrays are read-only, so values derived from them and cached on the
-    table, by :meth:`memo` or in ``_steps``, cannot go stale.
+    table, by :meth:`memo`, in ``_steps`` or in ``_grid_top``, cannot go stale.
     """
 
     weight: WeightSpec
@@ -125,6 +127,9 @@ class RecurrenceTable:
     # a and b as lists, and per top degree k the bounds _cadence takes over
     # degrees 0..k: max |a_j|, max b_j and min b_j over j >= 1 (1 at k = 0)
     _steps: tuple = field(init=False, repr=False, compare=False)
+    # {j: (pi_j, log scale)} at the grid nodes for the top three degrees, as
+    # read-only copies kept by the Stieltjes pass
+    _grid_top: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds = (np.maximum.accumulate(np.abs(self.a)), np.maximum.accumulate(self.b),
@@ -145,6 +150,17 @@ class RecurrenceTable:
             missing = list(dict.fromkeys(missing))
             cache.update(zip(missing, compute(missing)))
         return [cache[k] for k in keys]
+
+    def grid_values(self, degrees) -> dict:
+        """{j: (pi_j, log scale)} at the grid nodes for each j in ``degrees``.
+
+        The degrees the Stieltjes pass kept are read from it; one whole-grid
+        recurrence serves the others, as :func:`monic_values_scaled` returns them.
+        """
+        kept = self._grid_top
+        missing = set(degrees).difference(kept)
+        out = monic_values_scaled(self, missing, self.grid.x) if missing else {}
+        return {j: kept[j] if j in kept else out[j] for j in degrees}
 
     def log_gamma_sq(self, j: int) -> float:
         """log gamma_j^2 = -log ||pi_j||^2 (orthonormal leading coefficient squared)."""
@@ -178,8 +194,14 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
     a, b, log_norm_sq = (np.zeros(K + 1) for _ in range(3))
     reach = 2.0 * float(np.abs(x).max()) + 1.0
     checks, budget = set(), 0.0
-    s_w, residual = None, 0.0
+    s_w, residual, top, s_top = None, 0.0, {}, None
     for k, s, cur, prev, _ in _three_term(x, a, b, range(K + 1), checks):
+        if k >= K - 2:  # copies: a view would keep the check rule's nodes alive
+            if s is not s_top:  # the degrees share one copy of a scale no check changed
+                s_top, s_kept = s, s[:N].copy()
+                s_kept.setflags(write=False)
+            top[k] = cur[:N].copy(), s_kept
+            top[k][0].setflags(write=False)
         if s is not s_w:
             e = logw + 2.0 * s
             c = float(e[:N].max())
@@ -216,7 +238,7 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
     for arr in (a, b, log_norm_sq):
         arr.setflags(write=False)
 
-    return RecurrenceTable(
+    t = RecurrenceTable(
         weight=w,
         max_degree=K,
         a=a,
@@ -225,6 +247,8 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
         grid=grid,
         orthogonality_residual=residual,
     )
+    t._grid_top.update(top)
+    return t
 
 
 def eval_monic(t: RecurrenceTable, j: int, z) -> ScaledComplex:

@@ -7,7 +7,9 @@ whose distance to the limiting kernel decays like 1/n.  The harness
 measures that decay over a grid and fits the log-log rate.  Each n's grid
 is one kernel grid, normalized with numpy as a whole: log scales, the
 prefactor and the check that the scales cancelled; normalized_lhs is its
-one-pair call.
+one-pair call.  Each n's table is built to degree n + max(m, 0), the highest
+degree the kernel reads, so the kernel's Cauchy columns at m = 0 take their
+grid values, pi_{n-2..n}, from the table's Stieltjes pass.
 """
 
 from __future__ import annotations
@@ -79,6 +81,14 @@ def default_grid(side: int, slot: int):
     return tuple(z.conjugate() for z in base)
 
 
+def check_sizes(n_list, least: int):
+    """ValueError unless ``n_list`` holds at least ``least`` sizes, strictly increasing."""
+    if list(n_list) != sorted(set(n_list)):
+        raise ValueError("n_list must be strictly increasing")
+    if len(n_list) < least:
+        raise ValueError(f"n_list needs at least {least} size(s), got {len(n_list)}")
+
+
 @dataclass
 class TheoremCase:
     theorem: Theorem
@@ -103,10 +113,7 @@ class TheoremCase:
                 raise ValueError(f"{name} grid point {z} not in the upper half-plane")
             if s < 0 and z.imag >= 0:
                 raise ValueError(f"{name} grid point {z} not in the lower half-plane")
-        if list(self.n_list) != sorted(set(self.n_list)):
-            raise ValueError("n_list must be strictly increasing")
-        if len(self.n_list) < 2:
-            raise ValueError("n_list needs at least two sizes to fit a rate")
+        check_sizes(self.n_list, 2)
 
 
 @dataclass
@@ -124,9 +131,10 @@ class ConvergenceReport:
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_table(alpha: float, coeffs: tuple, n: int):
+def _cached_table(alpha: float, coeffs: tuple, n: int, m: int):
+    """The table to degree n + m, the highest degree the kernel of shift m >= 0 reads."""
     w = WeightSpec(alpha, n, PotentialSpec(coeffs))
-    return build_recurrence(w, n + 8)
+    return build_recurrence(w, n + m)
 
 
 @functools.lru_cache(maxsize=8)
@@ -138,7 +146,7 @@ def _normalized_grid(fam: KernelFamily, alpha: float, p: PotentialSpec, m: int, 
                      zetas, etas) -> np.ndarray:
     """normalized_lhs at every pair of ``zetas`` and ``etas``, from one kernel grid, as arrays."""
     zetas, etas = np.asarray(zetas, dtype=complex), np.asarray(etas, dtype=complex)
-    t = _cached_table(alpha, p.coeffs, n)
+    t = _cached_table(alpha, p.coeffs, n, max(m, 0))  # one table for every m <= 0
     eq = _cached_equilibrium(p.coeffs)
     s = n * eq.psi0
     drift = eq.v_prime_at_0 / (2.0 * eq.psi0)
@@ -216,6 +224,7 @@ def ratio_convergence_check(alpha: float, p: PotentialSpec, zeta,
     ratio of identical characteristic polynomials), so the reported
     |value - 1| measures the numerical pipeline, not an asymptotic rate.
     """
+    check_sizes(n_list, 1)
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise CauchyDomainError("ratio check needs Im zeta != 0")

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from rmtkernels import cauchy
+from rmtkernels import cauchy, orthopoly
 from rmtkernels.cauchy import (
     CauchyConvergenceError,
     CauchyDomainError,
@@ -200,6 +201,55 @@ def test_transforms_at_n320_match_miller_reference():
         h = cauchy_transform(t, n, z)
         log_abs, arg = miller_h(0.3, n, n, z)
         assert abs(cmath.exp(complex(h.log_abs() - log_abs, h.phase() - arg)) - 1.0) < 1e-10, z
+
+
+_SWEEP_POTENTIALS = ((0.0, 0.0, 2.0), (0.0, 0.5, 0.0, 0.0, 1.0),
+                     (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 200])
+def test_kept_grid_columns_match_a_fresh_recurrence(n):
+    # a table built to degree n keeps pi_{n-2..n} at the grid nodes from its
+    # Stieltjes pass; its grid columns and transforms agree with those of the
+    # same table without them, which reruns the recurrence over the grid.
+    # The two differ only in the rounding of their log scales
+    zs = np.array([0.3 + 0.2j, -0.5 + 1e-3j, 1.5 + 0.5j, 0.01 - 0.3j, 4.0 + 2.0j])
+    for coeffs in _SWEEP_POTENTIALS:
+        for alpha in (-0.45, 0.0, 0.3, 1.7):
+            t = build_recurrence(WeightSpec(alpha, n, PotentialSpec(coeffs)), n)
+            fresh = dataclasses.replace(t)  # the same arrays, nothing kept
+            h, h_fresh = (cauchy_transforms(table, [n - 1, n], zs) for table in (t, fresh))
+            cols, cols_fresh = (cauchy._grid_columns(table, [n - 1, n]) for table in (t, fresh))
+            for j in (n - 1, n):
+                (col, scale), (col_f, scale_f) = cols[j], cols_fresh[j]
+                gap = np.abs(col - col_f * np.exp(scale_f - scale)).max()
+                assert gap <= 1e-13 * np.abs(col).max(), (coeffs, alpha, j)
+                (v, log), (v_f, log_f) = h[j], h_fresh[j]
+                assert np.all(np.abs(v - v_f * np.exp(log_f - log)) <= 1e-12 * np.abs(v))
+
+
+def test_grid_request_below_the_kept_degrees_runs_one_recurrence(monkeypatch):
+    # h_{n+1} on a table built to n + 8 reads pi_n and pi_{n+1}, below the
+    # kept n+6..n+8: one whole-grid recurrence serves both, with the bits of
+    # that recurrence run directly
+    n = 8
+    t = build_recurrence(WeightSpec(0.3, n, V_2X2), n + 8)
+    want = orthopoly.monic_values_scaled(t, [n, n + 1], t.grid.x)
+    runs = []
+    recurrence = orthopoly.monic_values_scaled
+
+    def counting(table, degrees, x, **kwargs):
+        runs.append((sorted(degrees), x is table.grid.x))
+        return recurrence(table, degrees, x, **kwargs)
+
+    monkeypatch.setattr(orthopoly, "monic_values_scaled", counting)
+    got = t.grid_values([n, n + 1])
+    cauchy_transforms(t, [n + 1], 0.3 + 0.2j)
+    assert runs == [([n, n + 1], True)] * 2
+    for j in (n, n + 1):
+        for arr, ref in zip(got[j], want[j]):
+            assert np.array_equal(arr, ref)
+    assert t.grid_values([n + 6, n + 8]).keys() == {n + 6, n + 8} and len(runs) == 2
 
 
 def test_failing_point_in_a_batch_is_named():

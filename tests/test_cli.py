@@ -162,6 +162,8 @@ def test_domain_error_is_usage_error(argv, table_file, capsys):
     ["cauchy", "--table", "{table}", "--j", "3", "--z", "inf,0.3"],
     ["kernel", "--family", "I", "--table", "{table}", "--zeta", "nan,0", "--eta", "0.2,0"],
     ["ratio-check", "--alpha", "0", "--potential", "0,0,2", "--zeta", "nan,0.5"],
+    ["ratio-check", "--alpha", "0.3", "--potential", "0,0,2", "--n", "8,8"],
+    ["ratio-check", "--alpha", "0.3", "--potential", "0,0,2", "--n", "16,8"],
     ["oracle", "--check", "heine", "--n", "2", "--alpha", "0", "--potential", "0,0,1",
      "--points", "nan,0"],
     ["recurrence", "--alpha", "0", "--potential", "0,0,nan", "--n", "4", "--max-degree", "6"],
@@ -169,7 +171,8 @@ def test_domain_error_is_usage_error(argv, table_file, capsys):
 ], ids=["table-missing", "table-directory", "table-malformed", "table-missing-key",
         "table-fractional-degree", "universality-decreasing-n", "universality-one-n",
         "universality-malformed-n", "recurrence-negative-degree", "cauchy-nan-z",
-        "cauchy-infinite-z", "kernel-nan-zeta", "ratio-check-nan-zeta", "oracle-nan-point",
+        "cauchy-infinite-z", "kernel-nan-zeta", "ratio-check-nan-zeta", "ratio-check-repeated-n",
+        "ratio-check-decreasing-n", "oracle-nan-point",
         "recurrence-nan-potential", "equilibrium-nan-potential"])
 def test_bad_input_is_usage_error(argv, table_file, tmp_path, capsys):
     (tmp_path / "malformed.json").write_text("{")
@@ -242,6 +245,13 @@ def test_ratio_check_subcommand(capsys):
                  "--zeta", "0.5,0.5", "--n", "4,8"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "n = 8" in out
+
+
+def test_universality_shift_beyond_eight(capsys):
+    # the tables are built to degree n + m, so a kernel shift m = 9 has its degrees
+    assert main(["universality", "--case", "T1", "--alpha", "0.3", "--potential", "0,0,2",
+                 "--m", "9"]) == EXIT_OK
+    assert '"m": 9' in capsys.readouterr().out
 
 
 def test_universality_csv_reproducible(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from rmtkernels import equilibrium
 from rmtkernels.equilibrium import (
     EquilibriumError,
     solve_equilibrium,
@@ -137,3 +138,45 @@ def test_log_potential_matches_adaptive_quadrature(coeffs, v):
     x = {-1.0: eq.b0, 1.0: eq.a1}.get(v, eq.center + eq.radius * v)
     want = _quad(lambda s: math.log(abs(x - s)) * eq.psi(s), eq.b0, eq.a1, split=x)
     assert eq.log_potential(x) == pytest.approx(want, abs=1e-12)
+
+
+def _numpy_cheb_of_vprime(coeffs, b0, a1):
+    """The Chebyshev coefficients of V'(c + r u) by numpy.polynomial: the reference."""
+    P = np.polynomial.polynomial
+    c, r = 0.5 * (b0 + a1), 0.5 * (a1 - b0)
+    degree = len(np.trim_zeros(np.asarray(coeffs, dtype=float), "b")) - 1
+    taylor = [r ** m * P.polyval(c, P.polyder(coeffs, m + 1)) / math.factorial(m)
+              for m in range(degree)]
+    return np.polynomial.chebyshev.poly2cheb(taylor)
+
+
+_COEFFS = st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=0, max_size=6)
+
+
+@settings(deadline=None)
+@given(head=_COEFFS, lead=st.floats(0.01, 3.0), trailing=st.integers(0, 2),
+       b0=st.floats(-4.0, -0.01), a1=st.floats(0.01, 4.0))
+def test_chebyshev_coefficients_are_numpys_bits(head, lead, trailing, b0, a1):
+    # the Python-arithmetic derivative rows, Horner sums and poly2cheb steps
+    # give numpy.polynomial's floats exactly, trailing zeros included
+    head = tuple(head) + (0.0,) * max(2 - len(head), len(head) % 2)  # an even degree >= 2
+    coeffs = head + (lead,) + (0.0,) * trailing
+    got = equilibrium._cheb_of_vprime(PotentialSpec(coeffs), b0, a1)
+    want = _numpy_cheb_of_vprime(coeffs, b0, a1)
+    assert repr(np.array(got).tolist()) == repr(want.tolist())
+
+
+@settings(deadline=None)
+@given(pol=st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3)),
+                    min_size=1, max_size=8))
+def test_poly2cheb_steps_are_numpys(pol):
+    got = equilibrium._poly2cheb(list(pol))
+    assert repr(np.array(got).tolist()) == repr(np.polynomial.chebyshev.poly2cheb(pol).tolist())
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 2.0), (0.0, 0.5, 0.0, 0.0, 1.0),
+                                    (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 2.0, 0.0)])
+def test_v_prime_at_0_is_polyval(coeffs):
+    P = np.polynomial.polynomial
+    eq = solve_equilibrium(PotentialSpec(coeffs))
+    assert eq.v_prime_at_0 == float(P.polyval(0.0, P.polyder(coeffs)))

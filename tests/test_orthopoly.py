@@ -67,6 +67,16 @@ def test_weight_alpha_bound():
         WeightSpec(0.0, 0, V_X2)
 
 
+@pytest.mark.parametrize("n", [8.5, 8.0, math.nan, "8", None, -3])
+def test_weight_size_must_be_a_positive_integer(n):
+    with pytest.raises(WeightDomainError, match="positive integer"):
+        WeightSpec(0.3, n, V_X2)
+
+
+def test_weight_size_takes_numpy_integers():
+    assert WeightSpec(0.3, np.int64(8), V_X2).n == 8
+
+
 def test_eval_weight_values():
     w = WeightSpec(0.3, 2, V_X2)
     v = eval_weight(w, 1.5)
@@ -366,3 +376,10 @@ def test_table_is_read_only(table_n8):
             arr[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.max_degree = 3
+    # the grid values the Stieltjes pass kept are read-only copies of the grid's slice
+    kept = t.grid_values([t.max_degree - 2, t.max_degree - 1, t.max_degree])
+    for values, scale in kept.values():
+        for arr in (values, scale):
+            assert arr.shape == t.grid.x.shape and arr.base is None
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

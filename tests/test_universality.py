@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from rmtkernels import cauchy, finite_kernels, universality
+from rmtkernels import finite_kernels, orthopoly, universality
 from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
 from rmtkernels.cauchy import CauchyDomainError
 from rmtkernels.orthopoly import PotentialSpec, eval_monic
+from rmtkernels.quadrature import WeightDomainError
 from rmtkernels.universality import (
+    DEFAULT_N_LIST,
     ScaleCancellationError,
     Theorem,
     TheoremCase,
@@ -46,16 +48,24 @@ def test_convergence_rate_bulk_case():
     assert len(rep.records) == 3 * 4
 
 
-def test_degree_shift_robustness():
-    # the same limit must emerge for shifted degree pairs m = -1, 0, 1
+def test_degree_shift_robustness(monkeypatch):
+    # the same limit must emerge for shifted degree pairs m = -1, 0, 1; each
+    # table is built to the highest degree its kernel reads, n + max(m, 0)
+    builds = []
+    build = universality.build_recurrence
+    monkeypatch.setattr(universality, "build_recurrence",
+                        lambda w, K: builds.append(K) or build(w, K))
+    universality._cached_table.cache_clear()
     vals = []
     for m in (-1, 0, 1):
         case = TheoremCase(Theorem.T1, 0.3, V_2X2, m=m,
                            zeta_grid=(0.5,), eta_grid=(-0.2,))
         vals.append(normalized_lhs(case, 48, 0.5, -0.2))
+    assert builds == [48, 49]
     tgt = limit_kernel(LimitKernelId.I, 0.3, 0.5, -0.2)
     for v in vals:
         assert v == pytest.approx(tgt, rel=0.1)
+    universality._cached_table.cache_clear()
 
 
 def test_schwarz_invariant_between_theorem_pairs():
@@ -121,6 +131,21 @@ def test_ratio_check_both_half_planes():
         ratio_convergence_check(0.3, V_2X2, 0.5)
 
 
+def test_fractional_size_is_a_domain_error():
+    with pytest.raises(WeightDomainError, match="positive integer"):
+        convergence_study(TheoremCase(Theorem.T1, 0.3, V_2X2, n_list=(8.5, 16)))
+
+
+@pytest.mark.parametrize("n_list", [(), (8, 8), (16, 8)])
+def test_ratio_check_size_lists(n_list):
+    # the sizes are checked as TheoremCase checks them, before any table is
+    # built, so no rate is fitted to a repeated or unordered list
+    universality._cached_table.cache_clear()
+    with pytest.raises(ValueError, match="n_list"):
+        ratio_convergence_check(0.3, V_2X2, 0.5 + 0.5j, n_list=n_list)
+    assert universality._cached_table.cache_info().currsize == 0
+
+
 def test_study_evaluates_each_cauchy_column_once(monkeypatch):
     # family III needs h_{n-1} and h_n at every grid point: each distinct
     # upper-half point is summed exactly once per table, all of a table's
@@ -154,11 +179,13 @@ def test_study_evaluates_each_cauchy_column_once(monkeypatch):
 
 def test_study_pass_counts(monkeypatch):
     # the benchmark's study pass: six cases and the ratio check at alpha 0 and
-    # 0.3 over n = 8...64 sum the Cauchy columns in 3 batches per table (T2a's
-    # zetas, T3a's etas, the ratio point) and run one whole-grid recurrence
-    # per table for both degrees
-    calls, grids = [], []
-    compute, recurrence = finite_kernels.cauchy_transforms, cauchy.monic_values_scaled
+    # 0.3 over n = 8...64 build each table once, to degree n, sum the Cauchy
+    # columns in 3 batches per table (T2a's zetas, T3a's etas, the ratio
+    # point) and take their grid columns from the Stieltjes pass: no
+    # whole-grid recurrence runs
+    calls, grids, builds = [], [], []
+    compute, recurrence = finite_kernels.cauchy_transforms, orthopoly.monic_values_scaled
+    build = universality.build_recurrence
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -169,16 +196,21 @@ def test_study_pass_counts(monkeypatch):
             grids.append((id(t), tuple(sorted(degrees))))
         return recurrence(t, degrees, x, **kwargs)
 
+    def build_counting(w, max_degree):
+        builds.append((w.alpha, w.n, max_degree))
+        return build(w, max_degree)
+
     monkeypatch.setattr(finite_kernels, "cauchy_transforms", counting)
-    monkeypatch.setattr(cauchy, "monic_values_scaled", grid_counting)
+    monkeypatch.setattr(orthopoly, "monic_values_scaled", grid_counting)
+    monkeypatch.setattr(universality, "build_recurrence", build_counting)
     universality._cached_table.cache_clear()
     for alpha in (0.0, 0.3):
         for th in Theorem:
             convergence_study(TheoremCase(th, alpha, V_2X2))
         ratio_convergence_check(alpha, V_2X2, 0.5 + 0.5j)
     assert len(calls) == 24
-    assert len(grids) == len(set(grids)) == 8
-    assert {len(d) for _, d in grids} == {3}
+    assert grids == []
+    assert builds == [(alpha, n, n) for alpha in (0.0, 0.3) for n in DEFAULT_N_LIST]
     universality._cached_table.cache_clear()
 
 
@@ -198,7 +230,7 @@ def test_grid_path_matches_one_pair_calls():
     for alpha in (0.0, 0.3):
         rep = ratio_convergence_check(alpha, V_2X2, 0.5 + 0.5j)
         for n, value in zip(rep.n_list, rep.values):
-            t = universality._cached_table(alpha, V_2X2.coeffs, n)
+            t = universality._cached_table(alpha, V_2X2.coeffs, n, 0)
             zs = (0.5 + 0.5j) / (n * eq.psi0)
             mant, log = finite_kernels.kernel_grid(finite_kernels.KernelFamily.II, t, 0,
                                                    [0.3j, zs, -zs], [zs, 0.1 + zs], gap=True)
@@ -235,7 +267,7 @@ def test_grid_confluent_and_zero_pairs(monkeypatch):
     eq = universality._cached_equilibrium(V_2X2.coeffs)
     s = n * eq.psi0
     universality._cached_table.cache_clear()
-    t = universality._cached_table(0.3, V_2X2.coeffs, n)
+    t = universality._cached_table(0.3, V_2X2.coeffs, n, 0)
     root = _kernel_root(t, zeta / s, n - 1, n) * s
     case = TheoremCase(Theorem.T1, 0.3, V_2X2, zeta_grid=(zeta,),
                        eta_grid=(zeta + 1e-8, root, -0.3), n_list=(8, 16))
