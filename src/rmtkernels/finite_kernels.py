@@ -11,10 +11,11 @@ of the real axis, where h jumps.
 
 :func:`kernel_grid` evaluates a kernel at every pair of two lists of
 points.  Its columns are (F_lo, F_hi, log scale) rows, one per point,
-cached on the table: the Cauchy rows of all points not yet cached come
-from one batched sum, and the rows at the midpoints of all confluent
-pairs from two more fetches, values and derivatives.  The grid, confluent
-pairs included, is assembled as numpy arrays of mantissas and log scales.
+cached on the table: the rows of all points not yet cached come from
+one batched call, a Cauchy sum or a polynomial recurrence, and the rows
+at the midpoints of all confluent pairs from two more, values and
+derivatives.  The grid, confluent pairs included, is assembled as numpy
+arrays of mantissas and log scales.
 A ScaledComplex is built only by the one-pair and one-point calls
 :func:`w_kernel`, :func:`w_kernel_times_gap` and :func:`y_matrix`.
 """
@@ -72,18 +73,16 @@ def _pairs(t, kind, lo, hi, zs, derivative=False) -> np.ndarray:
     column once per point instead of once per pair of points.  Below the
     axis the cache holds the row at conj z, so a point and its mirror image
     share one entry: pi_j(conj z) = conj pi_j(z) and h_j(conj z) =
-    -conj h_j(z), and so for the derivatives.  One batched
-    :func:`cauchy_transforms` call sums every Cauchy pair not yet cached;
-    a polynomial pair is one one-point recurrence.
+    -conj h_j(z), and so for the derivatives.  The pairs not yet cached
+    come from one batched call over their points, :func:`cauchy_transforms`
+    or :func:`monic_values_scaled`, whose results end in (column, log scale).
     """
     def compute(missing):
-        us = [z for *_, z in missing]
-        if kind == "h":
-            h = cauchy_transforms(t, (lo, hi), np.array(us), derivative)
-            cols = zip(*(v.tolist() for j in (lo, hi) for v in h[j]))
-        else:  # (value, log scale), or (value, derivative, log scale)
-            cols = (c[lo][-2:] + c[hi][-2:] for c in
-                    (monic_values_scaled(t, (lo, hi), z, derivative=derivative) for z in us))
+        zs = np.array([z for *_, z in missing])
+        batch = cauchy_transforms if kind == "h" else monic_values_scaled
+        # the recurrence runs a lone point several times faster as a number
+        out = batch(t, (lo, hi), zs.item() if zs.size == 1 and kind == "pi" else zs, derivative)
+        cols = zip(*(np.ravel(v).tolist() for j in (lo, hi) for v in out[j][-2:]))
         return [(f_lo * math.exp(s_lo - top), f_hi * math.exp(s_hi - top), top)
                 for f_lo, s_lo, f_hi, s_hi in cols for top in [max(s_lo, s_hi)]]
 

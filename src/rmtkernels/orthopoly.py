@@ -10,9 +10,9 @@ the weight and the scales in log form so that every sum stays in range though
 norms decay like e^(-c*n), and in the same pass checks the table on a second
 rule, the grid's panels at a higher Gauss order.  The build checks for
 rescaling on a growth budget: only once the steps since the last check may
-have moved the state 200 nats.  It keeps its top three degrees at the grid
-nodes, which :meth:`RecurrenceTable.grid_values` serves without a second
-pass over the grid.  :func:`monic_values_scaled`
+have moved the state 200 nats.  It caches its top three degrees at the
+grid nodes on the table, where :meth:`RecurrenceTable.grid_values` reads
+them without a second pass over the grid.  :func:`monic_values_scaled`
 evaluates polynomials and derivatives with it off the grid, at a numpy array
 of points or at one point given as a Python number, in Python arithmetic (a
 one-element array costs microseconds a step in numpy's per-call overhead).
@@ -113,7 +113,7 @@ class RecurrenceTable:
     """Monic recurrence pi_{j+1} = (x - a_j) pi_j - b_j pi_{j-1}, with norms in log form.
 
     The arrays are read-only, so values derived from them and cached on the
-    table, by :meth:`memo`, in ``_steps`` or in ``_grid_top``, cannot go stale.
+    table, by :meth:`memo` or in ``_steps``, cannot go stale.
     """
 
     weight: WeightSpec
@@ -127,9 +127,6 @@ class RecurrenceTable:
     # a and b as lists, and per top degree k the bounds _cadence takes over
     # degrees 0..k: max |a_j|, max b_j and min b_j over j >= 1 (1 at k = 0)
     _steps: tuple = field(init=False, repr=False, compare=False)
-    # {j: (pi_j, log scale)} at the grid nodes for the top three degrees, as
-    # read-only copies kept by the Stieltjes pass
-    _grid_top: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds = (np.maximum.accumulate(np.abs(self.a)), np.maximum.accumulate(self.b),
@@ -154,13 +151,13 @@ class RecurrenceTable:
     def grid_values(self, degrees) -> dict:
         """{j: (pi_j, log scale)} at the grid nodes for each j in ``degrees``.
 
-        The degrees the Stieltjes pass kept are read from it; one whole-grid
+        The degrees the Stieltjes pass cached are read from the memo; one whole-grid
         recurrence serves the others, as :func:`monic_values_scaled` returns them.
         """
-        kept = self._grid_top
-        missing = set(degrees).difference(kept)
+        memo = self._memo
+        missing = [j for j in degrees if ("grid", "pi", j) not in memo]
         out = monic_values_scaled(self, missing, self.grid.x) if missing else {}
-        return {j: kept[j] if j in kept else out[j] for j in degrees}
+        return {j: out[j] if j in out else memo["grid", "pi", j] for j in degrees}
 
     def log_gamma_sq(self, j: int) -> float:
         """log gamma_j^2 = -log ||pi_j||^2 (orthonormal leading coefficient squared)."""
@@ -200,8 +197,8 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
             if s is not s_top:  # the degrees share one copy of a scale no check changed
                 s_top, s_kept = s, s[:N].copy()
                 s_kept.setflags(write=False)
-            top[k] = cur[:N].copy(), s_kept
-            top[k][0].setflags(write=False)
+            top["grid", "pi", k] = cur[:N].copy(), s_kept
+            top["grid", "pi", k][0].setflags(write=False)
         if s is not s_w:
             e = logw + 2.0 * s
             c = float(e[:N].max())
@@ -247,7 +244,7 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
         grid=grid,
         orthogonality_residual=residual,
     )
-    t._grid_top.update(top)
+    t._memo.update(top)
     return t
 
 

@@ -35,12 +35,15 @@ def _jacgauss(order: int, beta: float):
     Jacobi polynomials P^(0, beta), the weights mu_0 times the squared first
     components of its eigenvectors.
     """
+    if not beta + 1.0 < 1024.0:  # mu_0 = 2^(beta + 1)/(beta + 1) would overflow
+        raise WeightDomainError(f"Gauss-Jacobi exponent {beta} leaves the double range")
     k = np.arange(1, order, dtype=float)
     s = 2.0 * k + beta
     diag = np.empty(order)
     diag[0] = beta / (beta + 2.0)
     diag[1:] = beta * beta / (s * (s + 2.0))
-    off = np.sqrt(4.0 * k * k * (k + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    # 2k - 1 + beta, not s - 1: at k = 1 and beta near -1 that difference cancels to 0
+    off = np.sqrt(4.0 * k * k * (k + beta) ** 2 / (s * s * (s + 1.0) * (2.0 * k - 1.0 + beta)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     mu0 = 2.0 ** (beta + 1.0) / (beta + 1.0)
     return x, mu0 * v[0] ** 2

@@ -1,10 +1,13 @@
 """Bessel, Hankel and modified Bessel functions of real order and complex argument.
 
-All orders occurring in this package are alpha +- 1/2.  Evaluation is
-delegated to the Amos routines exposed by scipy.special, which carry the
-required relative accuracy for |z| <= 50; the connection identities used
-elsewhere (reflection, Hankel combinations, half-integer closed forms,
-cross products) are verified by the self-test suite below.
+All orders occurring in this package are alpha +- 1/2, and alpha - 3/2 in
+a derivative.  Evaluation is delegated to the Amos routines exposed by
+scipy.special, which carry the required relative accuracy for |z| <= 50;
+the connection identities used elsewhere (reflection, Hankel combinations,
+half-integer closed forms, cross products) are verified by the self-test
+suite below.  The one-point functions here serve the parametrix and that
+suite; :mod:`rmtkernels.bessel_limits` calls the scipy.special routines
+over point arrays itself, through :func:`_sp`.
 """
 
 from __future__ import annotations
@@ -82,27 +85,6 @@ def bessel_k(order, z) -> complex:
     nu = _nu(order)
     z = _check_z(z, avoid_cut=True)
     return complex(_sp().kv(nu, z))
-
-
-def bessel_j_derivative(order, z) -> complex:
-    """J'_nu(z) = J_{nu-1}(z) - (nu/z) J_nu(z)."""
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=False)
-    if z == 0:
-        raise SpecfunDomainError("derivative recurrence needs z != 0")
-    return bessel_j(nu - 1.0, z) - (nu / z) * bessel_j(nu, z)
-
-
-def hankel1_derivative(order, z) -> complex:
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=True)
-    return hankel1(nu - 1.0, z) - (nu / z) * hankel1(nu, z)
-
-
-def hankel2_derivative(order, z) -> complex:
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=True)
-    return hankel2(nu - 1.0, z) - (nu / z) * hankel2(nu, z)
 
 
 # -- reference series, used only for independent verification ---------------

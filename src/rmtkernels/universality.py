@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel_limits import LimitKernelId, limit_grid, _HALF_PLANES, _PI
+from .bessel_limits import LimitKernelId, limit_grid, _check_half_planes, _HALF_PLANES, _PI
 from .cauchy import CauchyDomainError
 from .equilibrium import solve_equilibrium
 from .finite_kernels import KernelFamily, kernel_grid
@@ -100,19 +100,14 @@ class TheoremCase:
     n_list: tuple = DEFAULT_N_LIST
 
     def __post_init__(self):
-        sz, se = _HALF_PLANES[_LIMIT[self.theorem]]
+        kid = _LIMIT[self.theorem]
+        sz, se = _HALF_PLANES[kid]
         if self.zeta_grid is None:
             self.zeta_grid = default_grid(sz, 0)
         if self.eta_grid is None:
             self.eta_grid = default_grid(se, 1)
-        self.zeta_grid = tuple(complex(z) for z in self.zeta_grid)
-        self.eta_grid = tuple(complex(z) for z in self.eta_grid)
-        for z, s, name in [(z, sz, "zeta") for z in self.zeta_grid] + \
-                          [(z, se, "eta") for z in self.eta_grid]:
-            if s > 0 and z.imag <= 0:
-                raise ValueError(f"{name} grid point {z} not in the upper half-plane")
-            if s < 0 and z.imag >= 0:
-                raise ValueError(f"{name} grid point {z} not in the lower half-plane")
+        checked = _check_half_planes(kid, self.zeta_grid, self.eta_grid)  # a ValueError
+        self.zeta_grid, self.eta_grid = (tuple(p.tolist()) for p in checked)
         check_sizes(self.n_list, 2)
 
 

@@ -152,15 +152,21 @@ def test_alpha_half_integer_guard_case():
     assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
+def derivative(fn):
+    """f'_nu(z) = f_{nu-1}(z) - (nu/z) f_nu(z), for f a Bessel J or Hankel function."""
+    return lambda nu, z: fn(nu - 1.0, z) - (nu / z) * fn(nu, z)
+
+
 # per kernel, the scalar formula's (f, g, zeta power sign, eta power sign,
 # denominator, sign, f', half-plane of zeta, half-plane of eta)
 _FORMULA = {
-    LimitKernelId.I: (sf.bessel_j, sf.bessel_j, -1, -1, 2.0, 1.0, sf.bessel_j_derivative, 0, 0),
+    LimitKernelId.I: (sf.bessel_j, sf.bessel_j, -1, -1, 2.0, 1.0, derivative(sf.bessel_j), 0, 0),
     LimitKernelId.II_plus: (sf.hankel1, sf.bessel_j, 1, -1, 4.0, 1.0, None, 1, 0),
     LimitKernelId.II_minus: (sf.hankel2, sf.bessel_j, 1, -1, 4.0, -1.0, None, -1, 0),
-    LimitKernelId.III_plus: (sf.hankel1, sf.hankel1, 1, 1, 8.0, 1.0, sf.hankel1_derivative, 1, 1),
+    LimitKernelId.III_plus: (sf.hankel1, sf.hankel1, 1, 1, 8.0, 1.0, derivative(sf.hankel1), 1, 1),
     LimitKernelId.III_pm: (sf.hankel1, sf.hankel2, 1, 1, 8.0, -1.0, None, 1, -1),
-    LimitKernelId.III_minus: (sf.hankel2, sf.hankel2, 1, 1, 8.0, 1.0, sf.hankel2_derivative, -1, -1),
+    LimitKernelId.III_minus: (sf.hankel2, sf.hankel2, 1, 1, 8.0, 1.0, derivative(sf.hankel2),
+                              -1, -1),
 }
 
 
@@ -236,3 +242,28 @@ def test_limit_grid_domain_errors(kid):
         zeta = _sweep_points(sz)[0]
         with pytest.raises(SpecfunDomainError, match="pole"):
             limit_grid(kid, 0.3, _sweep_points(sz), [0.3, zeta])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_zero_imaginary_part_sign_gives_the_same_bits(alpha):
+    # -0.7 - 0j and -0.7 + 0j are one point of a J-type slot (both slots of I,
+    # the eta slot of II+-): the negative axis is no cut of z^p J_nu(pi z)
+    below, above = complex(-0.7, -0.0), complex(-0.7, 0.0)
+    for kid, pair in ((LimitKernelId.I, lambda z: (z, 0.4)), (LimitKernelId.I, lambda z: (0.4, z)),
+                      (LimitKernelId.II_plus, lambda z: (0.5 + 0.3j, z)),
+                      (LimitKernelId.II_minus, lambda z: (0.5 - 0.3j, z))):
+        assert limit_kernel(kid, alpha, *pair(below)) == limit_kernel(kid, alpha, *pair(above)), kid
+    assert limit_kernel(LimitKernelId.I, 0.0, below, 0.4) == pytest.approx(
+        _sine(below - 0.4), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kid, alpha, zeta, eta", [
+    (LimitKernelId.I, 1e6, 0.7, 0.2),           # z^(-alpha) overflows
+    (LimitKernelId.III_plus, 200.0, 0.7 + 0.1j, 0.2 + 0.3j),   # Hankel factors overflow
+    (LimitKernelId.I, 1e6, 0.7, 0.7),           # the derivative form
+], ids=["I-power", "III+-hankel", "I-confluent"])
+def test_a_limit_beyond_the_doubles_is_a_domain_error(kid, alpha, zeta, eta):
+    with pytest.raises(SpecfunDomainError, match="not finite"):
+        limit_kernel(kid, alpha, zeta, eta)
+    with pytest.raises(SpecfunDomainError, match="not finite"):
+        limit_grid(kid, alpha, [0.5 + 0.2j, zeta], [eta])

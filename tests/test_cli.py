@@ -100,6 +100,16 @@ def test_oracle_kernel_checks(check, n, alpha, potential, capsys):
     assert match and float(match[1]) < 1e-13, out
 
 
+def test_limit_kernel_zero_imaginary_part_sign(capsys):
+    # -0.7 - 0i is -0.7 + 0i on the J-type slot of kernel I: one value
+    out = []
+    for zeta in ("--zeta=-0.7,-0", "--zeta=-0.7,0"):
+        assert main(["limit-kernel", "--kernel", "I", "--alpha", "0.3", zeta,
+                     "--eta", "0.4,0"]) == EXIT_OK
+        out.append(capsys.readouterr().out.rsplit("=", 1)[1])
+    assert out[0] == out[1]
+
+
 def _assert_one_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -135,11 +145,17 @@ def table_file(tmp_path, capsys):
     ["recurrence", "--alpha", "nan", "--potential", "0,0,2", "--n", "4", "--max-degree", "6"],
     ["recurrence", "--alpha", "0", "--potential", "0,0,1e-300", "--n", "1",
      "--max-degree", "2"],
+    ["limit-kernel", "--kernel", "I", "--alpha", "1e6", "--zeta", "0.7,0", "--eta", "0.2,0"],
+    ["limit-kernel", "--kernel", "III+", "--alpha", "200",
+     "--zeta", "0.7,0.1", "--eta", "0.2,0.3"],
+    ["universality", "--case", "T1", "--alpha", "1e6", "--potential", "0,0,2"],
+    ["recurrence", "--alpha", "512", "--potential", "0,0,2", "--n", "8", "--max-degree", "10"],
 ], ids=["cauchy-degree", "kernel-degree", "cauchy-real-z", "kernel-II-diagonal",
         "recurrence-alpha", "limit-kernel-half-plane", "limit-kernel-II-pole",
         "limit-kernel-I-confluent-at-0", "parametrix-origin",
         "ratio-check-real-zeta", "recurrence-infinite-alpha", "recurrence-nan-alpha",
-        "recurrence-flat-potential"])
+        "recurrence-flat-potential", "limit-kernel-overflow", "limit-kernel-III+-overflow",
+        "universality-limit-overflow", "recurrence-jacobi-mass-overflow"])
 def test_domain_error_is_usage_error(argv, table_file, capsys):
     argv = [a.replace("{table}", table_file) for a in argv]
     assert main(argv) == EXIT_USAGE

@@ -8,7 +8,8 @@ from scipy.special import roots_jacobi
 
 from rmtkernels import quadrature
 from rmtkernels.oracle import _BUDGETS, _MAX_N
-from rmtkernels.orthopoly import DENSE_PANELS, ORDER, PotentialSpec, WeightSpec, build_recurrence
+from rmtkernels.orthopoly import (DENSE_PANELS, ORDER, PotentialSpec, PrecisionError, WeightSpec,
+                                   build_recurrence)
 from rmtkernels.quadrature import _jacgauss, build_weight_grid, legendre_panel
 
 
@@ -135,3 +136,18 @@ def test_oracle_grid_moments_and_panels(alpha, n, k, budget):
     dense_panels, order, jacobi_order = budget
     g = build_weight_grid(w, dense_panels, order=order, jacobi_order=jacobi_order)
     _check_grid(g, w, jacobi_order, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(-0.5, 1e6, exclude_min=True), n=st.integers(1, 8),
+       max_degree=st.integers(0, 10))
+def test_any_exponent_builds_a_table_or_raises_a_typed_error(alpha, n, max_degree):
+    # above alpha ~ 100 the check rule fails the grid (PrecisionError); from
+    # 2 alpha + 1 = 1024 on, 2^(2 alpha + 1) in the Gauss-Jacobi mass leaves
+    # the doubles, which is a WeightDomainError, not an OverflowError
+    w = WeightSpec(alpha, n, PotentialSpec((0.0, 0.0, 2.0)))
+    try:
+        t = build_recurrence(w, max_degree)
+    except (quadrature.WeightDomainError, PrecisionError):
+        return
+    assert t.max_degree == max_degree and np.isfinite(t.log_norm_sq).all()

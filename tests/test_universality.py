@@ -108,6 +108,12 @@ def test_case_validation():
         TheoremCase(Theorem.T1, 0.3, V_2X2, n_list=(8, 8, 16))
     with pytest.raises(ValueError):
         TheoremCase(Theorem.T1, 0.3, V_2X2, n_list=(8,))  # one size fits no rate
+    # the limit kernels' own domain check: zero and non-finite points
+    for grid in ((0.4, 0.0), (0.4, complex(math.nan, 0.0)), (math.inf,)):
+        with pytest.raises(ValueError):
+            TheoremCase(Theorem.T1, 0.3, V_2X2, zeta_grid=grid)
+        with pytest.raises(ValueError):
+            TheoremCase(Theorem.T1, 0.3, V_2X2, eta_grid=grid)
 
 
 def test_default_grids_respect_half_planes():
