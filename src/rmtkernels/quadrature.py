@@ -1,15 +1,15 @@
 """Composite Gauss panels for the varying weight |x|^(2a) e^(-nV).
 
 The weight spans hundreds of orders of magnitude across the integration
-range, so every grid stores the smooth part of the weight in log form:
-the panels integrate  f -> sum qw * e^(logw) * f(x),  where for ordinary
-Gauss-Legendre panels logw = 2a log|x| - nV(x).  The two panels touching
-the origin are always Gauss-Jacobi with exponent 2a (Gauss-Legendre at
-a = 0), so the |x|^(2a) factor is absorbed into the quadrature weights qw
-and logw = -nV(x) there.
+range, so every grid stores it in log form: the panels integrate
+f -> sum qw * e^(logw) * f(x),  with qw the panel's half width times the
+weights of a Gauss rule on [-1, 1].  The two panels touching the origin
+take the Gauss-Jacobi rule of (1 + t)^(2a) from the origin (Gauss-Legendre
+at a = 0), so the |x|^(2a) kink is integrated exactly and logw =
+2a log|half width| - nV(x) there; elsewhere logw = 2a log|x| - nV(x).
 
-That rule is :func:`weighted_rule`, the one way a Gauss panel carries the
-weight: it builds the grid's panels here and the pieces into which
+That map is :func:`weighted_rule`, the one place Gauss nodes are put on
+an interval: it builds the grid's panels here and the pieces into which
 :mod:`rmtkernels.cauchy` refines the panels near z.  Every Gauss rule,
 Gauss-Legendre included (exponent 0), comes from one Golub-Welsch
 generator, :func:`_jacgauss`, and its one cache.
@@ -49,30 +49,13 @@ def _jacgauss(order: int, beta: float):
     return x, mu0 * v[0] ** 2
 
 
-def legendre_panel(a: float, b: float, order: int):
-    t, w = _jacgauss(order, 0.0)
-    half = 0.5 * (b - a)
-    return a + half * (t + 1.0), half * w
-
-
-def jacobi_panel(d: float, order: int, beta: float):
-    """Nodes/weights for the integral over [0, d] (d may be negative) of |x|^beta f(x)."""
-    t, w = _jacgauss(order, beta)
-    ad = abs(d)
-    x = 0.5 * ad * (t + 1.0)
-    qw = w * (0.5 * ad) ** (beta + 1.0)
-    if d < 0:
-        return -x[::-1], qw[::-1]
-    return x, qw
-
-
 @dataclass
 class WeightGrid:
     """Flat node set for one weight, with panel bookkeeping."""
 
     x: np.ndarray
-    qw: np.ndarray        # positive quadrature weights (incl. |x|^2a on Jacobi panels)
-    logw: np.ndarray      # log of the remaining weight factor at each node
+    qw: np.ndarray        # positive quadrature weights: half width times the rule's
+    logw: np.ndarray      # log of the rest of the weight at each node
     # (a, b, start, stop): arrays over the panels, sorted by a; panel i is
     # [a[i], b[i]] with nodes [start[i], stop[i]) in the flat arrays
     panels: tuple = ()
@@ -82,22 +65,24 @@ def weighted_rule(x0, lo, hi, order: int, w):
     """Order-``order`` Gauss rules for the weight ``w`` on the pieces [x0 + lo, x0 + hi].
 
     Returns (x0, offset, qw, logw) per node, ``order`` nodes per piece in the
-    order of the pieces.  A piece with an end at 0 is Gauss-Jacobi with
-    |x|^(2a) in qw; the others are Gauss-Legendre with 2a log|x| in logw.
-    Every piece carries -nV in logw.
+    order of the pieces.  Each piece maps a rule on [-1, 1] from t = -1, with
+    qw = half width * the rule's weights and -nV in logw.  A piece with an end
+    at 0 starts there, takes the rule of (1 + t)^(2a) and has 2a log|half
+    width| in logw; the others take exponent 0 and have 2a log|x| in logw.
     """
-    jac = (x0 + lo == 0.0) | (x0 + hi == 0.0)
-    if jac.all():  # no piece takes the Gauss-Legendre rule: do not build it
-        off, qw = np.empty((2, lo.size, order))
-    else:
-        off, qw = legendre_panel(lo[:, None], hi[:, None], order)
-    for i in np.flatnonzero(jac):
-        end = x0[i] + (hi[i] if x0[i] + lo[i] == 0.0 else lo[i])
-        xj, qw[i] = jacobi_panel(end, order, 2.0 * w.alpha)
-        off[i] = xj - x0[i]
-    logw = np.where(jac[:, None], 0.0, 2.0 * w.alpha * np.log(np.abs(x0[:, None] + off)))
+    flip = x0 + hi == 0.0  # a piece that ends at 0 starts there
+    jac = flip | (x0 + lo == 0.0)
+    # the rules of exponents 0 and 2a, each built only if some piece takes it
+    t, g = _jacgauss(order, 0.0) if (k := np.count_nonzero(jac)) < jac.size else (0.0, 0.0)
+    if k:
+        tj, wj = _jacgauss(order, 2.0 * w.alpha)
+        t, g = np.where(jac[:, None], tj, t), np.where(jac[:, None], wj, g)
+        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    half = 0.5 * (hi - lo)[:, None]
+    off = lo[:, None] + half * (t + 1.0)
+    logw = 2.0 * w.alpha * np.log(np.abs(np.where(jac[:, None], half, x0[:, None] + off)))
     base, off = np.repeat(x0, order), off.ravel()
-    return base, off, qw.ravel(), logw.ravel() - w.n * w.potential(base + off)
+    return base, off, (np.abs(half) * g).ravel(), logw.ravel() - w.n * w.potential(base + off)
 
 
 def _tail_edges(start: float, end: float):

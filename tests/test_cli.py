@@ -12,6 +12,7 @@ import rmtkernels
 from rmtkernels import cli
 from rmtkernels.cauchy import CauchyConvergenceError
 from rmtkernels.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence
 
 
 def test_specfun_selftest_passes(capsys):
@@ -60,6 +61,22 @@ def test_recurrence_table_roundtrip(tmp_path, capsys):
     assert main(["kernel", "--family", "II", "--table", str(table),
                  "--zeta", "0.3,0.2", "--eta=-0.4,0"]) == EXIT_OK
     assert "W_II" in capsys.readouterr().out
+
+
+def test_recurrence_to_stdout(capsys):
+    # without --out the table goes to stdout as JSON, then the residual line
+    argv = ["recurrence", "--alpha", "0.3", "--potential", "0,0,2", "--n", "6",
+            "--max-degree", "12"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    body, last = outs[0].rstrip("\n").rsplit("\n", 1)
+    doc = json.loads(body)
+    t = build_recurrence(WeightSpec(0.3, 6, PotentialSpec((0.0, 0.0, 2.0))), 12)
+    assert doc == json.loads(json.dumps(cli._table_to_json(t)))
+    assert last == f"orthogonality residual: {cli._fmt(doc['orthogonality_residual'])}"
 
 
 def test_limit_kernel_output_precision(capsys):
@@ -302,6 +319,15 @@ def test_config_file_preloads_flags(tmp_path, capsys):
     # the --config=file form reads the file: its zeta on the real axis fails
     cfg.write_text(json.dumps({"alpha": 0.0, "potential": "0,0,2", "zeta": "0.5,0"}))
     assert main([f"--config={cfg}", "ratio-check"]) == EXIT_USAGE
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["missing-file", "json-list"])
+def test_unreadable_config_is_usage_error(content, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["--config", str(cfg), "specfun-selftest"]) == EXIT_USAGE
     _assert_one_error_line(capsys.readouterr().err)
 
 

@@ -108,6 +108,9 @@ def test_y_matrix_unimodular(table_n6):
     for m in (-1, 0, 1):
         y = y_matrix(table_n6, m, 0.2 + 0.3j)
         assert _det(y) == pytest.approx(1.0, abs=1e-6)
+    # its Cauchy column needs Im z != 0
+    with pytest.raises(CauchyDomainError):
+        y_matrix(table_n6, 0, 0.2)
 
 
 def test_y_matrix_unimodular_larger_n():

@@ -83,6 +83,9 @@ def test_eval_weight_values():
     expect = 1.5 ** 0.6 * math.exp(-2 * 1.5 ** 2)
     assert v.to_complex() == pytest.approx(expect, rel=1e-14)
     assert eval_weight(w, 0.0).log_abs() == -math.inf
+    # at alpha = 0 the weight at 0 is e^(-nV(0)), V(0) = 0.25 here
+    w0 = eval_weight(WeightSpec(0.0, 2, PotentialSpec((0.25, 0.0, 1.0))), 0.0)
+    assert w0.to_complex() == pytest.approx(math.exp(-0.5), rel=1e-15)
     with pytest.raises(WeightDomainError):
         eval_weight(WeightSpec(-0.3, 2, V_X2), 0.0)
 

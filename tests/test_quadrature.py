@@ -1,16 +1,17 @@
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from rmtkernels import quadrature
 from rmtkernels.oracle import _BUDGETS, _MAX_N
 from rmtkernels.orthopoly import (DENSE_PANELS, ORDER, PotentialSpec, PrecisionError, WeightSpec,
                                    build_recurrence)
-from rmtkernels.quadrature import _jacgauss, build_weight_grid, legendre_panel
+from rmtkernels.quadrature import _jacgauss, build_weight_grid, weighted_rule
 
 
 @pytest.mark.parametrize("order", [20, 48])
@@ -51,7 +52,9 @@ def test_gauss_legendre_matches_40_digits(order):
     mp = pytest.importorskip("mpmath").mp.clone()
     mp.dps = 40
     nodes, weights = _legendre_reference(order, mp)
-    x, w = legendre_panel(-1.0, 1.0, order)
+    x0, off, w, _ = weighted_rule(np.zeros(1), np.array([-1.0]), np.array([1.0]), order,
+                                  WeightSpec(0.3, 1, PotentialSpec((0.0, 0.0, 2.0))))
+    x = x0 + off
     assert np.array_equal(w, _jacgauss(order, 0.0)[1])
     assert max(abs(mp.mpf(float(a)) - b) for a, b in zip(x, nodes)) < 2e-15
     assert max(abs(mp.mpf(float(a)) / b - 1) for a, b in zip(w, weights)) < 5e-13
@@ -88,13 +91,15 @@ def test_potential_is_polyval_bitwise(coeffs):
     assert v(3) == np.polynomial.polynomial.polyval(3.0, coeffs)
 
 
-def test_legendre_panels_broadcast_bitwise():
-    # a column of panel ends gives each panel's rule as one row, bit for bit
+def test_weighted_rule_broadcasts_bitwise():
+    # a batch of pieces, the two at 0 Gauss-Jacobi and the others Gauss-Legendre,
+    # gives each piece the bits of a one-piece call
     edges = np.array([-2.0, -0.3, -1e-9, 0.0, 0.25, 3.0])
-    xs, ws = legendre_panel(edges[:-1, None], edges[1:, None], 16)
+    w = WeightSpec(0.3, 4, PotentialSpec((0.0, 0.0, 2.0)))
+    batch = weighted_rule(np.zeros(5), edges[:-1], edges[1:], 16, w)
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        x, w = legendre_panel(float(a), float(b), 16)
-        assert np.array_equal(xs[i], x) and np.array_equal(ws[i], w)
+        one = weighted_rule(np.zeros(1), np.array([a]), np.array([b]), 16, w)
+        assert all(np.array_equal(col[16 * i:16 * (i + 1)], v) for col, v in zip(batch, one))
 
 
 EVEN_K = st.integers(0, 10).map(lambda h: 2 * h)
@@ -139,15 +144,37 @@ def test_oracle_grid_moments_and_panels(alpha, n, k, budget):
 
 
 @settings(max_examples=40, deadline=None)
-@given(alpha=st.floats(-0.5, 1e6, exclude_min=True), n=st.integers(1, 8),
-       max_degree=st.integers(0, 10))
-def test_any_exponent_builds_a_table_or_raises_a_typed_error(alpha, n, max_degree):
+@given(alpha=st.floats(-0.5, 1e6, exclude_min=True), c=st.sampled_from([1e-3, 2.0]),
+       n=st.integers(1, 8), max_degree=st.integers(0, 10))
+@example(alpha=400.0, c=1e-3, n=1, max_degree=10)  # origin panels ~100 wide: |d|^801
+def test_any_exponent_builds_a_table_or_raises_a_typed_error(alpha, c, n, max_degree):
     # above alpha ~ 100 the check rule fails the grid (PrecisionError); from
     # 2 alpha + 1 = 1024 on, 2^(2 alpha + 1) in the Gauss-Jacobi mass leaves
     # the doubles, which is a WeightDomainError, not an OverflowError
-    w = WeightSpec(alpha, n, PotentialSpec((0.0, 0.0, 2.0)))
+    w = WeightSpec(alpha, n, PotentialSpec((0.0, 0.0, c)))
     try:
         t = build_recurrence(w, max_degree)
     except (quadrature.WeightDomainError, PrecisionError):
         return
     assert t.max_degree == max_degree and np.isfinite(t.log_norm_sq).all()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.7, 400.0])
+@pytest.mark.parametrize("d", [1e-3, -1e-3, 5.0, -5.0, 1e3, -1e3])
+def test_jacobi_piece_moments(alpha, d):
+    # the piece [0, d] alone, with V = 0: its rule sums |x|^(2a) x^k exactly
+    # for k < 2 * order, the width's power |d|^(2a + 1) kept in logw (at
+    # alpha = 400 and |d| = 1e3 it is far past the doubles).  The logs are
+    # compared relative to their size: near 5600, one ulp is 9e-13
+    order = 16
+    w = types.SimpleNamespace(alpha=alpha, n=1, potential=np.zeros_like)
+    x0, off, qw, logw = weighted_rule(np.zeros(1), np.array([min(d, 0.0)]),
+                                      np.array([max(d, 0.0)]), order, w)
+    x = x0 + off
+    assert np.all(np.sign(x) == np.sign(d))  # so every term has the sign of d^k
+    for k in range(2 * order):
+        logs = np.log(qw) + logw + k * np.log(np.abs(x))
+        top = logs.max()
+        got = top + math.log(np.sum(np.exp(logs - top)))
+        want = (2.0 * alpha + k + 1.0) * math.log(abs(d)) - math.log(2.0 * alpha + k + 1.0)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))

@@ -30,3 +30,6 @@ def test_product_of_extreme_scales():
     b = ScaledComplex.from_parts(0.5 - 0.25j, -600.0)
     prod = a * b
     assert prod.to_complex() == pytest.approx((2 + 1j) * (0.5 - 0.25j))
+    # a zero factor gives zero(), whatever the other's scale
+    assert a * ScaledComplex.zero() == ScaledComplex.zero()
+    assert ScaledComplex.zero() * b == ScaledComplex.zero()
