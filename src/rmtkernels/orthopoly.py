@@ -17,6 +17,10 @@ evaluates polynomials and derivatives with it off the grid, at a numpy array
 of points or at one point given as a Python number, in Python arithmetic (a
 one-element array costs microseconds a step in numpy's per-call overhead).
 :func:`eval_monic` and :func:`eval_monic_derivative` wrap it for one point.
+At more than one point the step finishes pi_{k+1} in place in the fresh
+array x - a_k, in the expression's order and so with its bits, and writes
+no array it has yielded; a one-element array and a Python number keep the
+expression, which is faster there.
 """
 
 from __future__ import annotations
@@ -188,7 +192,12 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
     # check may have moved it 200 nats: from within [1e-50, 1e50] it stays
     # within about 1e+-137, so cur^2 cannot overflow.  |x - a_k| + 1 <= reach,
     # as a_k is a weighted mean of the grid's nodes.
-    a, b, log_norm_sq = (np.zeros(K + 1) for _ in range(3))
+    # a_k, b_k and log ||pi_k||^2 grow as lists, read by _three_term after
+    # each yield, and become the table's arrays once the pass ends; pi_k^2
+    # and the check rule's pi_k pi_{k-1} go into two buffers
+    a, b, log_norm_sq = [], [], []
+    p2, pp = np.empty(x.size), np.empty(x.size - N)
+    p2g, p2c = p2[:N], p2[N:]
     reach = 2.0 * float(np.abs(x).max()) + 1.0
     checks, budget = set(), 0.0
     s_w, residual, top, s_top = None, 0.0, {}, None
@@ -206,23 +215,24 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
             Wg, Wc, s_w = W[:N], W[N:], s
             Wx = Wg * x[:N]
             s_prev = float(np.dot(Wg, prev[:N] * prev[:N]))
-        p2 = cur * cur
-        sk = float(np.dot(Wg, p2[:N]))
+        np.multiply(cur, cur, out=p2)
+        sk = float(np.dot(Wg, p2g))
         if not (sk > 0) or not math.isfinite(sk):
             raise PrecisionError(f"lost positivity of the norm at degree {k}")
-        log_norm_sq[k] = math.log(sk) + c
-        a[k] = float(np.dot(Wx, p2[:N])) / sk
-        b[k] = sk / s_prev if k else 0.0
+        log_norm_sq.append(math.log(sk) + c)
+        a.append(float(np.dot(Wx, p2g)) / sk)
+        b.append(sk / s_prev if k else 0.0)
         # between checks sk can fall to 1e-162 (alpha = -0.45, n = 1024): sk * s_prev underflows
-        cross = abs(np.dot(Wc, cur[N:] * prev[N:])) / math.sqrt(sk) / math.sqrt(s_prev) if k else 0
+        cross = (abs(np.dot(Wc, np.multiply(cur[N:], prev[N:], out=pp)))
+                 / math.sqrt(sk) / math.sqrt(s_prev) if k else 0)
         # max returns a nan first argument, so a nan norm term fails the check
-        defect = float(max(abs(np.dot(Wc, p2[N:]) / sk - 1.0), cross))
+        defect = float(max(abs(np.dot(Wc, p2c) / sk - 1.0), cross))
         if not defect <= 1e-7:
             raise PrecisionError(f"orthogonality residual {defect:.3e} at degree {k} on the "
                                  f"check rule exceeds 1e-7: the grid does not resolve pi_{k}")
         residual = max(residual, defect)
         s_prev = sk
-        bk = float(b[k]) if k else 1.0  # the step to degree k + 1; pi_1 = x - a_0 takes no b
+        bk = b[k] if k else 1.0  # the step to degree k + 1; pi_1 = x - a_0 takes no b
         budget += _log_growth(reach, bk, bk)
         if budget > 200.0:
             checks.add(k + 1)
@@ -232,6 +242,7 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
     edge = max(np.dot(Wg[i:j], p2[i:j]) for i, j in zip(start[[0, -1]], stop[[0, -1]])) / sk
     if edge > 1e-15:
         raise PrecisionError(f"the outermost grid panel holds {edge:.3e} of ||pi_{K}||^2")
+    a, b, log_norm_sq = (np.array(v) for v in (a, b, log_norm_sq))
     for arr in (a, b, log_norm_sq):
         arr.setflags(write=False)
 
@@ -263,9 +274,10 @@ def eval_monic_derivative(t: RecurrenceTable, j: int, z) -> ScaledComplex:
 def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     """pi_j at many (real or complex) points for each j in ``degrees``.
 
-    ``x`` is a numpy array, vectorized over, or one point as a Python
-    number (int, float or complex), for which the values are numbers; a
-    point that is not finite raises WeightDomainError.
+    ``x`` is a numpy array, vectorized over in at least double precision,
+    or one point as a Python number (int, float or complex), for which the
+    values are numbers; a point that is not finite raises
+    WeightDomainError.  No degrees give {}.
     Returns {j: (values, log_scale)}: pi_j(x) = values e^log_scale, with
     one log scale per point, an array of x's shape (a float for one
     number).  The values are real when x is real, complex otherwise.
@@ -276,9 +288,11 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     degrees = sorted(set(int(j) for j in degrees))
     for j in degrees:
         _check_degree(t, j)
-    top = degrees[-1]
+    top = max(degrees, default=0)
     a, b, bounds = t._steps
     step = _cadence(x, *bounds[top])  # (pi_0, pi_{-1}) = (1, 0) needs no check
+    if not degrees:  # the points are checked all the same
+        return {}
     checks = set(range(step, top + 1, step)).union(degrees)
     return {k: (cur, dcur, s) if derivative else (cur, s)
             for k, s, cur, _, dcur in _three_term(x, a, b, degrees, checks, derivative)}
@@ -325,11 +339,19 @@ def _three_term(x, a, b, outputs, checks, derivative=False):
     evaluator fixes them up front by :func:`_cadence`.
     One point as a Python number runs in Python arithmetic: numpy's bits at
     a real x; at a complex x numpy may fuse the multiply-adds of a product.
+    At more than one point pi_{k+1} is finished in place in the fresh array
+    x - a_k (times pi_k, less b_k pi_{k-1}: the expression's operations in
+    its order), so no yielded array is ever written and a caller may hold
+    them.  A one-element array and a Python number take the expression,
+    whose allocations cost less there than numpy's in-place calls.
     """
     scalar = isinstance(x, (int, float, complex))
-    x = x if scalar else np.asarray(x)
+    if not scalar:  # at least double precision: float32 overflows below the 1e50 rescale
+        x = np.asarray(x)
+        x = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
+    many = not scalar and x.size > 1
     # real nodes keep a real recurrence: it is half the work and half the memory
-    cur = 1.0 if scalar else np.ones_like(x, dtype=np.result_type(x, 1.0))
+    cur = 1.0 if scalar else np.ones_like(x)
     prev, s = 0.0 * cur, 0.0 if scalar else np.zeros(x.shape)
     dcur = dprev = prev if derivative else None  # pi'_0 = pi'_{-1} = 0
     top = outputs[-1]
@@ -358,7 +380,12 @@ def _three_term(x, a, b, outputs, checks, derivative=False):
             xa = x - a[k]
             if derivative:
                 dprev, dcur = dcur, cur + xa * dcur - b[k] * dprev if k else cur
-            prev, cur = cur, xa * cur - b[k] * prev if k else xa
+            if many and k:  # in place, in the expression's order
+                xa *= cur
+                xa -= b[k] * prev
+                prev, cur = cur, xa
+            else:
+                prev, cur = cur, xa * cur - b[k] * prev if k else xa
 
 
 def _check_degree(t: RecurrenceTable, j: int):

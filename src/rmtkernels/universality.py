@@ -4,12 +4,14 @@ For each case the finite kernel is evaluated at arguments shrunk by
 1/(n psi(0)), multiplied by the squared leading coefficient and divided by
 the explicit exponential prefactor; the remainder is an O(1) complex number
 whose distance to the limiting kernel decays like 1/n.  The harness
-measures that decay over a grid and fits the log-log rate.  Each n's grid
-is one kernel grid, normalized with numpy as a whole: log scales, the
-prefactor and the check that the scales cancelled; normalized_lhs is its
-one-pair call.  Each n's table is built to degree n + max(m, 0), the highest
-degree the kernel reads, so the kernel's Cauchy columns at m = 0 take their
-grid values, pi_{n-2..n}, from the table's Stieltjes pass.
+measures that decay over a grid and fits the log-log rate, the closed-form
+least-squares slope of log error against log n.  Each n's grid is one
+kernel grid; a case's grids are stacked and normalized with numpy as one
+(n, zeta, eta) array: log scales, the prefactor and the check that the
+scales cancelled; normalized_lhs is its one-n, one-pair call.  Each n's
+table is built to degree n + max(m, 0), the highest degree the kernel
+reads, so the kernel's Cauchy columns at m = 0 take their grid values,
+pi_{n-2..n}, from the table's Stieltjes pass.
 """
 
 from __future__ import annotations
@@ -137,25 +139,34 @@ def _cached_equilibrium(coeffs: tuple):
     return solve_equilibrium(PotentialSpec(coeffs))
 
 
-def _normalized_grid(fam: KernelFamily, alpha: float, p: PotentialSpec, m: int, n: int,
+def _normalized_grid(fam: KernelFamily, alpha: float, p: PotentialSpec, m: int, n_list,
                      zetas, etas) -> np.ndarray:
-    """normalized_lhs at every pair of ``zetas`` and ``etas``, from one kernel grid, as arrays."""
-    zetas, etas = np.asarray(zetas, dtype=complex), np.asarray(etas, dtype=complex)
-    t = _cached_table(alpha, p.coeffs, n, max(m, 0))  # one table for every m <= 0
-    eq = _cached_equilibrium(p.coeffs)
-    s = n * eq.psi0
-    drift = eq.v_prime_at_0 / (2.0 * eq.psi0)
-    log_amp = 2.0 * alpha * math.log(s) + n * eq.v_at_0
+    """normalized_lhs at every n of ``n_list`` and pair of ``zetas`` and ``etas``, as an array.
 
-    # gamma^2 W / s, or gamma^2 (zeta - eta) W for family II, over e^pref
-    mant, log = kernel_grid(fam, t, m, zetas / s, etas / s, gap=fam is KernelFamily.II)
-    log = log + t.log_gamma_sq(n + m - 1)
+    One kernel grid per n; the grids are stacked and normalized as one
+    (n, zeta, eta) array.  A ScaleCancellationError names the first failing point.
+    """
+    zetas, etas = np.asarray(zetas, dtype=complex), np.asarray(etas, dtype=complex)
+    eq = _cached_equilibrium(p.coeffs)
+    drift = eq.v_prime_at_0 / (2.0 * eq.psi0)
+    mants, logs, amps = [], [], []
+    for n in n_list:
+        t = _cached_table(alpha, p.coeffs, n, max(m, 0))  # one table for every m <= 0
+        s = n * eq.psi0
+        # gamma^2 W / s, or gamma^2 (zeta - eta) W for family II, over e^pref
+        mant, log = kernel_grid(fam, t, m, zetas / s, etas / s, gap=fam is KernelFamily.II)
+        log = log + t.log_gamma_sq(n + m - 1)
+        if fam is not KernelFamily.II:
+            log -= math.log(s)
+        mants.append(mant)
+        logs.append(log)
+        amps.append(2.0 * alpha * math.log(s) + n * eq.v_at_0)
+    mant, log = np.stack(mants), np.stack(logs)
     zeta, eta = zetas[:, None], etas[None, :]
     if fam is KernelFamily.II:
         pref = -drift * (zeta - eta)
     else:
-        log -= math.log(s)
-        pref = log_amp + drift * (zeta + eta)
+        pref = np.asarray(amps)[:, None, None] + drift * (zeta + eta)
         if fam is KernelFamily.III:
             pref = -pref
     mag = np.abs(mant)
@@ -164,44 +175,48 @@ def _normalized_grid(fam: KernelFamily, alpha: float, p: PotentialSpec, m: int, 
         value = np.where(mag > 0, mant / mag * np.exp(la - 1j * pref.imag), 0.0)
     bad = np.isfinite(la) & (np.abs(la) > 60.0)
     if bad.any():
-        i, k = np.argwhere(bad)[0]
+        i, j, k = np.argwhere(bad)[0]
         raise ScaleCancellationError(
-            f"normalized kernel has log magnitude {la[i, k]:.1f}; the exponential "
-            f"scales failed to cancel (n={n}, zeta={complex(zetas[i])}, eta={complex(etas[k])})"
+            f"normalized kernel has log magnitude {la[i, j, k]:.1f}; the exponential scales "
+            f"failed to cancel (n={n_list[i]}, zeta={complex(zetas[j])}, eta={complex(etas[k])})"
         )
     return value
+
+
+def _slope(n_list, errors) -> float:
+    """Least-squares slope of log error against log n, from two centred dot products."""
+    x, y = np.log(n_list), np.log(errors)
+    x = x - x.mean()
+    return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
 def normalized_lhs(case: TheoremCase, n: int, zeta, eta) -> complex:
     """Finite-kernel side with the scaling and exponential prefactor removed."""
     return complex(_normalized_grid(_FAMILY[case.theorem], case.alpha, case.potential, case.m,
-                                    n, [zeta], [eta])[0, 0])
+                                    [n], [zeta], [eta])[0, 0, 0])
 
 
 def convergence_study(case: TheoremCase) -> ConvergenceReport:
-    """Each n's grid is normalized as one array; records run over zeta, then eta."""
+    """The case's sizes are normalized as one array; records run over n, zeta, then eta."""
     start = time.perf_counter()
-    errors = []
-    worst = []
-    records = []
     pairs = [(zeta, eta) for zeta in case.zeta_grid for eta in case.eta_grid]
     # the limits do not depend on n: one limit grid per case
     targets = limit_grid(_LIMIT[case.theorem], case.alpha, case.zeta_grid, case.eta_grid).ravel()
     if _FAMILY[case.theorem] is KernelFamily.II:  # the normalized kernel carries the gap
         targets = np.array([(zeta - eta) * v for (zeta, eta), v in zip(pairs, targets.tolist())])
-    for n in case.n_list:
-        lhs = _normalized_grid(_FAMILY[case.theorem], case.alpha, case.potential, case.m, n,
-                               case.zeta_grid, case.eta_grid).ravel()
-        err = np.abs(lhs - targets)
-        records.extend((n, zeta, eta, v, tgt, e) for (zeta, eta), v, tgt, e in
-                       zip(pairs, lhs.tolist(), targets.tolist(), err.tolist()))
-        i = int(np.argmax(err))
-        w_pt = (n, *pairs[i], float(err[i]))
-        if not math.isfinite(err[i]):
-            raise ScaleCancellationError(f"non-finite error at n={n}, point {w_pt}")
-        errors.append(float(err[i]))
-        worst.append(w_pt)
-    slope = float(np.polyfit(np.log(case.n_list), np.log(errors), 1)[0])
+    lhs = _normalized_grid(_FAMILY[case.theorem], case.alpha, case.potential, case.m,
+                           case.n_list, case.zeta_grid, case.eta_grid).reshape(-1, len(pairs))
+    err = np.abs(lhs - targets)
+    tgts, rows = targets.tolist(), err.tolist()
+    records = [(n, zeta, eta, v, tgt, e) for n, lhs_row, row in zip(case.n_list, lhs.tolist(), rows)
+               for (zeta, eta), v, tgt, e in zip(pairs, lhs_row, tgts, row)]
+    worst = [(n, *pairs[i], row[i])
+             for n, i, row in zip(case.n_list, np.argmax(err, axis=1).tolist(), rows)]
+    for w_pt in worst:
+        if not math.isfinite(w_pt[-1]):
+            raise ScaleCancellationError(f"non-finite error at n={w_pt[0]}, point {w_pt}")
+    errors = [w_pt[-1] for w_pt in worst]
+    slope = _slope(case.n_list, errors)
     decay_ratio = errors[-1] / errors[0] if errors[0] > 0 else math.nan
     passed = -1.5 <= slope <= -0.6 and errors[-1] < errors[0]
     return ConvergenceReport(
@@ -224,11 +239,10 @@ def ratio_convergence_check(alpha: float, p: PotentialSpec, zeta,
     if zeta.imag == 0.0:
         raise CauchyDomainError("ratio check needs Im zeta != 0")
     start = time.perf_counter()
-    values = [2j * _PI * complex(_normalized_grid(KernelFamily.II, alpha, p, 0, n, [zeta],
-                                                  [zeta])[0, 0]) for n in n_list]
+    grid = _normalized_grid(KernelFamily.II, alpha, p, 0, n_list, [zeta], [zeta])
+    values = [2j * _PI * v for v in grid.ravel().tolist()]
     errors = [abs(val - 1.0) for val in values]
-    slope = float(np.polyfit(np.log(n_list), np.log(np.maximum(errors, 1e-300)), 1)[0]) \
-        if len(n_list) > 1 else math.nan
+    slope = _slope(n_list, np.maximum(errors, 1e-300)) if len(n_list) > 1 else math.nan
     passed = all(e < 0.1 for e in errors)
     return ConvergenceReport(
         n_list=list(n_list), errors=errors, slope=slope, passed=passed,

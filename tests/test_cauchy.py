@@ -79,6 +79,33 @@ def test_domain_and_range_errors(table_gauss_n1):
         cauchy_transforms(table_gauss_n1, [0], np.array([0.3 + 1j, complex(math.nan, 1.0)]))
 
 
+def test_no_degrees_give_an_empty_result(table_gauss_n1):
+    # the points are checked all the same: a real or non-finite one still raises
+    for z in (0.3 + 1j, np.array([0.3 + 1j, -2.0 - 0.5j])):
+        for derivative in (False, True):
+            assert cauchy_transforms(table_gauss_n1, [], z, derivative=derivative) == {}
+    for z in (0.5, complex(math.nan, 1.0), np.array([0.3 + 1j, 0.2])):
+        with pytest.raises(CauchyDomainError):
+            cauchy_transforms(table_gauss_n1, [], z)
+
+
+def test_derivative_near_the_axis_raises_rather_than_returns():
+    # h'_j's sum cancels like 1/Im z: above the axis by 1e-9 it passes its
+    # bound, at 1e-13 and 1e-15 its estimate (2.8e-5 to 1.3e-2) does not, alone
+    # or in a batch, while h_j is still returned there
+    t = build_recurrence(WeightSpec(0.3, 16, V_2X2), 24)
+    near = np.array([0.2945 + 1e-13j, 0.2945 + 1e-15j])
+    for j in (15, 16, 17):
+        v = cauchy_transform_derivative(t, j, 0.2945 + 1e-9j)
+        assert math.isfinite(abs(v.mantissa)) and v.mantissa != 0 and math.isfinite(v.log_scale)
+        for z in near.tolist():
+            with pytest.raises(CauchyConvergenceError, match=f"j={j}, z={re.escape(str(z))}"):
+                cauchy_transform_derivative(t, j, z)
+            assert math.isfinite(abs(cauchy_transform(t, j, z).to_complex()))
+        with pytest.raises(CauchyConvergenceError):
+            cauchy_transforms(t, [j], near, derivative=True)
+
+
 def test_degrees_together_match_single_degree_calls():
     # one local recurrence for both degrees and both check orders returns what
     # one call per degree returns, and a failing degree fails the whole call

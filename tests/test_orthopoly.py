@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmtkernels import orthopoly
 from rmtkernels.orthopoly import (
     PotentialSpec,
     PrecisionError,
@@ -316,6 +317,106 @@ def test_number_matches_one_element_array(table, data, z, derivative):
             assert g == w
         state = abs(w) + (math.sqrt(t.b[j]) * abs(w_prev) if j else 0.0)
         assert abs(g - w) <= 1e-14 * max(1.0, abs(s)) * state, (g, w, s)
+
+
+def test_no_degrees_give_an_empty_result(table_gauss_n1):
+    # the points are checked all the same
+    for x in (0.3, 0.3 + 1j, np.array([0.5, -1.0 + 2j])):
+        for derivative in (False, True):
+            assert monic_values_scaled(table_gauss_n1, [], x, derivative=derivative) == {}
+    for x in (math.nan, np.array([0.5, math.inf])):
+        with pytest.raises(WeightDomainError, match="finite"):
+            monic_values_scaled(table_gauss_n1, [], x)
+
+
+def test_single_precision_points_run_in_double():
+    # float32 overflows at 3.4e38, below the 1e50 at which the state is
+    # rescaled: pi_16 at 5e3 came back nan
+    t = _point_table(0.3, 8)
+    for x in (np.array([0.5, 5e3, -7e3], dtype=np.float32),
+              np.array([0.5 + 1j, 5e3 - 2j], dtype=np.complex64)):
+        got = monic_values_scaled(t, [3, 16], x, derivative=True)
+        want = monic_values_scaled(t, [3, 16], x.astype(np.result_type(x, np.float64)),
+                                   derivative=True)
+        for j in (3, 16):
+            assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                       for g, w in zip(got[j], want[j]))
+
+
+def _expression_steps(x, a, b, top, checks, derivative):
+    """{k: (pi_k e^-s, pi'_k e^-s, s)} by pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, as written.
+
+    At each degree of ``checks`` a point whose state has left [1e-50, 1e50]
+    is divided by its largest |state| and log of it joins s, as the
+    evaluator's rule states; a Python number runs in Python arithmetic.
+    """
+    many = isinstance(x, np.ndarray)
+    cur, prev = (np.ones_like(x), np.zeros_like(x)) if many else (1.0, 0.0)
+    dcur = dprev = prev
+    s, out = np.zeros(x.shape) if many else 0.0, {}
+    for k in range(top + 1):
+        if k in checks:
+            state = (cur, prev, dcur, dprev) if derivative else (cur, prev)
+            if many:
+                m = np.max([np.abs(v) for v in state], axis=0)
+                m = np.where((m > 1e50) | ((m < 1e-50) & (m > 0)), m, 1.0)
+                s = s + np.log(m)
+            else:
+                m = max(map(abs, state))
+                m = m if m > 1e50 or 0 < m < 1e-50 else 1.0
+                s = s + float(np.log(m))
+            cur, prev, dcur, dprev = cur / m, prev / m, dcur / m, dprev / m
+        out[k] = cur, dcur, s
+        if k == 0:
+            prev, cur, dprev, dcur = cur, x - a[0], dcur, cur
+        else:
+            dprev, dcur = dcur, cur + (x - a[k]) * dcur - b[k] * dprev
+            prev, cur = cur, (x - a[k]) * cur - b[k] * prev
+    return out
+
+
+def _step_inputs():
+    t = _point_table(0.3, 32)
+    # the grid and points far enough out that the state leaves [1e-50, 1e50]
+    grid = np.concatenate([t.grid.x, np.linspace(-3e3, 3e3, 7)])
+    five = np.array([0.3 + 0.2j, -1.1 + 1e-3j, 2.5 - 0.5j, 40j, -0.2 - 3j])
+    return t, [grid, five, np.array([0.4 - 0.7j]), 0.4 - 0.7j, 1.3]
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_three_term_writes_no_yielded_array(derivative):
+    # the multi-point step finishes pi_{k+1} in place: in a fresh array only
+    t, inputs = _step_inputs()
+    a, b, _ = t._steps
+    K = t.max_degree
+    for x in inputs:
+        held = [(item, [np.array(v, copy=True) for v in item if v is not None])
+                for item in orthopoly._three_term(x, a, b, range(K + 1), set(range(K + 1)),
+                                                  derivative)]
+        assert [item[0] for item, _ in held] == list(range(K + 1))
+        for item, copies in held:
+            arrays = [v for v in item if v is not None]
+            assert all(np.asarray(v).tobytes() == c.tobytes() for v, c in zip(arrays, copies))
+    grid_scales = orthopoly._three_term(inputs[0], a, b, [K], set(range(K + 1)))
+    assert np.abs(next(grid_scales)[1]).max() > 100.0  # the grid input was rescaled
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_evaluator_has_the_bits_of_the_expression(derivative):
+    t, inputs = _step_inputs()
+    K = t.max_degree
+    degrees = [0, 1, 7, K - 1, K]
+    for x in inputs:
+        got = monic_values_scaled(t, degrees, x, derivative=derivative)
+        # the evaluator's own check schedule, from its bounds over the degrees run
+        step = orthopoly._cadence(x, *t._steps[2][K])
+        want = _expression_steps(x, t.a.tolist(), t.b.tolist(), K,
+                                 set(range(step, K + 1, step)) | set(degrees), derivative)
+        for j in degrees:
+            parts = [got[j][0], got[j][-1]] + ([got[j][1]] if derivative else [])
+            ref = [want[j][0], want[j][2]] + ([want[j][1]] if derivative else [])
+            assert all(np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                       for g, w in zip(parts, ref)), (x, j)
 
 
 def test_appell_derivative_identity():

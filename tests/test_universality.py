@@ -1,8 +1,10 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmtkernels import finite_kernels, orthopoly, universality
 from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
@@ -135,6 +137,32 @@ def test_ratio_check_both_half_planes():
             assert v == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(CauchyDomainError):
         ratio_convergence_check(0.3, V_2X2, 0.5)
+
+
+def test_one_size_ratio_check_has_no_slope():
+    rep = ratio_convergence_check(0.3, V_2X2, 0.5 + 0.5j, n_list=(8,))
+    assert rep.passed and len(rep.values) == 1 and math.isnan(rep.slope)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4096), min_size=2, max_size=8, unique=True).map(sorted),
+       data=st.data())
+def test_closed_form_slope_matches_polyfit(sizes, data):
+    # np.polyfit's least-squares solve is the independent reference.  Its own
+    # error scales with the data, |log e| up to 691 (equal errors 1e-221 at
+    # n = 10, 11 fit a slope of -1.6e-12, not 0), so it is held to that
+    # scale; the least-squares slope of the same logs in exact rational
+    # arithmetic holds the closed form to the slope's own scale
+    powers = data.draw(st.lists(st.floats(-300.0, 0.0), min_size=len(sizes), max_size=len(sizes)))
+    errors = [10.0 ** p for p in powers]
+    x, y = np.log(sizes), np.log(errors)
+    got = universality._slope(sizes, errors)
+    want = float(np.polyfit(x, y, 1)[0])
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want), float(np.abs(y).max()))
+    xs, ys = ([Fraction(v) for v in c.tolist()] for c in (x, y))
+    mean = sum(xs) / len(xs)
+    exact = float(sum((u - mean) * v for u, v in zip(xs, ys)) / sum((u - mean) ** 2 for u in xs))
+    assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 def test_fractional_size_is_a_domain_error():
