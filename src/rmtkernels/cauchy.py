@@ -37,9 +37,13 @@ node and every point for every requested degree and j - 1, and for the
 grid part one product of the column qw e^(logw) pi_j q, cached per table
 and degree, with the matrix of 1/(x_k - z_m), each point's near panels
 masked.  pi_j at the grid nodes comes from the table: its top three degrees
-from its Stieltjes pass, any others from one whole-grid recurrence.  Each
-point's terms are summed on their own, its pieces by np.bincount over the
-index ``who`` of each refined node's point, and each node keeps its own log
+from its Stieltjes pass, any others from one whole-grid recurrence.  The
+refined nodes of both orders are one array, the order-16 nodes first, so
+x - z, the weighted terms and the per-point sums are formed once per
+degree: one np.bincount over ``who``, which bins an order-16 node under
+its point and an order-24 node under its point plus the number of points,
+gives every point's check sum and value sum.  Each point's terms are
+summed on their own, in their order, and each node keeps its own log
 scale, so no point's value depends on the rest of its batch.  A batch is
 checked and returned as arrays of mantissas and log scales; the one-point
 calls wrap theirs in a ScaledComplex.
@@ -195,6 +199,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
     zu = np.where(below, zs.conj(), zs)  # the points summed
     points = zu.tolist()
     a, b, start, stop = t.grid.panels
+    ends = a.tolist(), b.tolist()  # Python floats: the same bits in _pieces, at less cost
     # u = f/(x - z), f the largest power of 2 not above max(1, |z|): an exact
     # scaling, taken out in the log scale, that keeps u(u - r) off the
     # subnormals at a far z, where 1/(x - z)^2 would underflow
@@ -206,19 +211,27 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
         u_grid[m, start[i]:stop[i]] = 0.0  # near panels leave the point's grid sum
         # pieces per panel: near panels need not be adjacent, and a piece that
         # bridged a gap would count the grid panels in it twice
-        split.append(_pieces(a[i], b[i], points[m]))
+        split.append(_pieces(ends[0][i], ends[1][i], points[m]))
         owner += [m] * split[-1][0].size
-    pieces = [np.concatenate(c) for c in zip(*split)]
-    rules = [weighted_rule(*pieces, order, t.weight) for order in _ORDERS] if split else []
-    xs = np.concatenate([x0 + off for x0, off, _, _ in rules] + [zu])
+    local = None
+    if split:
+        # every refined node in one array: the order-16 nodes, the check, then
+        # the order-24 ones, the sum; their terms are binned per point, the
+        # check's in bins 0..P-1 and the sum's in bins P..2P-1
+        pieces = [np.concatenate(c) for c in zip(*split)]
+        x0, off, qw, logw = (np.concatenate(c) for c in
+                             zip(*(weighted_rule(*pieces, order, t.weight) for order in _ORDERS)))
+        at = np.concatenate([np.repeat(owner, order) for order in _ORDERS])  # each node's point
+        first = len(owner) * _ORDERS[0]  # the first order-24 node
+        who = at.copy()
+        who[first:] += zs.size
+        # x - z from the offsets, exact where the pieces are narrowest
+        local = at, who, first, f[at] / (off - (zu[at] - x0)), qw, logw
+        xs = np.concatenate([x0 + off, zu])
+    else:
+        xs = zu
     cols = monic_values_scaled(t, {max(j - 1, 0) for j in degrees} | set(degrees), xs,
                                derivative=derivative)
-    local, lo = [], 0
-    for order, (x0, off, qw, logw) in zip(_ORDERS, rules):
-        who = np.repeat(owner, order)  # the point of each node
-        # x - z from the offsets, exact where the pieces are narrowest
-        local.append((who, slice(lo, lo + off.size), f[who] / (off - (zu[who] - x0)), qw, logw))
-        lo += off.size
     grid = _grid_columns(t, degrees)
     out = {}
     for j in degrees:
@@ -229,15 +242,16 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
         grid_terms = col * (u_grid * (u_grid - r[:, None]) if derivative else u_grid)
         total, mass = grid_terms.sum(axis=1), np.abs(grid_terms).sum(axis=1)
         delta = 0.0  # |order-16 sum - order-24 sum| of the pieces
-        if local:
-            # the order-24 pieces join the sum; the order-16 ones are its check
-            check, fine = (_weighted(qw, logw + 2.0 * s[nodes], p[nodes], q[nodes], scale)[0]
-                           * (u * (u - r[who]) if derivative else u)
-                           for who, nodes, u, qw, logw in local)
-            fs = _sums(local[1][0], fine, zs.size)
-            total += fs
-            mass += np.bincount(local[1][0], np.abs(fine), zs.size)
-            delta = np.abs(_sums(local[0][0], check, zs.size) - fs)
+        if local is not None:
+            at, who, first, u, qw, logw = local
+            k = at.size  # the refined nodes lead xs
+            terms = (_weighted(qw, logw + 2.0 * s[:k], p[:k], q[:k], scale)[0]
+                     * (u * (u - r[at]) if derivative else u))
+            sums = _sums(who, terms, 2 * zs.size)
+            check, fine = sums[:zs.size], sums[zs.size:]
+            total += fine
+            mass += np.bincount(at[first:], np.abs(terms[first:]), zs.size)
+            delta = np.abs(check - fine)
         err = delta + _EPS * mass
         bad = ~(err < _TOLERANCE * np.abs(total))  # a sum of exactly 0 is no value either
         if bad.any():

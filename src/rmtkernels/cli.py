@@ -138,13 +138,21 @@ def _load_table(path: str) -> RecurrenceTable:
     return t
 
 
+def _write(path: str, text: str):
+    """Writes ``text`` to ``path``; a path that cannot be written is a UsageError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_recurrence(args) -> int:
     p = _parse_potential(args.potential)
     t = build_recurrence(WeightSpec(args.alpha, args.n, p), args.max_degree)
     doc = _table_to_json(t)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
+        _write(args.out, json.dumps(doc, indent=1))
         print(f"wrote {args.out}")
     else:
         json.dump(doc, sys.stdout, indent=1)
@@ -199,8 +207,7 @@ def _cmd_equilibrium(args) -> int:
     }
     text = json.dumps(doc, indent=1)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.report, text + "\n")
         print(f"wrote {args.report}")
     else:
         print(text)
@@ -220,14 +227,12 @@ def _cmd_universality(args) -> int:
         raise UsageError(f"invalid --n {args.n!r}: {exc}") from exc
     rep = convergence_study(case)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("n,zeta_re,zeta_im,eta_re,eta_im,lhs_re,lhs_im,"
-                     "limit_re,limit_im,abs_err\n")
-            for n, zeta, eta, lhs, tgt, err in rep.records:
-                row = [n, zeta.real, zeta.imag, eta.real, eta.imag,
-                       lhs.real, lhs.imag, tgt.real, tgt.imag, err]
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+        lines = ["n,zeta_re,zeta_im,eta_re,eta_im,lhs_re,lhs_im,limit_re,limit_im,abs_err"]
+        for n, zeta, eta, lhs, tgt, err in rep.records:
+            row = [n, zeta.real, zeta.imag, eta.real, eta.imag,
+                   lhs.real, lhs.imag, tgt.real, tgt.imag, err]
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        _write(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     summary = {
         "case": args.case,

@@ -15,7 +15,9 @@ cached on the table: the rows of all points not yet cached come from
 one batched call, a Cauchy sum or a polynomial recurrence, and the rows
 at the midpoints of all confluent pairs from two more, values and
 derivatives.  The grid, confluent pairs included, is assembled as numpy
-arrays of mantissas and log scales.
+arrays of mantissas and log scales.  :class:`KernelGrids` does this for
+the grids of several tables at once, a row of points per table, in one
+array; kernel_grid is its one-table call.
 A ScaledComplex is built only by the one-pair and one-point calls
 :func:`w_kernel`, :func:`w_kernel_times_gap` and :func:`y_matrix`.
 """
@@ -116,37 +118,75 @@ def kernel_grid(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas, g
     the axis) take the derivative form F'_hi F_lo - F'_lo F_hi at their
     midpoint, its value and derivative columns fetched in one batch each.
     """
-    zetas = np.asarray(zetas, dtype=complex).reshape(-1).tolist()
-    etas = np.asarray(etas, dtype=complex).reshape(-1).tolist()
-    hi, lo = _degrees(family, t, m, zetas, etas)
-    if family is KernelFamily.II and not gap and set(zetas) & set(etas):
-        raise CauchyDomainError(
-            "W_II has a pole at zeta = eta; use w_kernel_times_gap for (zeta - eta) W_II"
-        )
-    kinds = _kind(family, 0), _kind(family, 1)
-    if kinds[0] == kinds[1]:  # one batch for the points of both arguments
-        both = _pairs(t, kinds[0], lo, hi, zetas + etas)
-        f, g = both[:len(zetas)], both[len(zetas):]
-    else:
-        f, g = (_pairs(t, kind, lo, hi, points) for kind, points in zip(kinds, (zetas, etas)))
-    # F_hi(zeta) G_lo(eta) - F_lo(zeta) G_hi(eta)
-    num = f[:, 1, None] * g[None, :, 0] - f[:, 0, None] * g[None, :, 1]
-    log = np.add.outer(f[:, 2].real, g[:, 2].real)
-    if gap:
-        return num, log
-    diff = np.subtract.outer(zetas, etas)
-    out = num / np.where(diff == 0, 1.0, diff)
-    if family is not KernelFamily.II:
-        near = np.abs(diff) < confluence_threshold(np.array(zetas))[:, None]
-        if family is KernelFamily.III:  # h jumps across the axis: no derivative form there
-            near &= np.equal.outer(np.imag(zetas) > 0, np.imag(etas) > 0)
-        i, k = np.nonzero(near)
-        if i.size:
-            mid = [(zetas[r] + etas[c]) / 2 for r, c in zip(i.tolist(), k.tolist())]
+    grids = KernelGrids(family, m, [zetas], [etas], gap)
+    grids.fetch(t)
+    mant, log = grids.assemble()
+    return mant[0], log[0]
+
+
+class KernelGrids:
+    """Kernel grids on several tables, a row of ``zetas`` and of ``etas`` per table.
+
+    :meth:`fetch` reads the next table's columns, after its degree and
+    domain checks, so the first table that fails raises first;
+    :meth:`assemble` then forms the numerators, log scales and quotients
+    of every table as one (table, zeta, eta) array, each product in the
+    layout of a one-table grid, and gives each table's confluent pairs
+    their derivative form.  :func:`kernel_grid` is its one-table call.
+    """
+
+    def __init__(self, family: KernelFamily, m: int, zetas, etas, gap=False):
+        zetas, etas = (np.asarray(v, dtype=complex).reshape(len(v), -1) for v in (zetas, etas))
+        self.family, self.m, self.gap = family, m, gap
+        self.kinds = _kind(family, 0), _kind(family, 1)
+        self.zetas, self.etas = zetas, etas
+        self.near = None  # the pairs that take the derivative form: families I and III
+        with np.errstate(invalid="ignore"):  # a point that is not finite raises in fetch
+            self.diff = zetas[:, :, None] - etas[:, None, :]
+            if not gap and family is not KernelFamily.II:
+                self.near = np.abs(self.diff) < confluence_threshold(zetas)[:, :, None]
+                if family is KernelFamily.III:  # h jumps across the axis: no derivative form there
+                    self.near &= (zetas.imag > 0)[:, :, None] == (etas.imag > 0)[:, None, :]
+        self.rows = []  # per table: rows (F_lo, F_hi, log scale) at zetas and etas, confluent fix
+
+    def fetch(self, t: RecurrenceTable):
+        """Reads the columns of table ``t`` for the next row of points."""
+        r, family = len(self.rows), self.family
+        zetas, etas = self.zetas[r].tolist(), self.etas[r].tolist()
+        hi, lo = _degrees(family, t, self.m, zetas, etas)
+        if family is KernelFamily.II and not self.gap and set(zetas) & set(etas):
+            raise CauchyDomainError(
+                "W_II has a pole at zeta = eta; use w_kernel_times_gap for (zeta - eta) W_II"
+            )
+        kinds = self.kinds
+        if kinds[0] == kinds[1]:  # one batch for the points of both arguments
+            both = _pairs(t, kinds[0], lo, hi, zetas + etas)
+            f, g = both[:len(zetas)], both[len(zetas):]
+        else:
+            f, g = (_pairs(t, kind, lo, hi, points) for kind, points in zip(kinds, (zetas, etas)))
+        confluent = None
+        if self.near is not None and self.near[r].any():
+            i, k = np.nonzero(self.near[r])
+            mid = [(zetas[a] + etas[c]) / 2 for a, c in zip(i.tolist(), k.tolist())]
             v, d = (_pairs(t, kinds[0], lo, hi, mid, derivative=der) for der in (False, True))
-            out[i, k] = d[:, 1] * v[:, 0] - d[:, 0] * v[:, 1]
-            log[i, k] = (d[:, 2] + v[:, 2]).real
-    return out, log
+            confluent = i, k, v, d
+        self.rows.append((f, g, confluent))
+
+    def assemble(self):
+        """(mantissas, log scales) of every fetched table's grid, arrays (table, zeta, eta)."""
+        f, g = (np.stack(col) for col in list(zip(*self.rows))[:2])
+        # F_hi(zeta) G_lo(eta) - F_lo(zeta) G_hi(eta)
+        num = f[:, :, 1, None] * g[:, None, :, 0] - f[:, :, 0, None] * g[:, None, :, 1]
+        log = f[:, :, 2, None].real + g[:, None, :, 2].real
+        if self.gap:
+            return num, log
+        out = num / np.where(self.diff == 0, 1.0, self.diff)
+        for r, (_, _, confluent) in enumerate(self.rows):
+            if confluent is not None:
+                i, k, v, d = confluent
+                out[r, i, k] = d[:, 1] * v[:, 0] - d[:, 0] * v[:, 1]
+                log[r, i, k] = (d[:, 2] + v[:, 2]).real
+        return out, log
 
 
 def w_kernel(family: KernelFamily, t: RecurrenceTable, m: int, zeta, eta) -> ScaledComplex:

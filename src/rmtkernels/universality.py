@@ -5,10 +5,13 @@ For each case the finite kernel is evaluated at arguments shrunk by
 the explicit exponential prefactor; the remainder is an O(1) complex number
 whose distance to the limiting kernel decays like 1/n.  The harness
 measures that decay over a grid and fits the log-log rate, the closed-form
-least-squares slope of log error against log n.  Each n's grid is one
-kernel grid; a case's grids are stacked and normalized with numpy as one
-(n, zeta, eta) array: log scales, the prefactor and the check that the
-scales cancelled; normalized_lhs is its one-n, one-pair call.  Each n's
+least-squares slope of log error against log n.  Each n's columns are
+read from that n's table as a kernel grid reads them, n by n; then the
+grids of all sizes of a case are assembled and normalized with numpy as
+one (n, zeta, eta) array: numerators, quotients, log scales, the
+prefactor and the check that the scales cancelled (KernelGrids, the code
+kernel_grid runs for one table).  normalized_lhs is its one-n, one-pair
+call.  Each n's
 table is built to degree n + max(m, 0), the highest degree the kernel
 reads, so the kernel's Cauchy columns at m = 0 take their grid values,
 pi_{n-2..n}, from the table's Stieltjes pass.
@@ -27,7 +30,7 @@ import numpy as np
 from .bessel_limits import LimitKernelId, limit_grid, _check_half_planes, _HALF_PLANES, _PI
 from .cauchy import CauchyDomainError
 from .equilibrium import solve_equilibrium
-from .finite_kernels import KernelFamily, kernel_grid
+from .finite_kernels import KernelFamily, KernelGrids
 from .orthopoly import PotentialSpec, WeightSpec, build_recurrence
 
 
@@ -143,30 +146,34 @@ def _normalized_grid(fam: KernelFamily, alpha: float, p: PotentialSpec, m: int, 
                      zetas, etas) -> np.ndarray:
     """normalized_lhs at every n of ``n_list`` and pair of ``zetas`` and ``etas``, as an array.
 
-    One kernel grid per n; the grids are stacked and normalized as one
-    (n, zeta, eta) array.  A ScaleCancellationError names the first failing point.
+    Each n's table is built and its columns fetched in the order of
+    ``n_list``, so the first failing n raises first; every n's grid is then
+    assembled and normalized as one (n, zeta, eta) array.  A
+    ScaleCancellationError names the first failing point.
     """
     zetas, etas = np.asarray(zetas, dtype=complex), np.asarray(etas, dtype=complex)
     eq = _cached_equilibrium(p.coeffs)
     drift = eq.v_prime_at_0 / (2.0 * eq.psi0)
-    mants, logs, amps = [], [], []
+    s = np.array([n * eq.psi0 for n in n_list])[:, None]
+    zs, es = zetas / s, etas / s  # each n's arguments, a row per n
+    gap = fam is KernelFamily.II
+    grids, shift = KernelGrids(fam, m, zs, es, gap), []
     for n in n_list:
         t = _cached_table(alpha, p.coeffs, n, max(m, 0))  # one table for every m <= 0
-        s = n * eq.psi0
+        grids.fetch(t)
+        log_s = math.log(n * eq.psi0)
         # gamma^2 W / s, or gamma^2 (zeta - eta) W for family II, over e^pref
-        mant, log = kernel_grid(fam, t, m, zetas / s, etas / s, gap=fam is KernelFamily.II)
-        log = log + t.log_gamma_sq(n + m - 1)
-        if fam is not KernelFamily.II:
-            log -= math.log(s)
-        mants.append(mant)
-        logs.append(log)
-        amps.append(2.0 * alpha * math.log(s) + n * eq.v_at_0)
-    mant, log = np.stack(mants), np.stack(logs)
+        shift.append((t.log_gamma_sq(n + m - 1), log_s, 2.0 * alpha * log_s + n * eq.v_at_0))
+    mant, log = grids.assemble()
+    gamma, log_s, amps = (np.array(c)[:, None, None] for c in zip(*shift))
+    log = log + gamma
+    if not gap:
+        log -= log_s
     zeta, eta = zetas[:, None], etas[None, :]
-    if fam is KernelFamily.II:
+    if gap:
         pref = -drift * (zeta - eta)
     else:
-        pref = np.asarray(amps)[:, None, None] + drift * (zeta + eta)
+        pref = amps + drift * (zeta + eta)
         if fam is KernelFamily.III:
             pref = -pref
     mag = np.abs(mant)

@@ -291,6 +291,30 @@ def test_failing_point_in_a_batch_is_named():
     assert scaled(good[8], 1) == cauchy_transform(t, 8, -0.5 - 0.1j)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_points_with_near_panels_are_summed_apart_in_a_batch(alpha, derivative):
+    # every point has near panels: two above the axis share theirs, one sits
+    # at the origin panel, and the rest lie below, two sharing panels with
+    # each other and one with the points above.  The refined nodes of the
+    # whole batch are summed in one pass, each point's in bins of its own, so
+    # every point gets exactly the mantissa and log scale of its one-point call
+    t = build_recurrence(WeightSpec(alpha, 16, V_2X2), 17)
+    zs = np.array([0.3 + 0.01j, 0.305 + 0.02j, 2e-3 + 1e-3j,
+                   0.302 - 0.015j, -0.5 - 0.01j, -0.49 - 0.03j])
+    near = cauchy._near_panels(t, zs)
+    a, b, _, _ = t.grid.panels
+    assert near.any(axis=1).all()
+    assert (near[0] & near[1] & near[3]).any() and (near[4] & near[5]).any()
+    assert near[2, (a == 0.0) | (b == 0.0)].any()
+    degrees = (15, 16, 17)
+    batch = cauchy_transforms(t, degrees, zs, derivative=derivative)
+    for m, z in enumerate(zs.tolist()):
+        one = cauchy_transforms(t, degrees, z, derivative=derivative)
+        for j in degrees:
+            assert (batch[j][0][m], batch[j][1][m]) == (one[j][0], one[j][1]), (j, z)
+
+
 def test_h0_gaussian_far_field(table_gauss_n1):
     # h_0(10i) ~ -sqrt(pi)/(2 pi i * 10 i) with O(1/z^3) correction
     z = 10j

@@ -301,6 +301,22 @@ def test_universality_csv_reproducible(tmp_path, capsys):
     assert header.startswith("n,zeta_re,zeta_im")
 
 
+@pytest.mark.parametrize("argv", [
+    ["recurrence", "--alpha", "0.3", "--potential", "0,0,2", "--n", "6", "--max-degree", "12",
+     "--out"],
+    ["equilibrium", "--potential", "0,0,2", "--report"],
+    ["universality", "--case", "T1", "--alpha", "0.0", "--potential", "0,0,2", "--n", "4,8",
+     "--out"],
+], ids=["recurrence", "equilibrium", "universality"])
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    # a missing directory and a directory: one error line naming the path, exit 1
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(argv + [str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 def test_config_file_preloads_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.0, "potential": "0,0,2",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rmtkernels import finite_kernels, orthopoly, universality
 from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
 from rmtkernels.cauchy import CauchyDomainError
-from rmtkernels.orthopoly import PotentialSpec, eval_monic
+from rmtkernels.orthopoly import DegreeError, PotentialSpec, eval_monic
 from rmtkernels.quadrature import WeightDomainError
 from rmtkernels.universality import (
     DEFAULT_N_LIST,
@@ -385,3 +386,49 @@ def test_study_evaluates_each_limit_once(monkeypatch):
     assert [r[4] for r in rep.records] == [
         limit_kernel(LimitKernelId.II_minus, 0.3, z, e) * (z - e)
         for z in case.zeta_grid for e in case.eta_grid] * len(case.n_list)
+
+
+_CONFLUENT_GRIDS = {  # a pair within the confluence threshold in each half-plane
+    Theorem.T1: ((0.4 + 0.2j, -0.3 - 0.1j, 0.5), (0.4 + 0.2j + 1e-8, -0.3 - 0.1j + 1e-8j, 0.7)),
+    Theorem.T3a: ((0.4 + 0.2j, -0.3 + 0.1j), (0.4 + 0.2j + 1e-8, 0.7 + 0.3j)),
+    Theorem.T3c: ((0.4 - 0.2j, -0.3 - 0.1j), (0.4 - 0.2j + 1e-8, 0.7 - 0.3j)),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_all_sizes_at_once_equal_one_size_one_pair(alpha):
+    # a case's sizes are assembled as one (n, zeta, eta) array; every entry is
+    # bitwise the one-size, one-pair value, on the default grids of all six
+    # theorems and on grids with confluent pairs, and so is every ratio value
+    cases = [TheoremCase(th, alpha, V_2X2) for th in Theorem]
+    cases += [TheoremCase(th, alpha, V_2X2, zeta_grid=z, eta_grid=e)
+              for th, (z, e) in _CONFLUENT_GRIDS.items()]
+    for case in cases:
+        fam = universality._FAMILY[case.theorem]
+        grid = universality._normalized_grid(fam, alpha, V_2X2, case.m, DEFAULT_N_LIST,
+                                             case.zeta_grid, case.eta_grid)
+        assert grid.shape == (len(DEFAULT_N_LIST), len(case.zeta_grid), len(case.eta_grid))
+        for i, n in enumerate(DEFAULT_N_LIST):
+            for j, zeta in enumerate(case.zeta_grid):
+                for k, eta in enumerate(case.eta_grid):
+                    assert grid[i, j, k] == normalized_lhs(case, n, zeta, eta), (case.theorem, n)
+    for zeta in (0.5 + 0.5j, 0.5 - 0.5j):
+        values = ratio_convergence_check(alpha, V_2X2, zeta).values
+        assert values == [ratio_convergence_check(alpha, V_2X2, zeta, n_list=(n,)).values[0]
+                          for n in DEFAULT_N_LIST]
+
+
+def test_failing_size_is_named(monkeypatch):
+    # the sizes are fetched in order and checked as one array: a degree error
+    # names the degrees of the first size that has none, (-1, 0) at n = 8, and
+    # a failed scale cancellation the first failing (n, zeta, eta), here at the
+    # last size, where a prefactor off by e^n leaves the +-60 band first
+    with pytest.raises(DegreeError, match=re.escape("kernel degrees (-1,0)")):
+        convergence_study(TheoremCase(Theorem.T1, 0.3, V_2X2, m=-8, n_list=(8, 16, 32)))
+    eq = universality._cached_equilibrium(V_2X2.coeffs)
+    for shift, n in ((1.0, 64), (10.0, 8)):
+        wrong = dataclasses.replace(eq, v_at_0=eq.v_at_0 + shift)
+        monkeypatch.setattr(universality, "_cached_equilibrium", lambda coeffs: wrong)
+        with pytest.raises(ScaleCancellationError,
+                           match=re.escape(f"(n={n}, zeta=(0.4+0j), eta=(0.65+0j))")):
+            convergence_study(TheoremCase(Theorem.T1, 0.3, V_2X2))
