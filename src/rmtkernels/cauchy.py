@@ -190,9 +190,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
     shape, zs = zs.shape, zs.reshape(-1)
     if not (np.isfinite(zs).all() and zs.imag.all()):
         raise CauchyDomainError("Cauchy transform requires a finite z with Im z != 0")
-    degrees = sorted(set(int(j) for j in degrees))
-    for j in degrees:
-        _check_degree(t, j)
+    degrees = sorted({_check_degree(j, t.max_degree) for j in degrees})
     if not degrees:
         return {}
     below = zs.imag < 0

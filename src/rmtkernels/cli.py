@@ -11,6 +11,7 @@ numbers use 17 significant digits so reruns are byte-comparable.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import operator
@@ -147,6 +148,21 @@ def _write(path: str, text: str):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_writable(path: str):
+    """The UsageError of :func:`_write` for a ``path`` that is a directory or whose
+    directory is missing or read-only, found without creating or truncating the file."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(folder):
+        reason = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(reason)}")
+
+
 def _cmd_recurrence(args) -> int:
     p = _parse_potential(args.potential)
     t = build_recurrence(WeightSpec(args.alpha, args.n, p), args.max_degree)
@@ -225,6 +241,8 @@ def _cmd_universality(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"invalid --n {args.n!r}: {exc}") from exc
+    if args.out:  # before the study, which can take seconds
+        _check_writable(args.out)
     rep = convergence_study(case)
     if args.out:
         lines = ["n,zeta_re,zeta_im,eta_re,eta_im,lhs_re,lhs_im,limit_re,limit_im,abs_err"]

@@ -9,15 +9,14 @@ O(|zeta - eta|^2), and the quotient outside loses at most ~1e-9 to
 cancellation.  Family III keeps the quotient for a pair on opposite sides
 of the real axis, where h jumps.
 
-:func:`kernel_grid` evaluates a kernel at every pair of two lists of
-points.  Its columns are (F_lo, F_hi, log scale) rows, one per point,
-cached on the table: the rows of all points not yet cached come from
-one batched call, a Cauchy sum or a polynomial recurrence, and the rows
-at the midpoints of all confluent pairs from two more, values and
-derivatives.  The grid, confluent pairs included, is assembled as numpy
-arrays of mantissas and log scales.  :class:`KernelGrids` does this for
-the grids of several tables at once, a row of points per table, in one
-array; kernel_grid is its one-table call.
+:func:`kernel_grids` evaluates a kernel at every pair of two lists of
+points, on one table or on several, a row of points per table.  Its
+columns are (F_lo, F_hi, log scale) rows, one per point, cached on the
+table: the rows of all points not yet cached come from one batched call,
+a Cauchy sum or a polynomial recurrence, and the rows at the midpoints of
+all confluent pairs from two more, values and derivatives.  The grids,
+confluent pairs included, are assembled as one numpy array of mantissas
+and one of log scales.
 A ScaledComplex is built only by the one-pair and one-point calls
 :func:`w_kernel`, :func:`w_kernel_times_gap` and :func:`y_matrix`.
 """
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import CauchyDomainError, cauchy_transforms
-from .orthopoly import DegreeError, RecurrenceTable, monic_values_scaled
+from .orthopoly import DegreeError, RecurrenceTable, _check_degree, monic_values_scaled
 from .scaled import ScaledComplex
 
 TWO_PI_I = 2j * 3.141592653589793
@@ -57,10 +56,8 @@ def confluence_threshold(zeta):
     return 1e-7 * np.maximum(1.0, np.abs(zeta))
 
 
-def _kind(family: KernelFamily, side: int) -> str:
-    """"h" if the family's slot holds Cauchy transforms, "pi" if it holds polynomials."""
-    use_h = (family is KernelFamily.II and side == 0) or family is KernelFamily.III
-    return "h" if use_h else "pi"
+# the column each slot reads: "pi" polynomials, "h" Cauchy transforms
+_KINDS = {KernelFamily.I: ("pi", "pi"), KernelFamily.II: ("h", "pi"), KernelFamily.III: ("h", "h")}
 
 
 def _pairs(t, kind, lo, hi, zs, derivative=False) -> np.ndarray:
@@ -96,119 +93,83 @@ def _pairs(t, kind, lo, hi, zs, derivative=False) -> np.ndarray:
                     dtype=complex).reshape(-1, 3)
 
 
-def _degrees(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas):
-    """Degrees (n+m, n+m-1) of the kernel, after the degree and domain checks."""
-    n = t.weight.n
-    hi, lo = n + m, n + m - 1
-    if lo < 0 or hi > t.max_degree:
-        raise DegreeError(f"kernel degrees ({lo},{hi}) outside table range")
-    if family in (KernelFamily.II, KernelFamily.III) and not all(z.imag for z in zetas):
-        raise CauchyDomainError("family II/III kernels need Im zeta != 0")
-    if family is KernelFamily.III and not all(z.imag for z in etas):
-        raise CauchyDomainError("family III kernels need Im eta != 0")
-    return hi, lo
+def _degrees(t: RecurrenceTable, m: int):
+    """Degrees (n+m, n+m-1) of the kernel, after the degree checks."""
+    hi = t.weight.n + m
+    if hi < 1 or hi > t.max_degree:
+        raise DegreeError(f"kernel degrees ({hi - 1},{hi}) outside table range")
+    hi = _check_degree(hi, t.max_degree)
+    return hi, hi - 1
 
 
-def kernel_grid(family: KernelFamily, t: RecurrenceTable, m: int, zetas, etas, gap=False):
-    """W_{family, n+m}(zeta, eta) at every pair of ``zetas`` and ``etas``, or with ``gap`` (zeta - eta) W.
+def kernel_grids(family: KernelFamily, m: int, tables, zetas, etas, gap=False):
+    """W_{family, n+m} on each of ``tables``, or with ``gap`` (zeta - eta) W.
 
-    Returns (mantissas, log scales), arrays of shape (len(zetas), len(etas))
-    whose products are the values.  Pairs of families I and III within the
-    confluence threshold of the diagonal (for family III, on one side of
-    the axis) take the derivative form F'_hi F_lo - F'_lo F_hi at their
-    midpoint, its value and derivative columns fetched in one batch each.
+    ``zetas`` and ``etas`` hold a row of points per table, and each table's
+    kernel is taken at every pair of its row's points.  Returns (mantissas,
+    log scales), arrays (table, zeta, eta) whose products are the values.
+    The tables' columns are read in list order, each table's after its
+    degree checks, so the first table that fails raises first; the grids
+    are then formed as one array, each product in the layout of a
+    one-table grid.
     """
-    grids = KernelGrids(family, m, [zetas], [etas], gap)
-    grids.fetch(t)
-    mant, log = grids.assemble()
-    return mant[0], log[0]
-
-
-class KernelGrids:
-    """Kernel grids on several tables, a row of ``zetas`` and of ``etas`` per table.
-
-    :meth:`fetch` reads the next table's columns, after its degree and
-    domain checks, so the first table that fails raises first;
-    :meth:`assemble` then forms the numerators, log scales and quotients
-    of every table as one (table, zeta, eta) array, each product in the
-    layout of a one-table grid, and gives each table's confluent pairs
-    their derivative form.  :func:`kernel_grid` is its one-table call.
-    """
-
-    def __init__(self, family: KernelFamily, m: int, zetas, etas, gap=False):
-        zetas, etas = (np.asarray(v, dtype=complex).reshape(len(v), -1) for v in (zetas, etas))
-        self.family, self.m, self.gap = family, m, gap
-        self.kinds = _kind(family, 0), _kind(family, 1)
-        self.zetas, self.etas = zetas, etas
-        self.near = None  # the pairs that take the derivative form: families I and III
-        with np.errstate(invalid="ignore"):  # a point that is not finite raises in fetch
-            self.diff = zetas[:, :, None] - etas[:, None, :]
-            if not gap and family is not KernelFamily.II:
-                self.near = np.abs(self.diff) < confluence_threshold(zetas)[:, :, None]
-                if family is KernelFamily.III:  # h jumps across the axis: no derivative form there
-                    self.near &= (zetas.imag > 0)[:, :, None] == (etas.imag > 0)[:, None, :]
-        self.rows = []  # per table: rows (F_lo, F_hi, log scale) at zetas and etas, confluent fix
-
-    def fetch(self, t: RecurrenceTable):
-        """Reads the columns of table ``t`` for the next row of points."""
-        r, family = len(self.rows), self.family
-        zetas, etas = self.zetas[r].tolist(), self.etas[r].tolist()
-        hi, lo = _degrees(family, t, self.m, zetas, etas)
-        if family is KernelFamily.II and not self.gap and set(zetas) & set(etas):
+    zetas, etas = (np.asarray(v, dtype=complex).reshape(len(tables), -1) for v in (zetas, etas))
+    kinds = _KINDS[family]
+    near = None  # the pairs that take the derivative form: families I and III
+    with np.errstate(invalid="ignore"):  # a point that is not finite raises in _pairs
+        diff = zetas[:, :, None] - etas[:, None, :]
+        if not gap and family is not KernelFamily.II:
+            near = np.abs(diff) < confluence_threshold(zetas)[:, :, None]
+            if family is KernelFamily.III:  # h jumps across the axis: no derivative form there
+                near &= (zetas.imag > 0)[:, :, None] == (etas.imag > 0)[:, None, :]
+    cols, confluent = [], []  # per table (F rows at zetas, G rows at etas); derivative forms
+    for r, (t, zs, es) in enumerate(zip(tables, zetas.tolist(), etas.tolist())):
+        hi, lo = _degrees(t, m)
+        if family is KernelFamily.II and not gap and set(zs) & set(es):
             raise CauchyDomainError(
                 "W_II has a pole at zeta = eta; use w_kernel_times_gap for (zeta - eta) W_II"
             )
-        kinds = self.kinds
         if kinds[0] == kinds[1]:  # one batch for the points of both arguments
-            both = _pairs(t, kinds[0], lo, hi, zetas + etas)
-            f, g = both[:len(zetas)], both[len(zetas):]
+            both = _pairs(t, kinds[0], lo, hi, zs + es)
+            cols.append((both[:len(zs)], both[len(zs):]))
         else:
-            f, g = (_pairs(t, kind, lo, hi, points) for kind, points in zip(kinds, (zetas, etas)))
-        confluent = None
-        if self.near is not None and self.near[r].any():
-            i, k = np.nonzero(self.near[r])
-            mid = [(zetas[a] + etas[c]) / 2 for a, c in zip(i.tolist(), k.tolist())]
+            cols.append(tuple(_pairs(t, kind, lo, hi, points)
+                              for kind, points in zip(kinds, (zs, es))))
+        if near is not None and near[r].any():
+            i, k = np.nonzero(near[r])
+            mid = [(zs[a] + es[c]) / 2 for a, c in zip(i.tolist(), k.tolist())]
             v, d = (_pairs(t, kinds[0], lo, hi, mid, derivative=der) for der in (False, True))
-            confluent = i, k, v, d
-        self.rows.append((f, g, confluent))
-
-    def assemble(self):
-        """(mantissas, log scales) of every fetched table's grid, arrays (table, zeta, eta)."""
-        f, g = (np.stack(col) for col in list(zip(*self.rows))[:2])
-        # F_hi(zeta) G_lo(eta) - F_lo(zeta) G_hi(eta)
-        num = f[:, :, 1, None] * g[:, None, :, 0] - f[:, :, 0, None] * g[:, None, :, 1]
-        log = f[:, :, 2, None].real + g[:, None, :, 2].real
-        if self.gap:
-            return num, log
-        out = num / np.where(self.diff == 0, 1.0, self.diff)
-        for r, (_, _, confluent) in enumerate(self.rows):
-            if confluent is not None:
-                i, k, v, d = confluent
-                out[r, i, k] = d[:, 1] * v[:, 0] - d[:, 0] * v[:, 1]
-                log[r, i, k] = (d[:, 2] + v[:, 2]).real
-        return out, log
+            confluent.append((r, i, k, v, d))
+    f, g = (np.stack(col) for col in zip(*cols))
+    # F_hi(zeta) G_lo(eta) - F_lo(zeta) G_hi(eta)
+    num = f[:, :, 1, None] * g[:, None, :, 0] - f[:, :, 0, None] * g[:, None, :, 1]
+    log = f[:, :, 2, None].real + g[:, None, :, 2].real
+    if gap:
+        return num, log
+    out = num / np.where(diff == 0, 1.0, diff)
+    for r, i, k, v, d in confluent:
+        out[r, i, k] = d[:, 1] * v[:, 0] - d[:, 0] * v[:, 1]
+        log[r, i, k] = (d[:, 2] + v[:, 2]).real
+    return out, log
 
 
 def w_kernel(family: KernelFamily, t: RecurrenceTable, m: int, zeta, eta) -> ScaledComplex:
     """W_{family, n+m}(zeta, eta) = (F_{n+m}(zeta) G_{n+m-1}(eta) - F_{n+m-1}(zeta) G_{n+m}(eta)) / (zeta - eta)."""
-    mant, log = kernel_grid(family, t, m, [zeta], [eta])
-    return ScaledComplex.from_parts(mant[0, 0], log[0, 0])
+    mant, log = kernel_grids(family, m, [t], [zeta], [eta])
+    return ScaledComplex.from_parts(mant[0, 0, 0], log[0, 0, 0])
 
 
 def w_kernel_times_gap(family: KernelFamily, t: RecurrenceTable, m: int,
                        zeta, eta) -> ScaledComplex:
     """(zeta - eta) * W_{family,n+m}(zeta, eta), finite on the diagonal for family II."""
-    mant, log = kernel_grid(family, t, m, [zeta], [eta], gap=True)
-    return ScaledComplex.from_parts(mant[0, 0], log[0, 0])
+    mant, log = kernel_grids(family, m, [t], [zeta], [eta], gap=True)
+    return ScaledComplex.from_parts(mant[0, 0, 0], log[0, 0, 0])
 
 
 def y_matrix(t: RecurrenceTable, m: int, z) -> YColumns:
     """The RH solution matrix: polynomials in column 1, Cauchy transforms in column 2."""
     z = complex(z)
-    n = t.weight.n
-    hi, lo = n + m, n + m - 1
-    if z.imag == 0.0:
-        raise CauchyDomainError("second column of Y needs Im z != 0")
+    hi, lo = _degrees(t, m)
     rows = (_pairs(t, kind, lo, hi, [z])[0] for kind in ("pi", "h"))
     (p_lo, p_hi), (h_lo, h_hi) = ([ScaledComplex.from_parts(v, r[2].real) for v in r[:2]]
                                   for r in rows)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,13 +166,11 @@ class RecurrenceTable:
 
     def log_gamma_sq(self, j: int) -> float:
         """log gamma_j^2 = -log ||pi_j||^2 (orthonormal leading coefficient squared)."""
-        return -float(self.log_norm_sq[j])
+        return -float(self.log_norm_sq[_check_degree(j, self.max_degree)])
 
 
 def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
-    if max_degree < 0:
-        raise DegreeError(f"max_degree {max_degree} is negative")
-    K = max_degree
+    K = _check_degree(max_degree, math.inf)
     grid = build_weight_grid(w, dense_panels=max(DENSE_PANELS, int(0.8 * K) + 12),
                              order=ORDER, max_degree=K)
     # the check rule: the grid's panels at ORDER + 4 nodes each, run after the grid's nodes
@@ -285,9 +284,7 @@ def monic_values_scaled(t: RecurrenceTable, degrees, x, derivative=False):
     pi'_{k+1} = pi_k + (x - a_k) pi'_k - b_k pi'_{k-1} under the same log
     scale and returns {j: (values, derivatives, log_scale)}.
     """
-    degrees = sorted(set(int(j) for j in degrees))
-    for j in degrees:
-        _check_degree(t, j)
+    degrees = sorted({_check_degree(j, t.max_degree) for j in degrees})
     top = max(degrees, default=0)
     a, b, bounds = t._steps
     step = _cadence(x, *bounds[top])  # (pi_0, pi_{-1}) = (1, 0) needs no check
@@ -388,6 +385,12 @@ def _three_term(x, a, b, outputs, checks, derivative=False):
                 prev, cur = cur, xa * cur - b[k] * prev if k else xa
 
 
-def _check_degree(t: RecurrenceTable, j: int):
-    if not (0 <= j <= t.max_degree):
-        raise DegreeError(f"degree {j} outside table range 0..{t.max_degree}")
+def _check_degree(j, top) -> int:
+    """``j`` as an int; DegreeError unless it is an integer in 0..top."""
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise DegreeError(f"degree {j!r} is not an integer") from None
+    if not 0 <= j <= top:
+        raise DegreeError(f"degree {j} outside 0..{top}")
+    return j

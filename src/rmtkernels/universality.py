@@ -5,16 +5,15 @@ For each case the finite kernel is evaluated at arguments shrunk by
 the explicit exponential prefactor; the remainder is an O(1) complex number
 whose distance to the limiting kernel decays like 1/n.  The harness
 measures that decay over a grid and fits the log-log rate, the closed-form
-least-squares slope of log error against log n.  Each n's columns are
-read from that n's table as a kernel grid reads them, n by n; then the
-grids of all sizes of a case are assembled and normalized with numpy as
-one (n, zeta, eta) array: numerators, quotients, log scales, the
-prefactor and the check that the scales cancelled (KernelGrids, the code
-kernel_grid runs for one table).  normalized_lhs is its one-n, one-pair
-call.  Each n's
-table is built to degree n + max(m, 0), the highest degree the kernel
-reads, so the kernel's Cauchy columns at m = 0 take their grid values,
-pi_{n-2..n}, from the table's Stieltjes pass.
+least-squares slope of log error against log n.  The kernel grids of
+all sizes of a case come from one kernel_grids call over their tables,
+which reads each n's columns from that n's table and assembles them as
+one (n, zeta, eta) array; numpy then normalizes that array: log scales,
+the prefactor and the check that the scales cancelled.  normalized_lhs
+is its one-n, one-pair call.  Each n's table is built to degree
+n + max(m, 0), the highest degree the kernel reads, so the kernel's
+Cauchy columns at m = 0 take their grid values, pi_{n-2..n}, from the
+table's Stieltjes pass.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from .bessel_limits import LimitKernelId, limit_grid, _check_half_planes, _HALF_PLANES, _PI
 from .cauchy import CauchyDomainError
 from .equilibrium import solve_equilibrium
-from .finite_kernels import KernelFamily, KernelGrids
+from .finite_kernels import KernelFamily, kernel_grids
 from .orthopoly import PotentialSpec, WeightSpec, build_recurrence
 
 
@@ -146,8 +145,8 @@ def _normalized_grid(fam: KernelFamily, alpha: float, p: PotentialSpec, m: int, 
                      zetas, etas) -> np.ndarray:
     """normalized_lhs at every n of ``n_list`` and pair of ``zetas`` and ``etas``, as an array.
 
-    Each n's table is built and its columns fetched in the order of
-    ``n_list``, so the first failing n raises first; every n's grid is then
+    The tables are built and their columns read in the order of
+    ``n_list``, so the first failing n raises first; every n's grid is
     assembled and normalized as one (n, zeta, eta) array.  A
     ScaleCancellationError names the first failing point.
     """
@@ -155,16 +154,13 @@ def _normalized_grid(fam: KernelFamily, alpha: float, p: PotentialSpec, m: int, 
     eq = _cached_equilibrium(p.coeffs)
     drift = eq.v_prime_at_0 / (2.0 * eq.psi0)
     s = np.array([n * eq.psi0 for n in n_list])[:, None]
-    zs, es = zetas / s, etas / s  # each n's arguments, a row per n
     gap = fam is KernelFamily.II
-    grids, shift = KernelGrids(fam, m, zs, es, gap), []
-    for n in n_list:
-        t = _cached_table(alpha, p.coeffs, n, max(m, 0))  # one table for every m <= 0
-        grids.fetch(t)
-        log_s = math.log(n * eq.psi0)
-        # gamma^2 W / s, or gamma^2 (zeta - eta) W for family II, over e^pref
-        shift.append((t.log_gamma_sq(n + m - 1), log_s, 2.0 * alpha * log_s + n * eq.v_at_0))
-    mant, log = grids.assemble()
+    tables = [_cached_table(alpha, p.coeffs, n, max(m, 0)) for n in n_list]  # one for every m <= 0
+    mant, log = kernel_grids(fam, m, tables, zetas / s, etas / s, gap)  # a row of points per n
+    # gamma^2 W / s, or gamma^2 (zeta - eta) W for family II, over e^pref; after the
+    # columns, whose degree checks come first
+    shift = [(t.log_gamma_sq(n + m - 1), log_s, 2.0 * alpha * log_s + n * eq.v_at_0)
+             for n, t in zip(n_list, tables) for log_s in [math.log(n * eq.psi0)]]
     gamma, log_s, amps = (np.array(c)[:, None, None] for c in zip(*shift))
     log = log + gamma
     if not gap:

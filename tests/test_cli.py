@@ -13,6 +13,7 @@ from rmtkernels import cli
 from rmtkernels.cauchy import CauchyConvergenceError
 from rmtkernels.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence
+from rmtkernels.universality import ScaleCancellationError
 
 
 def test_specfun_selftest_passes(capsys):
@@ -107,7 +108,7 @@ def test_oracle_inverse_requires_n3(capsys):
 @pytest.mark.parametrize("check,n", [("product", 2), ("product", 3), ("ratio", 2),
                                      ("ratio", 3), ("inverse", 3)])
 def test_oracle_kernel_checks(check, n, alpha, potential, capsys):
-    # the quadrature oracle against kernel_grid's family I at m = 1
+    # the quadrature oracle against kernel_grids' family I at m = 1
     # (product), family II at m = 0 (ratio) and family III at m = -1
     # (inverse); all agree to a few ulps, far inside the checks' tolerances
     assert main(["oracle", "--check", check, "--n", str(n), "--alpha", alpha,
@@ -315,6 +316,27 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_universality_out_is_checked_before_the_study(tmp_path, monkeypatch, capsys):
+    # an unwritable --out fails before the study runs; a writable one is
+    # neither created nor truncated before the study's records are written
+    def study(case):
+        raise ScaleCancellationError("the study ran")
+
+    monkeypatch.setattr(cli, "convergence_study", study)
+    argv = ["universality", "--case", "T1", "--alpha", "0.0", "--potential", "0,0,2",
+            "--n", "4,8", "--out"]
+    for path in (tmp_path / "missing" / "x.csv", tmp_path, tmp_path / "kept.csv" / "x.csv"):
+        (tmp_path / "kept.csv").write_text("old\n")
+        assert main(argv + [str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    for path in (tmp_path / "kept.csv", tmp_path / "new.csv"):
+        assert main(argv + [str(path)]) == EXIT_TOLERANCE
+        assert "the study ran" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+    assert (tmp_path / "kept.csv").read_text() == "old\n"
 
 
 def test_config_file_preloads_flags(tmp_path, capsys):

@@ -14,7 +14,7 @@ from rmtkernels.cauchy import (
 from rmtkernels.finite_kernels import (
     KernelFamily,
     TWO_PI_I,
-    kernel_grid,
+    kernel_grids,
     w_kernel,
     w_kernel_times_gap,
     y_matrix,
@@ -186,7 +186,7 @@ def test_convergence_failure_is_not_cached():
             w_kernel(KernelFamily.III, t, 0, z0, 0.5 - 0.3j)
         # a failed batch caches none of its points, the good ones included
         with pytest.raises(CauchyConvergenceError, match="j=8"):
-            kernel_grid(KernelFamily.III, t, 0, [0.3 + 0.2j, z0, -0.4 + 0.1j], [0.5 - 0.3j])
+            kernel_grids(KernelFamily.III, 0, [t], [[0.3 + 0.2j, z0, -0.4 + 0.1j]], [[0.5 - 0.3j]])
         assert [k for k in t._memo if k[0] != "grid"] == []
 
 
@@ -204,7 +204,7 @@ def test_kernel_grid_is_exact_arithmetic_on_its_columns():
     s = n * 2 / math.pi
     zetas = [z / s for z in (0.5 + 0.15j, -0.4 + 0.6j, 1.3 + 0.3j, -1.1 + 0.9j)]
     etas = [e / s for e in (0.4, -0.3, 1.1 + 0.5j, -0.8 - 0.6j)]
-    mant, log = kernel_grid(KernelFamily.II, t, 0, zetas, etas, gap=True)
+    mant, log = (v[0] for v in kernel_grids(KernelFamily.II, 0, [t], [zetas], [etas], gap=True))
     h = cauchy_transforms(t, [n - 1, n], np.array(zetas))
 
     def exact(v, s):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rmtkernels import finite_kernels, orthopoly, universality
 from rmtkernels.bessel_limits import LimitKernelId, limit_kernel
-from rmtkernels.cauchy import CauchyDomainError
+from rmtkernels.cauchy import CauchyDomainError, cauchy_transform
 from rmtkernels.orthopoly import DegreeError, PotentialSpec, eval_monic
 from rmtkernels.quadrature import WeightDomainError
 from rmtkernels.universality import (
@@ -267,9 +267,9 @@ def test_grid_path_matches_one_pair_calls():
         for n, value in zip(rep.n_list, rep.values):
             t = universality._cached_table(alpha, V_2X2.coeffs, n, 0)
             zs = (0.5 + 0.5j) / (n * eq.psi0)
-            mant, log = finite_kernels.kernel_grid(finite_kernels.KernelFamily.II, t, 0,
-                                                   [0.3j, zs, -zs], [zs, 0.1 + zs], gap=True)
-            grid = 2j * math.pi * mant[1, 0] * math.exp(log[1, 0] + t.log_gamma_sq(n - 1))
+            mant, log = finite_kernels.kernel_grids(finite_kernels.KernelFamily.II, 0, [t],
+                                                    [[0.3j, zs, -zs]], [[zs, 0.1 + zs]], gap=True)
+            grid = 2j * math.pi * mant[0, 1, 0] * math.exp(log[0, 1, 0] + t.log_gamma_sq(n - 1))
             assert abs(grid - value) <= 1e-12 * abs(value)
     universality._cached_table.cache_clear()
 
@@ -432,3 +432,29 @@ def test_failing_size_is_named(monkeypatch):
         with pytest.raises(ScaleCancellationError,
                            match=re.escape(f"(n={n}, zeta=(0.4+0j), eta=(0.65+0j))")):
             convergence_study(TheoremCase(Theorem.T1, 0.3, V_2X2))
+
+
+_I = finite_kernels.KernelFamily.I
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: eval_monic(t, 5.9, 0.3),
+    lambda t: cauchy_transform(t, 5.9, 0.3 + 0.2j),
+    lambda t: finite_kernels.w_kernel(_I, t, 0.5, 0.3, 0.1),
+    lambda t: finite_kernels.w_kernel(_I, t, 1.0, 0.3, 0.1),
+    lambda t: orthopoly.monic_values_scaled(t, [5.9], np.array([0.3, 0.4])),
+    lambda t: orthopoly.monic_values_scaled(t, [6.0], np.array([0.3, 0.4])),
+    lambda t: orthopoly.build_recurrence(t.weight, 9.0),
+    lambda t: convergence_study(TheoremCase(Theorem.T1, 0.0, V_2X2, m=0.5, n_list=(4, 8))),
+    lambda t: t.log_gamma_sq(-1),
+    lambda t: t.log_gamma_sq(13),
+], ids=["eval_monic", "cauchy_transform", "w_kernel", "w_kernel-cached", "monic_values_scaled",
+        "monic_values_scaled-integral-float", "build_recurrence", "theorem_case", "log_gamma_sq",
+        "log_gamma_sq-above"])
+def test_a_degree_that_is_not_an_integer_in_range_is_a_degree_error(call):
+    # one check rejects every degree that is not an integer of the table's
+    # range, a float of integral value and a degree whose rows are cached too
+    t = orthopoly.build_recurrence(orthopoly.WeightSpec(0.0, 6, V_2X2), 12)
+    finite_kernels.w_kernel(_I, t, 1, 0.3, 0.1)
+    with pytest.raises(DegreeError):
+        call(t)
