@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_i, bessel_k, hankel1, hankel2
+from .specfun import SpecfunDomainError, bessel_i, bessel_k, hankel1, hankel2
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -33,7 +33,7 @@ class PsiSector(enum.Enum):
 def _check_sector(zeta: complex, sector: PsiSector, boundary_ok: bool):
     if zeta == 0:
         raise SectorError("zeta must be nonzero")
-    arg = cmath.phase(zeta)
+    arg = math.atan2(zeta.imag, zeta.real)  # cmath.phase raises where this underflows
     lo, hi = (0.0, math.pi / 4) if sector is PsiSector.S1 else (math.pi / 4, math.pi / 2)
     tol = 1e-12 if boundary_ok else 0.0
     if not (lo - tol < arg < hi + tol):
@@ -43,7 +43,12 @@ def _check_sector(zeta: complex, sector: PsiSector, boundary_ok: bool):
 
 
 def psi_alpha(alpha: float, zeta, sector: PsiSector, _boundary_ok: bool = False):
-    """The sector formula as a 2x2 complex ndarray, principal branches."""
+    """The sector formula as a 2x2 complex ndarray, principal branches.
+
+    A zeta outside the sector raises SectorError; a matrix with an entry
+    that is not finite (large alpha or |zeta| leaves the double range)
+    raises SpecfunDomainError.
+    """
     zeta = complex(zeta)
     _check_sector(zeta, sector, _boundary_ok)
     root = cmath.sqrt(zeta)
@@ -64,6 +69,8 @@ def psi_alpha(alpha: float, zeta, sector: PsiSector, _boundary_ok: bool = False)
     # right multiplication by e^{c sigma_3} scales the columns by e^{+-c}
     m[:, 0] *= c
     m[:, 1] /= c
+    if not np.isfinite(m).all():
+        raise SpecfunDomainError(f"Psi at alpha = {alpha}, zeta = {zeta} is not finite")
     return m
 
 

@@ -13,6 +13,11 @@ an interval: it builds the grid's panels here and the pieces into which
 :mod:`rmtkernels.cauchy` refines the panels near z.  Every Gauss rule,
 Gauss-Legendre included (exponent 0), comes from one Golub-Welsch
 generator, :func:`_jacgauss`, and its one cache.
+
+The radii a grid's panels reach are cached too: the underflow cutoff per
+weight and side (:func:`cutoff_radius`), the dense radius per potential,
+side and level (:func:`dense_radius`), so the grids of one weight search
+them once; each function's ``cache_clear`` resets its cache.
 """
 
 from __future__ import annotations
@@ -109,8 +114,13 @@ for _arr in (_CUTOFF_RADII, _DENSE_RADII, _VMIN_GRID):
     _arr.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=64)
 def cutoff_radius(w, direction: float) -> float:
-    """Smallest L = 1.3^k, k < 200, with n V(sgn L) - max(0, 2a) log L above 750 (underflow)."""
+    """Smallest L = 1.3^k, k < 200, with n V(sgn L) - max(0, 2a) log L above 750 (underflow).
+
+    Cached per weight and side, so every grid of one weight searches once;
+    ``cutoff_radius.cache_clear()`` resets the cache.
+    """
     r = _CUTOFF_RADII
     with np.errstate(over="ignore"):
         margin = w.n * w.potential(direction * r) - max(0.0, 2.0 * w.alpha) * np.log(r) - 750.0
@@ -120,13 +130,16 @@ def cutoff_radius(w, direction: float) -> float:
     return float(r[hit[0]])
 
 
+@functools.lru_cache(maxsize=64)
 def dense_radius(p, direction: float, level: float) -> float:
     """Radius covering the oscillatory region (equilibrium support plus margin).
 
     The radius is the first 0.05 * 1.05^k with V - min V >= ``level``, or
     reaching 1e3.  Degree-K polynomials for the weight e^(-nV) oscillate
     over a region that grows with K/n (out to about sqrt(2K/n) for V = x^2),
-    so tables take level = max(8, 4K/n).
+    so tables take level = max(8, 4K/n).  Cached per potential, side and
+    level, so the grids of one potential at one level search once;
+    ``dense_radius.cache_clear()`` resets the cache.
     """
     vmin = _vmin(p)
     r = _DENSE_RADII

@@ -274,6 +274,17 @@ def test_parametrix_matrix_print(capsys):
     assert len(out) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["parametrix", "--alpha", "200", "--zeta", "0.5,0.1", "--sector", "1"],
+    ["parametrix", "--alpha", "-0.49", "--zeta", "1e300,1e-300", "--sector", "1"],
+], ids=["matrix-overflow", "phase-underflow"])
+def test_parametrix_out_of_range_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured.err)
+    assert "nan" not in captured.out
+
+
 def test_ratio_check_subcommand(capsys):
     assert main(["ratio-check", "--alpha", "0.0", "--potential", "0,0,2",
                  "--zeta", "0.5,0.5", "--n", "4,8"]) == EXIT_OK

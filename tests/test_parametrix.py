@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmtkernels.parametrix import (
     PsiSector,
@@ -11,6 +12,7 @@ from rmtkernels.parametrix import (
     gamma2_jump_matrix,
     psi_alpha,
 )
+from rmtkernels.specfun import SpecfunDomainError
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.2])
@@ -89,3 +91,38 @@ def test_sector_validation():
         psi_alpha(0.3, ray, PsiSector.S1)
     m = psi_alpha(0.3, ray, PsiSector.S1, _boundary_ok=True)
     assert np.all(np.isfinite(m))
+
+
+@pytest.mark.parametrize("alpha, zeta, sector", [
+    (200.0, 0.5 + 0.1j, PsiSector.S1),
+    (60.0, 1e6 * cmath.exp(0.79j), PsiSector.S2),
+], ids=["S1-large-order", "S2-large-argument"])
+def test_matrix_outside_the_doubles_raises(alpha, zeta, sector):
+    with pytest.raises(SpecfunDomainError, match="not finite"):
+        psi_alpha(alpha, zeta, sector)
+
+
+def test_jump_check_at_large_alpha_raises():
+    with pytest.raises(SpecfunDomainError):
+        check_gamma2_jump(200.0)
+
+
+def test_argument_whose_phase_underflows_is_a_sector_error():
+    # arg(1e300 + 1e-300 i) underflows to 0, on the edge of S1
+    with pytest.raises(SectorError):
+        psi_alpha(-0.49, complex(1e300, 1e-300), PsiSector.S1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=st.floats(-0.5, 300.0, exclude_min=True), log10_r=st.floats(-300.0, 300.0),
+       sector=st.sampled_from(PsiSector), frac=st.floats(0.0, 1.0, exclude_min=True,
+                                                         exclude_max=True))
+def test_psi_is_finite_or_raises_a_typed_error(alpha, log10_r, sector, frac):
+    # |zeta| in [1e-300, 1e300] and arg zeta inside the sector's open arc
+    lo = 0.0 if sector is PsiSector.S1 else math.pi / 4
+    zeta = 10.0 ** log10_r * cmath.exp(1j * (lo + frac * math.pi / 4))
+    try:
+        m = psi_alpha(alpha, zeta, sector)
+    except (SpecfunDomainError, SectorError):
+        return
+    assert m.shape == (2, 2) and np.isfinite(m).all()

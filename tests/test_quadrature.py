@@ -76,6 +76,62 @@ def test_table_build_computes_each_rule_once(monkeypatch):
     assert sorted(computed) == [(16, 0.0), (20, 0.0), (24, 0.0), (24, 0.6), (48, 0.6)]
 
 
+def _clear_radius_caches():
+    quadrature.cutoff_radius.cache_clear()
+    quadrature.dense_radius.cache_clear()
+
+
+def test_oracle_grids_of_one_weight_search_the_cutoff_once_per_side():
+    # the two budget grids and the K = n + 2 comparison table of one weight
+    w = WeightSpec(0.3, 2, PotentialSpec((0.0, 0.0, 2.0)))
+    _clear_radius_caches()
+    for dense_panels, order, jacobi_order in _BUDGETS:
+        build_weight_grid(w, dense_panels, order=order, jacobi_order=jacobi_order)
+    build_recurrence(w, w.n + 2)
+    info = quadrature.cutoff_radius.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def test_study_tables_of_one_potential_search_the_dense_radius_once_per_side():
+    # tables to degree n + 2 at n = 8...64 all take level 8
+    v = PotentialSpec((0.0, 0.0, 2.0))
+    _clear_radius_caches()
+    for n in (8, 16, 32, 64):
+        build_recurrence(WeightSpec(0.3, n, v), n + 2)
+    assert quadrature.dense_radius.cache_info().misses == 2
+    assert quadrature.cutoff_radius.cache_info().misses == 8  # one per weight and side
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_cold_and_warm_radius_caches_give_the_same_grid(alpha):
+    w = WeightSpec(alpha, 3, PotentialSpec((0.0, 0.5, 0.0, 0.0, 1.0)))
+    _clear_radius_caches()
+    cold = build_weight_grid(w, DENSE_PANELS, order=ORDER, max_degree=5)
+    assert quadrature.cutoff_radius.cache_info().hits == 0
+    warm = build_weight_grid(w, DENSE_PANELS, order=ORDER, max_degree=5)
+    assert quadrature.cutoff_radius.cache_info().hits == 2
+    for a, b in zip((cold.x, cold.qw, cold.logw, *cold.panels),
+                    (warm.x, warm.qw, warm.logw, *warm.panels)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                    (0.0, 0.5, 0.0, 0.0, 1.0)], ids=["2x^2", "x^4", "x^4+x/2"])
+def test_cached_radii_equal_the_uncached_search(coeffs):
+    v = PotentialSpec(coeffs)
+    _clear_radius_caches()
+    for _ in range(2):  # cold, then warm
+        for alpha in (0.0, 0.3, 1.7):
+            for n in (2, 8, 64):
+                w = WeightSpec(alpha, n, v)
+                for sgn in (-1.0, 1.0):
+                    assert (quadrature.cutoff_radius(w, sgn)
+                            == quadrature.cutoff_radius.__wrapped__(w, sgn))
+                    level = max(8.0, 4.0 * (n + 2) / n)
+                    assert (quadrature.dense_radius(v, sgn, level)
+                            == quadrature.dense_radius.__wrapped__(v, sgn, level))
+
+
 @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 2.0), (0.0, 0.5, 0.0, 0.0, 1.0),
                                     (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0)],
                          ids=["2x^2", "x^4+x/2", "x^6+x^2/2"])
