@@ -92,8 +92,9 @@ def limit_grid(kid: LimitKernelId, alpha: float, zetas, etas) -> np.ndarray:
     entry has the bits of the one-pair call.  A pair of a same-family kernel
     (I, III+, III-) nearer the diagonal than :func:`confluence_threshold`
     takes the derivative form at its midpoint; the others have a pole at
-    zeta = eta.  A value that is not finite (an order so large that a
-    factor or a power leaves the doubles) raises SpecfunDomainError.
+    zeta = eta.  An alpha outside (-1/2, inf), or a value that is not finite
+    (an order so large that a factor or a power leaves the doubles), raises
+    SpecfunDomainError.
     """
     alpha = _nu(alpha)
     zetas, etas = _check_half_planes(kid, zetas, etas)

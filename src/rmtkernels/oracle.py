@@ -82,13 +82,17 @@ def make_joint_density(w: WeightSpec) -> JointDensitySpec:
 
 
 def _average(d: JointDensitySpec, g, rel_tol: float) -> ScaledComplex:
-    """mean of prod_j g(x_j) under the joint density, with the two-budget check."""
+    """mean of prod_j g(x_j) under the joint density, with the two-budget check;
+    a mean outside the doubles (a point as large as 1e300) raises OracleError."""
     vals = []
     mags = []
-    for (x, wv, _), z_raw in zip(d._grids, d._z_raw):
-        gx = g(x)
-        vals.append(_andreief_sum(x, wv, d.n, gx) / z_raw)
-        mags.append(abs(_andreief_sum(x, wv, d.n, np.abs(gx)) / z_raw))
+    with np.errstate(all="ignore"):  # a mean outside the doubles is caught below
+        for (x, wv, _), z_raw in zip(d._grids, d._z_raw):
+            gx = g(x)
+            vals.append(_andreief_sum(x, wv, d.n, gx) / z_raw)
+            mags.append(abs(_andreief_sum(x, wv, d.n, np.abs(gx)) / z_raw))
+    if not np.isfinite(vals).all():
+        raise OracleError(f"average is not finite in double precision: {vals[1]}")
     # |g| mass sets the floor so near-perfect cancellation is not flagged
     scale = max(max(abs(v) for v in vals), 1e-10 * max(mags))
     if scale > 0 and abs(vals[0] - vals[1]) / scale > rel_tol:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import SpecfunDomainError, bessel_i, bessel_k, hankel1, hankel2
+from .specfun import SpecfunDomainError, _nu, _sp
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -30,48 +30,51 @@ class PsiSector(enum.Enum):
     S2 = 2   # pi/4 < arg zeta < pi/2
 
 
-def _check_sector(zeta: complex, sector: PsiSector, boundary_ok: bool):
-    if zeta == 0:
-        raise SectorError("zeta must be nonzero")
-    arg = math.atan2(zeta.imag, zeta.real)  # cmath.phase raises where this underflows
+def _check_sector(zeta: np.ndarray, sector: PsiSector, boundary_ok: bool):
+    """SectorError for the first point of the flat array ``zeta`` that is 0 or not in ``sector``."""
+    arg = np.arctan2(zeta.imag, zeta.real)  # cmath.phase raises where this underflows
     lo, hi = (0.0, math.pi / 4) if sector is PsiSector.S1 else (math.pi / 4, math.pi / 2)
     tol = 1e-12 if boundary_ok else 0.0
-    if not (lo - tol < arg < hi + tol):
-        raise SectorError(
-            f"arg zeta = {arg:.6f} outside sector {sector.name} ({lo:.6f}, {hi:.6f})"
-        )
+    bad = np.flatnonzero((zeta == 0) | ~((lo - tol < arg) & (arg < hi + tol)))  # nan is bad
+    if bad.size:
+        k = bad[0]
+        raise SectorError("zeta must be nonzero" if zeta[k] == 0 else f"arg zeta = {arg[k]:.6f} "
+                          f"outside sector {sector.name} ({lo:.6f}, {hi:.6f})")
 
 
 def psi_alpha(alpha: float, zeta, sector: PsiSector, _boundary_ok: bool = False):
-    """The sector formula as a 2x2 complex ndarray, principal branches.
+    """The sector formula at one point or an array of points, principal branches.
 
-    A zeta outside the sector raises SectorError; a matrix with an entry
-    that is not finite (large alpha or |zeta| leaves the double range)
-    raises SpecfunDomainError.
+    Returns a 2x2 complex ndarray for one point and an (..., 2, 2) array for
+    an array of points, from one scipy call per Bessel or Hankel factor over
+    all of them.  An alpha outside (-1/2, inf), or a matrix with an entry
+    that is not finite (large alpha or |zeta| leaves the double range),
+    raises SpecfunDomainError; a zeta outside the sector raises SectorError.
+    Each error names the first point that fails.
     """
-    zeta = complex(zeta)
-    _check_sector(zeta, sector, _boundary_ok)
-    root = cmath.sqrt(zeta)
+    alpha = _nu(alpha)
+    shape = np.shape(zeta)
+    flat = np.asarray(zeta, dtype=complex).reshape(-1)
+    _check_sector(flat, sector, _boundary_ok)
+    sp = _sp()
     nu_p, nu_m = alpha + 0.5, alpha - 0.5
-    if sector is PsiSector.S1:
-        m = 0.5 * _SQRT_PI * root * np.array([
-            [hankel2(nu_p, zeta), -1j * hankel1(nu_p, zeta)],
-            [hankel2(nu_m, zeta), -1j * hankel1(nu_m, zeta)],
-        ])
-        c = cmath.exp(-(alpha + 0.25) * math.pi * 1j)
-    else:
-        w = zeta * cmath.exp(-0.5j * math.pi)
-        m = root * np.array([
-            [_SQRT_PI * bessel_i(nu_p, w), -bessel_k(nu_p, w) / _SQRT_PI],
-            [-1j * _SQRT_PI * bessel_i(nu_m, w), -1j * bessel_k(nu_m, w) / _SQRT_PI],
-        ])
-        c = cmath.exp(-0.5j * math.pi * alpha)
-    # right multiplication by e^{c sigma_3} scales the columns by e^{+-c}
-    m[:, 0] *= c
-    m[:, 1] /= c
-    if not np.isfinite(m).all():
-        raise SpecfunDomainError(f"Psi at alpha = {alpha}, zeta = {zeta} is not finite")
-    return m
+    with np.errstate(all="ignore"):  # an overflowed factor is caught below, not warned about
+        if sector is PsiSector.S1:
+            front = 0.5 * _SQRT_PI * np.sqrt(flat)
+            rows = [(sp.hankel2(nu, flat), -1j * sp.hankel1(nu, flat)) for nu in (nu_p, nu_m)]
+            c = cmath.exp(-(alpha + 0.25) * math.pi * 1j)
+        else:
+            front, w = np.sqrt(flat), flat * cmath.exp(-0.5j * math.pi)
+            rows = [(_SQRT_PI * sp.iv(nu_p, w), -sp.kv(nu_p, w) / _SQRT_PI),
+                    (-1j * _SQRT_PI * sp.iv(nu_m, w), -1j * sp.kv(nu_m, w) / _SQRT_PI)]
+            c = cmath.exp(-0.5j * math.pi * alpha)
+        # right multiplication by e^{c sigma_3} scales the columns by e^{+-c}
+        m = np.stack([np.stack([front * left * c, front * right / c], axis=-1)
+                      for left, right in rows], axis=-2)
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+    if bad.size:
+        raise SpecfunDomainError(f"Psi at alpha = {alpha}, zeta = {flat[bad[0]]} is not finite")
+    return m.reshape(shape + (2, 2))
 
 
 def gamma2_jump_matrix(alpha: float):
@@ -92,14 +95,10 @@ _JUMP_MODULI = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
 def check_gamma2_jump(alpha: float) -> JumpCheckResult:
     """S2 formula vs S1 formula times the ray jump, both limited to arg = pi/4."""
-    jump = gamma2_jump_matrix(alpha)
-    residuals = []
-    for r in _JUMP_MODULI:
-        zeta = r * cmath.exp(0.25j * math.pi)
-        lhs = psi_alpha(alpha, zeta, PsiSector.S2, _boundary_ok=True)
-        rhs = psi_alpha(alpha, zeta, PsiSector.S1, _boundary_ok=True) @ jump
-        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-        residuals.append(float(np.max(np.abs(lhs - rhs)) / scale))
+    zetas = np.array(_JUMP_MODULI) * cmath.exp(0.25j * math.pi)
+    lhs = psi_alpha(alpha, zetas, PsiSector.S2, _boundary_ok=True)
+    rhs = psi_alpha(alpha, zetas, PsiSector.S1, _boundary_ok=True) @ gamma2_jump_matrix(alpha)
+    scale = np.maximum(np.abs(lhs).max(axis=(1, 2)), np.abs(rhs).max(axis=(1, 2)))
+    residuals = (np.abs(lhs - rhs).max(axis=(1, 2)) / scale).tolist()
     return JumpCheckResult(alpha=alpha, moduli=list(_JUMP_MODULI), residuals=residuals,
                            max_residual=max(residuals))
-

@@ -1,13 +1,14 @@
-"""Bessel, Hankel and modified Bessel functions of real order and complex argument.
+"""scipy.special for the package's Bessel and Hankel factors, and checks of it.
 
-All orders occurring in this package are alpha +- 1/2, and alpha - 3/2 in
-a derivative.  Evaluation is delegated to the Amos routines exposed by
-scipy.special, which carry the required relative accuracy for |z| <= 50;
-the connection identities used elsewhere (reflection, Hankel combinations,
-half-integer closed forms, cross products) are verified by the self-test
-suite below.  The one-point functions here serve the parametrix and that
-suite; :mod:`rmtkernels.bessel_limits` calls the scipy.special routines
-over point arrays itself, through :func:`_sp`.
+The parametrix and the limit kernels evaluate the Amos routines of
+scipy.special (``jv``, ``hankel1``, ``hankel2``, ``iv``, ``kv``) over point
+arrays themselves, through :func:`_sp`, after :func:`_nu` has checked alpha.
+Their orders are alpha +- 1/2, and alpha - 3/2 in a derivative; the Amos
+routines carry the required relative accuracy for |z| <= 50.  The
+connection identities the package relies on (Hankel combinations, cross
+products, half-integer closed forms) are checked by :func:`selftest_rows`;
+an ascending series and the reflection formula are independent references
+for the tests.
 """
 
 from __future__ import annotations
@@ -29,62 +30,17 @@ class SpecfunDomainError(ValueError):
     pass
 
 
-def _nu(order) -> float:
-    nu = float(order)
-    if not math.isfinite(nu):
-        raise SpecfunDomainError("Bessel order must be finite")
+def _nu(alpha) -> float:
+    """``alpha`` as a float in the weight's domain (-1/2, inf), or SpecfunDomainError.
+
+    The one check of alpha for :func:`rmtkernels.parametrix.psi_alpha` and
+    :func:`rmtkernels.bessel_limits.limit_grid`; the orders alpha +- 1/2 and
+    alpha - 3/2 that they take from it are not checked.
+    """
+    nu = float(alpha)
+    if not -0.5 < nu < math.inf:
+        raise SpecfunDomainError(f"alpha must lie in (-1/2, inf), got {nu}")
     return nu
-
-
-def _check_z(z: complex, avoid_cut: bool) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise SpecfunDomainError("non-finite argument")
-    if avoid_cut and z.imag == 0.0 and z.real <= 0.0:
-        raise SpecfunDomainError("argument on the branch cut (-inf, 0]")
-    return z
-
-
-def bessel_j(order, z) -> complex:
-    """J_nu(z), principal branch of z^nu cut along (-inf, 0]."""
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=False)
-    if z == 0:
-        if nu < 0:
-            raise SpecfunDomainError("J_nu(0) undefined for nu < 0")
-        return 1 + 0j if nu == 0 else 0j
-    return complex(_sp().jv(nu, z))
-
-
-def bessel_y(order, z) -> complex:
-    """Y_nu(z) for z off (-inf, 0]."""
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=True)
-    return complex(_sp().yv(nu, z))
-
-
-def hankel1(order, z) -> complex:
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=True)
-    return complex(_sp().hankel1(nu, z))
-
-
-def hankel2(order, z) -> complex:
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=True)
-    return complex(_sp().hankel2(nu, z))
-
-
-def bessel_i(order, z) -> complex:
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=False)
-    return complex(_sp().iv(nu, z))
-
-
-def bessel_k(order, z) -> complex:
-    nu = _nu(order)
-    z = _check_z(z, avoid_cut=True)
-    return complex(_sp().kv(nu, z))
 
 
 # -- reference series, used only for independent verification ---------------
@@ -122,36 +78,34 @@ def bessel_y_reflection(nu: float, z: complex) -> complex:
 def selftest_rows():
     """Residuals of the connection identities at alpha 0, 0.3, 1.2 and 20 points in [0.15, 28].
 
-    Rows of (identity, alpha, z, residual).
+    Rows of (identity, alpha, z, residual).  Each function is one scipy call
+    over the 20 points per order.
     """
+    sp = _sp()
     rows = []
     zs = np.linspace(0.15, 28.0, 20)
+    zc = zs.astype(complex)
     for alpha in (0.0, 0.3, 1.2):
         nu_p, nu_m = alpha + 0.5, alpha - 0.5
-        for z in zs:
-            zc = complex(z)
-            j_p, j_m = bessel_j(nu_p, zc), bessel_j(nu_m, zc)
-            y_p, y_m = bessel_y(nu_p, zc), bessel_y(nu_m, zc)
-            h1 = hankel1(nu_p, zc)
-            h2 = hankel2(nu_p, zc)
-            rows.append(
-                ("hankel_sum", alpha, zc, abs(h1 + h2 - 2 * j_p) / max(abs(j_p), 1e-300))
-            )
-            cross = j_p * y_m - j_m * y_p - 2.0 / (math.pi * z)
-            rows.append(("cross_product", alpha, zc, abs(cross) * math.pi * z / 2.0))
+        j_p, j_m = sp.jv(nu_p, zc), sp.jv(nu_m, zc)
+        y_p, y_m = sp.yv(nu_p, zc), sp.yv(nu_m, zc)
+        hankel_sum = (np.abs(sp.hankel1(nu_p, zc) + sp.hankel2(nu_p, zc) - 2 * j_p)
+                      / np.maximum(np.abs(j_p), 1e-300))
+        cross = np.abs(j_p * y_m - j_m * y_p - 2.0 / (math.pi * zs)) * math.pi * zs / 2.0
+        for z, h, c in zip(zc, hankel_sum, cross):
+            rows += [("hankel_sum", alpha, complex(z), float(h)),
+                     ("cross_product", alpha, complex(z), float(c))]
     # half-integer closed forms
-    for z in zs:
-        zc = complex(z)
-        root = math.sqrt(2.0 / (math.pi * z))
-        pairs = [
-            ("closed_j_half", bessel_j(0.5, zc), root * math.sin(z)),
-            ("closed_j_minus_half", bessel_j(-0.5, zc), root * math.cos(z)),
-            ("closed_h1_half", hankel1(0.5, zc), -1j * root * np.exp(1j * z)),
-            ("closed_h1_minus_half", hankel1(-0.5, zc), root * np.exp(1j * z)),
-            ("closed_h2_half", hankel2(0.5, zc), 1j * root * np.exp(-1j * z)),
-            ("closed_h2_minus_half", hankel2(-0.5, zc), root * np.exp(-1j * z)),
-        ]
-        for name, got, want in pairs:
-            rows.append((name, 0.0, zc, abs(got - want) / abs(want)))
+    root = np.sqrt(2.0 / (math.pi * zs))
+    pairs = [
+        ("closed_j_half", sp.jv(0.5, zc), root * np.sin(zs)),
+        ("closed_j_minus_half", sp.jv(-0.5, zc), root * np.cos(zs)),
+        ("closed_h1_half", sp.hankel1(0.5, zc), -1j * root * np.exp(1j * zs)),
+        ("closed_h1_minus_half", sp.hankel1(-0.5, zc), root * np.exp(1j * zs)),
+        ("closed_h2_half", sp.hankel2(0.5, zc), 1j * root * np.exp(-1j * zs)),
+        ("closed_h2_minus_half", sp.hankel2(-0.5, zc), root * np.exp(-1j * zs)),
+    ]
+    residuals = [np.abs(got - want) / np.abs(want) for _, got, want in pairs]
+    for k, z in enumerate(zc):
+        rows += [(name, 0.0, complex(z), float(r[k])) for (name, _, _), r in zip(pairs, residuals)]
     return rows
-

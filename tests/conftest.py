@@ -1,9 +1,9 @@
 import math
 
 import pytest
+from scipy import special
 
 from rmtkernels.orthopoly import PotentialSpec, WeightSpec, build_recurrence
-from rmtkernels.specfun import bessel_j, bessel_y
 
 # one line per acceptance criterion, filled by tests/test_acceptance.py and
 # replayed after the run (pytest capture would otherwise swallow them)
@@ -30,14 +30,13 @@ def rel_err(a, b) -> float:
 
 
 def ratio_identity_value(alpha, zeta) -> complex:
-    """pi^2 zeta / 2 * (J_{a+1/2} Y_{a-1/2} - J_{a-1/2} Y_{a+1/2})(pi zeta), which equals 1.
-
-    bessel_y raises SpecfunDomainError for zeta on (-inf, 0].
-    """
+    """pi^2 zeta / 2 * (J_{a+1/2} Y_{a-1/2} - J_{a-1/2} Y_{a+1/2})(pi zeta), which equals 1
+    off the cut (-inf, 0] of Y."""
     zeta = complex(zeta)
     w = math.pi * zeta
     nu_p, nu_m = alpha + 0.5, alpha - 0.5
-    val = bessel_j(nu_p, w) * bessel_y(nu_m, w) - bessel_j(nu_m, w) * bessel_y(nu_p, w)
+    val = (special.jv(nu_p, w) * special.yv(nu_m, w)
+           - special.jv(nu_m, w) * special.yv(nu_p, w))
     return math.pi * math.pi * zeta / 2.0 * val
 
 

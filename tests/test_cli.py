@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rmtkernels
 from rmtkernels import cli
@@ -168,12 +171,19 @@ def table_file(tmp_path, capsys):
      "--zeta", "0.7,0.1", "--eta", "0.2,0.3"],
     ["universality", "--case", "T1", "--alpha", "1e6", "--potential", "0,0,2"],
     ["recurrence", "--alpha", "512", "--potential", "0,0,2", "--n", "8", "--max-degree", "10"],
+    ["parametrix", "--alpha", "-3", "--zeta", "0.9,0.2", "--sector", "1"],
+    ["parametrix", "--alpha", "-0.5", "--zeta", "0.2,0.9", "--sector", "2"],
+    ["limit-kernel", "--kernel", "I", "--alpha", "-3", "--zeta", "0.7,0", "--eta", "0.2,0"],
+    ["limit-kernel", "--kernel", "III+", "--alpha", "-0.5",
+     "--zeta", "0.7,0.1", "--eta", "0.2,0.3"],
 ], ids=["cauchy-degree", "kernel-degree", "cauchy-real-z", "kernel-II-diagonal",
         "recurrence-alpha", "limit-kernel-half-plane", "limit-kernel-II-pole",
         "limit-kernel-I-confluent-at-0", "parametrix-origin",
         "ratio-check-real-zeta", "recurrence-infinite-alpha", "recurrence-nan-alpha",
         "recurrence-flat-potential", "limit-kernel-overflow", "limit-kernel-III+-overflow",
-        "universality-limit-overflow", "recurrence-jacobi-mass-overflow"])
+        "universality-limit-overflow", "recurrence-jacobi-mass-overflow",
+        "parametrix-alpha-minus-3", "parametrix-alpha-minus-half", "limit-kernel-alpha-minus-3",
+        "limit-kernel-alpha-minus-half"])
 def test_domain_error_is_usage_error(argv, table_file, capsys):
     argv = [a.replace("{table}", table_file) for a in argv]
     assert main(argv) == EXIT_USAGE
@@ -242,6 +252,13 @@ def test_tampered_table_rejected(table_file, capsys):
 def test_oracle_beyond_cap_is_tolerance_error(capsys):
     assert main(["oracle", "--check", "heine", "--n", "4", "--alpha", "0",
                  "--potential", "0,0,1"]) == EXIT_TOLERANCE
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_oracle_mean_beyond_the_doubles_is_tolerance_error(capsys):
+    # <det(x - M)> at x = 1e300 leaves the doubles: one error line, not an OverflowError
+    assert main(["oracle", "--check", "heine", "--n", "2", "--alpha", "0",
+                 "--potential", "0,0,2", "--points", "1e300,1e-300"]) == EXIT_TOLERANCE
     _assert_one_error_line(capsys.readouterr().err)
 
 
@@ -422,6 +439,86 @@ def test_config_keys_of_other_subcommands(tmp_path, capsys):
     cfg.write_text(json.dumps({"family": "IV"}))
     assert main(["--config", str(cfg), "kernel"]) == EXIT_USAGE
     _assert_one_error_line(capsys.readouterr().err)
+
+
+# -- standing argv sweep: random flags over every subcommand, sizes n <= 64 --
+
+def _mostly(valid, odd):
+    """Values of ``valid``, and one time in eight one of the ``odd`` strings."""
+    return st.tuples(st.integers(0, 7), valid, st.sampled_from(odd)).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+_ALPHAS = _mostly(st.floats(-0.49, 6.0).map(repr),
+                  ["-3", "-0.5", "70", "200", "1e6", "nan", "inf", "x", ""])
+_ODD_POINTS = ["0,0", "1e300,1e-300", "1e-300,0", "0.3,1e300", "nan,0.5", "0.5,inf", "0.5", "a,b"]
+_POINTS = _mostly(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0).filter(bool)).map(
+    lambda p: f"{p[0]!r},{p[1]!r}"), _ODD_POINTS)
+# r e^{i theta} in the first quadrant, |zeta| from 1e-3 to 1e3: inside one sector or the other
+_QUADRANT_POINTS = _mostly(st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 1.57)).map(
+    lambda p: f"{10 ** p[0] * math.cos(p[1])!r},{10 ** p[0] * math.sin(p[1])!r}"), _ODD_POINTS)
+_POTENTIALS = _mostly(st.sampled_from(["0,0,2", "0,0,1", "1,0,2", "0,0,0,0,1", "0,0,1,0,1"]),
+                      ["0,1", "0,0,-1", "0,0,1e-300", "0,0,nan", "0,0,x"])
+_SIZES = _mostly(st.integers(1, 64).map(str), ["0", "-1", "1.5", "x"])
+_SIZE_LISTS = _mostly(
+    st.lists(st.sampled_from([4, 8, 16, 32, 64]), min_size=2, max_size=3, unique=True).map(
+        lambda ns: ",".join(map(str, sorted(ns)))),
+    ["", "8", "16,8", "8,8", "0,8", "8,x", "4,8,128"])
+
+
+def _command(name, **flags):
+    """argv of subcommand ``name`` with ``--flag=value`` for each named strategy
+    (``_`` in a flag's name is ``-``)."""
+    return st.tuples(*flags.values()).map(lambda values: [name] + [
+        f"--{flag.replace('_', '-')}={v}" for flag, v in zip(flags, values)])
+
+
+_ARGV = st.one_of(
+    _command("recurrence", alpha=_ALPHAS, potential=_POTENTIALS, n=_SIZES, max_degree=_SIZES),
+    _command("cauchy", table=st.just("{table}"),
+             j=_mostly(st.integers(0, 12).map(str), ["13", "-1"]), z=_POINTS),
+    _command("kernel", family=_mostly(st.sampled_from(["I", "II", "III"]), ["IV"]),
+             table=st.just("{table}"), m=st.integers(-3, 8).map(str), zeta=_POINTS, eta=_POINTS),
+    _command("limit-kernel", kernel=st.sampled_from(["I", "II+", "II-", "III+", "III+-", "III-"]),
+             alpha=_ALPHAS, zeta=_POINTS, eta=_POINTS),
+    _command("equilibrium", potential=_POTENTIALS),
+    _command("universality", case=st.sampled_from(["T1", "T2a", "T2b", "T3a", "T3b", "T3c"]),
+             alpha=_ALPHAS, potential=_POTENTIALS, m=st.integers(-3, 9).map(str), n=_SIZE_LISTS),
+    _command("ratio-check", alpha=_ALPHAS, potential=_POTENTIALS, zeta=_POINTS, n=_SIZE_LISTS),
+    _command("oracle", check=st.sampled_from(["heine", "product", "ratio", "inverse"]),
+             n=_mostly(st.integers(1, 3).map(str), ["0", "4"]), alpha=_ALPHAS,
+             potential=_POTENTIALS, points=st.lists(_POINTS, max_size=2).map(";".join)),
+    _command("parametrix", alpha=_ALPHAS, zeta=_QUADRANT_POINTS,
+             sector=_mostly(st.sampled_from(["1", "2"]), ["3"])),
+    _command("parametrix-jump-test"),
+    _command("specfun-selftest"),
+)
+
+
+@pytest.fixture(scope="module")
+def sweep_table(tmp_path_factory):
+    table = tmp_path_factory.mktemp("sweep") / "table.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["recurrence", "--alpha", "0.3", "--potential", "0,0,2", "--n", "6",
+                     "--max-degree", "12", "--out", str(table)]) == EXIT_OK
+    return str(table)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=_ARGV, drop=st.integers(0, 40))
+def test_random_argv_keeps_the_exit_code_contract(sweep_table, argv, drop):
+    # any argv ends in an exit code of the contract, at most one line on
+    # stderr, and no nan in what a successful command prints; ``drop`` now
+    # and then removes one flag
+    argv = [a.replace("{table}", sweep_table) for a in argv]
+    if 0 < drop < len(argv):
+        del argv[drop]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_TOLERANCE, EXIT_BROKEN_PIPE), (argv, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert code != EXIT_OK or "nan" not in out.getvalue().lower(), (argv, out.getvalue())
 
 
 def _fresh_env():

@@ -75,7 +75,7 @@ def test_imports_are_at_module_level(path):
 # purpose, with the reason for each
 UNCALLED_ALLOWED = {
     ("specfun.py", "bessel_y_reflection"):
-        "independent reference: the tests compare specfun's Y against it",
+        "independent reference: the tests compare scipy's Y against it",
     ("finite_kernels.py", "y_matrix"):
         "public API: README lists it among the one-point calls",
     ("cauchy.py", "plemelj_jump_check"):

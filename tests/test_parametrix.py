@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,3 +127,46 @@ def test_psi_is_finite_or_raises_a_typed_error(alpha, log10_r, sector, frac):
     except (SpecfunDomainError, SectorError):
         return
     assert m.shape == (2, 2) and np.isfinite(m).all()
+
+
+def _sector_points(sector: PsiSector, k: int = 12):
+    """k points inside the sector's open arc, |zeta| from 1e-3 to 30."""
+    lo = 0.0 if sector is PsiSector.S1 else math.pi / 4
+    r = np.geomspace(1e-3, 30.0, k)
+    return r * np.exp(1j * (lo + np.linspace(0.05, 0.95, k) * math.pi / 4))
+
+
+@pytest.mark.parametrize("alpha", [-0.45, 0.0, 0.3, 1.2, 7.5])
+@pytest.mark.parametrize("sector", list(PsiSector), ids=lambda s: s.name)
+def test_array_of_points_matches_the_one_point_calls(alpha, sector):
+    zetas = _sector_points(sector)
+    m = psi_alpha(alpha, zetas, sector)
+    assert m.shape == (zetas.size, 2, 2)
+    for zeta, mk in zip(zetas, m):
+        assert np.array_equal(mk, psi_alpha(alpha, complex(zeta), sector))
+    assert psi_alpha(alpha, zetas.reshape(3, -1), sector).shape == (3, zetas.size // 3, 2, 2)
+
+
+def test_one_overflowing_point_fails_the_array_without_a_warning():
+    good = _sector_points(PsiSector.S2, 4)
+    far = 1e6 * cmath.exp(0.79j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecfunDomainError, match="not finite") as err:
+            psi_alpha(60.0, np.append(good, far), PsiSector.S2)
+    assert str(far) in str(err.value)
+    with pytest.raises(SectorError, match="outside sector S1"):
+        psi_alpha(0.3, [0.5 + 0.1j, cmath.exp(1.0j)], PsiSector.S1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.2])
+def test_jump_residuals_match_the_one_point_calls(alpha):
+    # check_gamma2_jump evaluates its six moduli in one call per sector
+    want = []
+    for r in check_gamma2_jump(alpha).moduli:
+        zeta = r * cmath.exp(0.25j * math.pi)
+        lhs = psi_alpha(alpha, zeta, PsiSector.S2, _boundary_ok=True)
+        rhs = psi_alpha(alpha, zeta, PsiSector.S1, _boundary_ok=True) @ gamma2_jump_matrix(alpha)
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+        want.append(float(np.max(np.abs(lhs - rhs)) / scale))
+    assert check_gamma2_jump(alpha).residuals == want
