@@ -65,6 +65,7 @@ _INV_2PI_I = -0.5j / math.pi  # 1/(2 pi i), kept in the mantissa
 _ORDERS = (16, 24)  # Gauss orders of the refined pieces: the check, then the sum
 _TOLERANCE = 1e-6  # relative error estimate above which a transform raises
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 class CauchyDomainError(ValueError):
@@ -147,7 +148,7 @@ def _grid_columns(t: RecurrenceTable, degrees) -> dict:
 
 
 def cauchy_transform(t: RecurrenceTable, j: int, z) -> ScaledComplex:
-    """h_j(z), including the 1/(2 pi i) prefactor; requires Im z != 0."""
+    """h_j(z), including the 1/(2 pi i) prefactor; requires |Im z| >= 2.2e-308."""
     return ScaledComplex.from_parts(*cauchy_transforms(t, [j], z)[j])
 
 
@@ -174,7 +175,8 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
     ``z`` is one point or an array of points, summed as one batch; the two
     arrays have z's shape, and h_j = mantissa e^(log scale) at each point.
     The mantissas carry no power of 1/z, so they do not underflow at a far
-    z.  Requires finite z with Im z != 0.
+    z.  Requires finite z with |Im z| at least the smallest normal double,
+    2.2e-308: below it 1/(x - z) leaves the doubles at the refined nodes.
 
     h'_j = (S'_j - S_j q'/q) / (2 pi i q) with S'_j the integral of
     pi_j q w / (x - z)^2, so the value and the derivative sum the same
@@ -188,8 +190,8 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
     """
     zs = np.asarray(z, dtype=complex)
     shape, zs = zs.shape, zs.reshape(-1)
-    if not (np.isfinite(zs).all() and zs.imag.all()):
-        raise CauchyDomainError("Cauchy transform requires a finite z with Im z != 0")
+    if not (np.isfinite(zs).all() and (abs(zs.imag) >= _TINY).all()):
+        raise CauchyDomainError("Cauchy transform requires a finite z with |Im z| >= 2.2e-308")
     degrees = sorted({_check_degree(j, t.max_degree) for j in degrees})
     if not degrees:
         return {}
@@ -223,8 +225,10 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
         first = len(owner) * _ORDERS[0]  # the first order-24 node
         who = at.copy()
         who[first:] += zs.size
-        # x - z from the offsets, exact where the pieces are narrowest
-        local = at, who, first, f[at] / (off - (zu[at] - x0)), qw, logw
+        # x - z from the offsets, exact where the pieces are narrowest; with f > 1,
+        # f/(x - z) can overflow at an |Im z| near 2.2e-308: the sums then fail their check
+        with np.errstate(over="ignore"):
+            local = at, who, first, f[at] / (off - (zu[at] - x0)), qw, logw
         xs = np.concatenate([x0 + off, zu])
     else:
         xs = zu
@@ -243,20 +247,23 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
         if local is not None:
             at, who, first, u, qw, logw = local
             k = at.size  # the refined nodes lead xs
-            terms = (_weighted(qw, logw + 2.0 * s[:k], p[:k], q[:k], scale)[0]
-                     * (u * (u - r[at]) if derivative else u))
-            sums = _sums(who, terms, 2 * zs.size)
-            check, fine = sums[:zs.size], sums[zs.size:]
-            total += fine
-            mass += np.bincount(at[first:], np.abs(terms[first:]), zs.size)
-            delta = np.abs(check - fine)
+            # an infinite u, or u (u - r) leaving the doubles near z = 0,
+            # makes the sums not finite, and they fail the check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = (_weighted(qw, logw + 2.0 * s[:k], p[:k], q[:k], scale)[0]
+                         * (u * (u - r[at]) if derivative else u))
+                sums = _sums(who, terms, 2 * zs.size)
+                check, fine = sums[:zs.size], sums[zs.size:]
+                total += fine
+                mass += np.bincount(at[first:], np.abs(terms[first:]), zs.size)
+                delta = np.abs(check - fine)
         err = delta + _EPS * mass
         bad = ~(err < _TOLERANCE * np.abs(total))  # a sum of exactly 0 is no value either
         if bad.any():
             m = bad.argmax()
+            estimate = float(err[m]) / abs(complex(total[m])) if total[m] else math.inf
             raise CauchyConvergenceError(
-                f"error estimate {err[m] / abs(total[m]) if total[m] else math.inf:.3e} "
-                f"relative at j={j}, z={complex(zs[m])}"
+                f"error estimate {estimate:.3e} relative at j={j}, z={complex(zs[m])}"
             )
         h = _INV_2PI_I * total / qz
         h[below] = -h[below].conj()

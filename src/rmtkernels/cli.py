@@ -3,9 +3,12 @@
 Exit codes: 0 success / all checks passed, 2 a numerical tolerance was not
 met, 1 usage or configuration error, 141 the reader of standard output
 closed it early and the rest of the output was dropped (128 + SIGPIPE, what
-a shell reports for a writer that a closed pipe killed).  A JSON config
-file can preload any flag; explicit command-line flags win.  All emitted
-numbers use 17 significant digits so reruns are byte-comparable.
+a shell reports for a writer that a closed pipe killed).  The parser types
+and checks every flag before a command runs, and each failure but 141
+prints one ``error: ...`` line on stderr; a Cauchy transform at a subnormal
+Im z is an input error, exit 1.  A JSON config file can preload any flag;
+explicit command-line flags win.  All emitted numbers use 17 significant
+digits so reruns are byte-comparable.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ EXIT_BROKEN_PIPE = 141
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 class UsageError(ValueError):
@@ -78,29 +81,34 @@ def _fmt_c(z: complex) -> str:
     return f"{_fmt(z.real)} {'+' if z.imag >= 0 else '-'} {_fmt(abs(z.imag))}i"
 
 
-def _parse_potential(text: str) -> PotentialSpec:
+def _potential(text: str) -> PotentialSpec:
     try:
-        coeffs = tuple(float(v) for v in text.split(","))
-        return PotentialSpec(coeffs)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid --potential {text!r}: {exc}") from exc
+        return PotentialSpec(tuple(float(v) for v in text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid potential {text!r}: {exc}") from exc
 
 
-def _parse_complex(text: str) -> complex:
+def _complex(text: str) -> complex:
     try:
         re, im = (float(v) for v in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"invalid complex value {text!r}; expected 're,im'") from exc
+        raise argparse.ArgumentTypeError(f"{text!r} is not a complex value 're,im'") from exc
     if not (math.isfinite(re) and math.isfinite(im)):
-        raise UsageError(f"non-finite complex value {text!r}")
+        raise argparse.ArgumentTypeError(f"non-finite complex value {text!r}")
     return complex(re, im)
 
 
-def _parse_int_list(text: str):
+def _points(text: str) -> tuple:
+    return tuple(_complex(s) for s in text.split(";")) if text else ()
+
+
+def _sizes(text: str) -> tuple:
     try:
-        return tuple(int(v) for v in text.split(","))
+        n_list = tuple(int(v) for v in text.split(","))
+        check_sizes(n_list, 1)
     except ValueError as exc:
-        raise UsageError(f"invalid integer list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"invalid size list {text!r}: {exc}") from exc
+    return n_list
 
 
 def _print_scaled(label: str, v: ScaledComplex):
@@ -164,8 +172,7 @@ def _check_writable(path: str):
 
 
 def _cmd_recurrence(args) -> int:
-    p = _parse_potential(args.potential)
-    t = build_recurrence(WeightSpec(args.alpha, args.n, p), args.max_degree)
+    t = build_recurrence(WeightSpec(args.alpha, args.n, args.potential), args.max_degree)
     doc = _table_to_json(t)
     if args.out:
         _write(args.out, json.dumps(doc, indent=1))
@@ -178,38 +185,30 @@ def _cmd_recurrence(args) -> int:
 
 
 def _cmd_cauchy(args) -> int:
-    t = _load_table(args.table)
-    z = _parse_complex(args.z)
-    v = cauchy_transform(t, args.j, z)
-    _print_scaled(f"h_{args.j}({_fmt_c(z)})", v)
+    v = cauchy_transform(_load_table(args.table), args.j, args.z)
+    _print_scaled(f"h_{args.j}({_fmt_c(args.z)})", v)
     return EXIT_OK
 
 
 def _cmd_kernel(args) -> int:
     t = _load_table(args.table)
-    fam = KernelFamily(args.family)
-    zeta = _parse_complex(args.zeta)
-    eta = _parse_complex(args.eta)
-    v = w_kernel(fam, t, args.m, zeta, eta)
-    _print_scaled(f"W_{fam.value},{t.weight.n}+{args.m}", v)
+    v = w_kernel(KernelFamily(args.family), t, args.m, args.zeta, args.eta)
+    _print_scaled(f"W_{args.family},{t.weight.n}+{args.m}", v)
     return EXIT_OK
 
 
 def _cmd_limit_kernel(args) -> int:
-    kid = LimitKernelId(args.kernel)
-    zeta = _parse_complex(args.zeta)
-    eta = _parse_complex(args.eta)
-    v = limit_kernel(kid, args.alpha, zeta, eta)
-    print(f"J_{{{_fmt(args.alpha)},{kid.value}}}({_fmt_c(zeta)}, {_fmt_c(eta)}) = {_fmt_c(v)}")
+    v = limit_kernel(LimitKernelId(args.kernel), args.alpha, args.zeta, args.eta)
+    print(f"J_{{{_fmt(args.alpha)},{args.kernel}}}({_fmt_c(args.zeta)}, {_fmt_c(args.eta)}) = "
+          f"{_fmt_c(v)}")
     return EXIT_OK
 
 
 def _cmd_equilibrium(args) -> int:
-    p = _parse_potential(args.potential)
-    eq = solve_equilibrium(p)
+    eq = solve_equilibrium(args.potential)
     grid = list(np.linspace(eq.b0 * 0.95, eq.a1 * 0.95, 10)) + \
         [eq.b0 - 0.5, eq.a1 + 0.5, eq.b0 - 2.0, eq.a1 + 2.0]
-    rep = variational_residuals(eq, p, grid)
+    rep = variational_residuals(eq, args.potential, grid)
     doc = {
         "b0": eq.b0,
         "a1": eq.a1,
@@ -233,14 +232,11 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_universality(args) -> int:
-    p = _parse_potential(args.potential)
     try:
-        case = TheoremCase(
-            theorem=Theorem(args.case), alpha=args.alpha, potential=p, m=args.m,
-            n_list=_parse_int_list(args.n),
-        )
+        case = TheoremCase(theorem=Theorem(args.case), alpha=args.alpha,
+                           potential=args.potential, m=args.m, n_list=args.n)
     except ValueError as exc:
-        raise UsageError(f"invalid --n {args.n!r}: {exc}") from exc
+        raise UsageError(f"invalid --n: {exc}") from exc
     if args.out:  # before the study, which can take seconds
         _check_writable(args.out)
     rep = convergence_study(case)
@@ -267,11 +263,9 @@ def _cmd_universality(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    p = _parse_potential(args.potential)
-    w = WeightSpec(args.alpha, args.n, p)
+    w = WeightSpec(args.alpha, args.n, args.potential)
     d = make_joint_density(w)
     t = build_recurrence(w, args.n + 2)
-    pts = [_parse_complex(s) for s in args.points.split(";")] if args.points else []
 
     def done(label, lhs, rhs, tol):
         lhs, rhs = lhs.to_complex(), rhs.to_complex()
@@ -282,21 +276,20 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK if ok else EXIT_TOLERANCE
 
     if args.check == "heine":
-        x = pts[0] if pts else complex(0.7, 0.0)
+        x = (args.points + (complex(0.7, 0.0),))[0]
         return done("heine", average_char_poly(d, x), eval_monic(t, args.n, x), 1e-6)
     if args.check == "product":
-        x, y = (pts + [complex(0.5), complex(-0.4)])[:2]
+        x, y = (args.points + (complex(0.5), complex(-0.4)))[:2]
         rhs = w_kernel(KernelFamily.I, t, 1, x, y)
         return done("product", average_product_pair(d, x, y), rhs, 1e-5)
     if args.check == "ratio":
-        x, y = (pts + [complex(0.2, 0.4), complex(0.1)])[:2]
+        x, y = (args.points + (complex(0.2, 0.4), complex(0.1)))[:2]
         rhs = ScaledComplex.from_parts(2j * math.pi * (x - y), t.log_gamma_sq(args.n - 1)) \
             * w_kernel(KernelFamily.II, t, 0, x, y)
         return done("ratio", average_ratio(d, x, y), rhs, 1e-5)
-    # inverse
-    if args.n != 3:
+    if args.n != 3:  # inverse
         raise UsageError("--check inverse requires --n 3")
-    x1, x2 = (pts + [complex(0.3, 0.5), complex(-0.2, 0.5)])[:2]
+    x1, x2 = (args.points + (complex(0.3, 0.5), complex(-0.2, 0.5)))[:2]
     # -c1 c2 (W(x1, x2) + W(x2, x1)) / 2 with c_k = -2 pi i gamma_k^2; W_III is
     # symmetric, so that is 4 pi^2 gamma_1^2 gamma_2^2 W(x1, x2)
     rhs = ScaledComplex.from_parts(4 * math.pi ** 2, t.log_gamma_sq(1) + t.log_gamma_sq(2)) \
@@ -305,13 +298,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_ratio_check(args) -> int:
-    p = _parse_potential(args.potential)
-    n_list = _parse_int_list(args.n)
-    try:
-        check_sizes(n_list, 1)
-    except ValueError as exc:
-        raise UsageError(f"invalid --n {args.n!r}: {exc}") from exc
-    rep = ratio_convergence_check(args.alpha, p, _parse_complex(args.zeta), n_list)
+    rep = ratio_convergence_check(args.alpha, args.potential, args.zeta, args.n)
     for n, val, err in zip(rep.n_list, rep.values, rep.errors):
         print(f"n = {n}: value = {_fmt_c(val)}, |value - 1| = {_fmt(err)}")
     print(f"{'PASS' if rep.passed else 'FAIL'}")
@@ -319,8 +306,7 @@ def _cmd_ratio_check(args) -> int:
 
 
 def _cmd_parametrix(args) -> int:
-    sector = PsiSector.S1 if args.sector == 1 else PsiSector.S2
-    m = psi_alpha(args.alpha, _parse_complex(args.zeta), sector)
+    m = psi_alpha(args.alpha, args.zeta, PsiSector(args.sector))
     for i in range(2):
         print("  ".join(_fmt_c(m[i, j]) for j in range(2)))
     return EXIT_OK
@@ -351,95 +337,78 @@ def _cmd_specfun_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def build_parser() -> _Parser:
+# Each flag once: its argparse settings, and with "flag" a long name other
+# than its key.  A flag with no default is required.
+_FLAGS = {
+    "alpha": dict(type=float),
+    "potential": dict(type=_potential),
+    "n": dict(type=int),
+    "sizes": dict(flag="n", type=_sizes, default="8,16,32,64"),
+    "max-degree": dict(type=int),
+    "out": dict(default=None),
+    "report": dict(default=None),
+    "table": dict(),
+    "j": dict(type=int),
+    "m": dict(type=int, default=0),
+    "z": dict(type=_complex),
+    "zeta": dict(type=_complex),
+    "eta": dict(type=_complex),
+    "family": dict(choices=[f.value for f in KernelFamily]),
+    "kernel": dict(choices=[k.value for k in LimitKernelId]),
+    "case": dict(choices=[t.value for t in Theorem]),
+    "check": dict(choices=["heine", "product", "ratio", "inverse"]),
+    "points": dict(type=_points, default="", help="semicolon-separated 're,im' pairs"),
+    "sector": dict(type=int, choices=[1, 2]),
+}
+
+# Each subcommand: its function and its flags' keys, "key=value" for a default of its own.
+_COMMANDS = {
+    "recurrence": (_cmd_recurrence, "alpha potential n max-degree out"),
+    "cauchy": (_cmd_cauchy, "table j z"),
+    "kernel": (_cmd_kernel, "family table m zeta eta"),
+    "limit-kernel": (_cmd_limit_kernel, "kernel alpha zeta eta"),
+    "equilibrium": (_cmd_equilibrium, "potential report"),
+    "universality": (_cmd_universality, "case alpha potential m sizes out"),
+    "ratio-check": (_cmd_ratio_check, "alpha potential zeta=0.5,0.5 sizes"),
+    "oracle": (_cmd_oracle, "check n alpha potential points"),
+    "parametrix": (_cmd_parametrix, "alpha zeta sector"),
+    "parametrix-jump-test": (_cmd_parametrix_jump_test, ""),
+    "specfun-selftest": (_cmd_specfun_selftest, ""),
+}
+
+
+def build_parser(config: dict | None = None) -> _Parser:
+    """The parser, whose flags named in ``config`` take the values there as defaults.
+
+    A config key is a long flag name without dashes.  One that no subcommand
+    takes, or a value outside its flag's choices, is a UsageError; one that
+    only another subcommand takes does nothing.
+    """
+    config = config or {}
+    unknown = set(config) - {spec.get("flag", key) for key, spec in _FLAGS.items()}
+    if unknown:
+        raise UsageError(f"unknown config key {sorted(unknown)[0]!r}")
     p = _Parser(prog="rmtkernels")
     p.add_argument("--config", help="JSON file preloading flag values")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("recurrence")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--potential", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-degree", dest="max_degree", type=int, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_recurrence)
-
-    sp = sub.add_parser("cauchy")
-    sp.add_argument("--table", required=True)
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--z", required=True)
-    sp.set_defaults(func=_cmd_cauchy)
-
-    sp = sub.add_parser("kernel")
-    sp.add_argument("--family", choices=["I", "II", "III"], required=True)
-    sp.add_argument("--table", required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--zeta", required=True)
-    sp.add_argument("--eta", required=True)
-    sp.set_defaults(func=_cmd_kernel)
-
-    sp = sub.add_parser("limit-kernel")
-    sp.add_argument("--kernel", choices=[k.value for k in LimitKernelId],
-                    required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--zeta", required=True)
-    sp.add_argument("--eta", required=True)
-    sp.set_defaults(func=_cmd_limit_kernel)
-
-    sp = sub.add_parser("equilibrium")
-    sp.add_argument("--potential", required=True)
-    sp.add_argument("--report")
-    sp.set_defaults(func=_cmd_equilibrium)
-
-    sp = sub.add_parser("universality")
-    sp.add_argument("--case", choices=[t.value for t in Theorem], required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--potential", required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--n", default="8,16,32,64")
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_universality)
-
-    sp = sub.add_parser("ratio-check")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--potential", required=True)
-    sp.add_argument("--zeta", default="0.5,0.5")
-    sp.add_argument("--n", default="8,16,32,64")
-    sp.set_defaults(func=_cmd_ratio_check)
-
-    sp = sub.add_parser("oracle")
-    sp.add_argument("--check", choices=["heine", "product", "ratio", "inverse"],
-                    required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--potential", required=True)
-    sp.add_argument("--points", help="semicolon-separated 're,im' pairs")
-    sp.set_defaults(func=_cmd_oracle)
-
-    sp = sub.add_parser("parametrix")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--zeta", required=True)
-    sp.add_argument("--sector", type=int, choices=[1, 2], required=True)
-    sp.set_defaults(func=_cmd_parametrix)
-
-    sp = sub.add_parser("parametrix-jump-test")
-    sp.set_defaults(func=_cmd_parametrix_jump_test)
-
-    sp = sub.add_parser("specfun-selftest")
-    sp.set_defaults(func=_cmd_specfun_selftest)
-
+    for command, (_, keys) in _COMMANDS.items():
+        sp = sub.add_parser(command)
+        for item in keys.split():
+            key, own, default = item.partition("=")
+            spec = dict(_FLAGS[key], **({"default": default} if own else {}))
+            name = spec.pop("flag", key)
+            if name in config:
+                value = str(config[name])  # argparse applies the flag's type to a str default
+                if "choices" in spec and value not in map(str, spec["choices"]):
+                    raise UsageError(f"config key {name!r}: {value} not in {spec['choices']}")
+                spec["default"] = value
+            sp.add_argument(f"--{name}", required="default" not in spec, **spec)
     return p
 
 
-def _apply_config(parser: _Parser, argv):
-    """Make the values in the --config file the defaults of the flags they name.
-
-    --config is read as the top-level parser reads it, abbreviations
-    included; a flag on the command line, in any form, then wins over its
-    default.  A key is the long flag name without dashes; one that no
-    subcommand takes is rejected, one that only another subcommand takes
-    does nothing.
-    """
+def _read_config(argv) -> dict | None:
+    """The JSON object in the --config file of ``argv``, None without one; --config
+    is read as the top-level parser reads it, abbreviations included."""
     pre = _Parser(prog="rmtkernels", add_help=False)
     pre.add_argument("--config")
     # the subcommand and its flags, so that one of them (--c for --check) is
@@ -447,7 +416,7 @@ def _apply_config(parser: _Parser, argv):
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     path = pre.parse_known_args(argv)[0].config
     if path is None:
-        return
+        return None
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -455,21 +424,7 @@ def _apply_config(parser: _Parser, argv):
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
-    actions = {}
-    for sub_parser in parser._subparsers._group_actions[0].choices.values():
-        for action in sub_parser._actions:
-            if action.default is not argparse.SUPPRESS:  # all but --help
-                for opt in action.option_strings:
-                    actions.setdefault(opt.lstrip("-"), []).append(action)
-    for key, value in doc.items():
-        if key not in actions:
-            raise UsageError(f"unknown config key {key!r}")
-        for action in actions[key]:
-            if action.choices is not None and str(value) not in map(str, action.choices):
-                raise UsageError(f"config key {key!r}: {value!r} is not one of "
-                                 f"{', '.join(map(str, action.choices))}")
-            action.default = str(value)  # argparse applies the flag's type to a str default
-            action.required = False
+    return doc
 
 
 def main(argv=None) -> int:
@@ -486,12 +441,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(argv) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser(_read_config(argv)).parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except (UsageError, DegreeError, CauchyDomainError, WeightDomainError,
             SpecfunDomainError, SectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchyDomainError, cauchy_transforms
+from .cauchy import _TINY, CauchyDomainError, cauchy_transforms
 from .orthopoly import DegreeError, RecurrenceTable, _check_degree, monic_values_scaled
 from .scaled import ScaledComplex
 
@@ -125,7 +125,8 @@ def kernel_grids(family: KernelFamily, m: int, tables, zetas, etas, gap=False):
     cols, confluent = [], []  # per table (F rows at zetas, G rows at etas); derivative forms
     for r, (t, zs, es) in enumerate(zip(tables, zetas.tolist(), etas.tolist())):
         hi, lo = _degrees(t, m)
-        if family is KernelFamily.II and not gap and set(zs) & set(es):
+        # a gap below the smallest normal double is the pole in the doubles: 1/gap overflows
+        if family is KernelFamily.II and not gap and (abs(diff[r]) < _TINY).any():
             raise CauchyDomainError(
                 "W_II has a pole at zeta = eta; use w_kernel_times_gap for (zeta - eta) W_II"
             )
@@ -146,7 +147,7 @@ def kernel_grids(family: KernelFamily, m: int, tables, zetas, etas, gap=False):
     log = f[:, :, 2, None].real + g[:, None, :, 2].real
     if gap:
         return num, log
-    out = num / np.where(diff == 0, 1.0, diff)
+    out = num / (diff if near is None else np.where(near, 1.0, diff))  # near: overwritten
     for r, i, k, v, d in confluent:
         out[r, i, k] = d[:, 1] * v[:, 0] - d[:, 0] * v[:, 1]
         log[r, i, k] = (d[:, 2] + v[:, 2]).real

@@ -106,6 +106,37 @@ def test_derivative_near_the_axis_raises_rather_than_returns():
             cauchy_transforms(t, [j], near, derivative=True)
 
 
+def test_subnormal_and_overflowing_points_raise_without_a_warning():
+    # below the smallest normal Im z, 1/(x - z) leaves the doubles at the
+    # refined nodes: a domain error, above or below the axis, alone or in a
+    # batch.  At z = 1e-200 (1 + i) the terms u (u - r) of h'_j overflow, and
+    # far along the axis u itself: the sum is not finite and fails its check.
+    # None of them warns
+    t = build_recurrence(WeightSpec(0.3, 16, V_2X2), 20)
+    t0 = build_recurrence(WeightSpec(0.0, 8, V_2X2), 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for im in (2.2e-309, -2.2e-309, 5e-324, -1e-310):
+            for derivative in (False, True):
+                with pytest.raises(CauchyDomainError, match="2.2e-308"):
+                    cauchy_transforms(t, [10], complex(0.83, im), derivative=derivative)
+            with pytest.raises(CauchyDomainError):
+                cauchy_transforms(t, [10], np.array([0.83 + 1j, complex(0.83, im)]))
+        for j in range(5, 10):
+            with pytest.raises(CauchyConvergenceError):
+                cauchy_transform_derivative(t0, j, 1e-200 + 1e-200j)
+        # on the wide grid of n = 1, f/(x - z) itself overflows at |Re z| >= 8
+        wide = build_recurrence(WeightSpec(0.0, 1, V_X2), 3)
+        for z in (12 + 2.3e-308j, -20 - 6e-308j):
+            for derivative in (False, True):
+                with pytest.raises(CauchyConvergenceError):
+                    cauchy_transforms(wide, [1], z, derivative=derivative)
+        # the smallest normal Im z is in the domain
+        for im in (2.3e-308, -2.3e-308, 1e-300):
+            v = cauchy_transform(t, 10, complex(0.83, im))
+            assert math.isfinite(abs(v.mantissa)) and v.mantissa != 0 and math.isfinite(v.log_scale)
+
+
 def test_degrees_together_match_single_degree_calls():
     # one local recurrence for both degrees and both check orders returns what
     # one call per degree returns, and a failing degree fails the whole call

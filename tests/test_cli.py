@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -30,12 +31,46 @@ def test_malformed_potential_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_missing_required_flag_is_usage_error():
+def test_missing_required_flag_is_usage_error(capsys):
     assert main(["recurrence", "--alpha", "0.0"]) == EXIT_USAGE
+    _assert_one_error_line(capsys.readouterr().err)
 
 
-def test_unknown_subcommand_is_usage_error():
+def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+# each subcommand's long flags, and whether each is required
+_SURFACE = {
+    "recurrence": {("alpha", True), ("potential", True), ("n", True), ("max-degree", True),
+                   ("out", False)},
+    "cauchy": {("table", True), ("j", True), ("z", True)},
+    "kernel": {("family", True), ("table", True), ("m", False), ("zeta", True), ("eta", True)},
+    "limit-kernel": {("kernel", True), ("alpha", True), ("zeta", True), ("eta", True)},
+    "equilibrium": {("potential", True), ("report", False)},
+    "universality": {("case", True), ("alpha", True), ("potential", True), ("m", False),
+                     ("n", False), ("out", False)},
+    "ratio-check": {("alpha", True), ("potential", True), ("zeta", False), ("n", False)},
+    "oracle": {("check", True), ("n", True), ("alpha", True), ("potential", True),
+               ("points", False)},
+    "parametrix": {("alpha", True), ("zeta", True), ("sector", True)},
+    "parametrix-jump-test": set(),
+    "specfun-selftest": set(),
+}
+
+
+def test_parser_surface(capsys):
+    # the usage lines of --help: the subcommands, then each one's flags, a
+    # flag in brackets being optional
+    assert main(["--help"]) == EXIT_OK
+    commands = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out)[1]
+    assert sorted(commands.split(",")) == sorted(_SURFACE)
+    for command, flags in _SURFACE.items():
+        assert main([command, "--help"]) == EXIT_OK
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        found = {(name, not bracket) for bracket, name in re.findall(r"(\[?)--([\w-]+)", usage)}
+        assert found == flags, command
 
 
 def test_equilibrium_report(tmp_path, capsys):
@@ -176,6 +211,7 @@ def table_file(tmp_path, capsys):
     ["limit-kernel", "--kernel", "I", "--alpha", "-3", "--zeta", "0.7,0", "--eta", "0.2,0"],
     ["limit-kernel", "--kernel", "III+", "--alpha", "-0.5",
      "--zeta", "0.7,0.1", "--eta", "0.2,0.3"],
+    ["cauchy", "--table", "{table}", "--j", "10", "--z", "0.83,-2.2e-309"],
 ], ids=["cauchy-degree", "kernel-degree", "cauchy-real-z", "kernel-II-diagonal",
         "recurrence-alpha", "limit-kernel-half-plane", "limit-kernel-II-pole",
         "limit-kernel-I-confluent-at-0", "parametrix-origin",
@@ -183,7 +219,7 @@ def table_file(tmp_path, capsys):
         "recurrence-flat-potential", "limit-kernel-overflow", "limit-kernel-III+-overflow",
         "universality-limit-overflow", "recurrence-jacobi-mass-overflow",
         "parametrix-alpha-minus-3", "parametrix-alpha-minus-half", "limit-kernel-alpha-minus-3",
-        "limit-kernel-alpha-minus-half"])
+        "limit-kernel-alpha-minus-half", "cauchy-subnormal-z"])
 def test_domain_error_is_usage_error(argv, table_file, capsys):
     argv = [a.replace("{table}", table_file) for a in argv]
     assert main(argv) == EXIT_USAGE
@@ -259,6 +295,22 @@ def test_oracle_mean_beyond_the_doubles_is_tolerance_error(capsys):
     # <det(x - M)> at x = 1e300 leaves the doubles: one error line, not an OverflowError
     assert main(["oracle", "--check", "heine", "--n", "2", "--alpha", "0",
                  "--potential", "0,0,2", "--points", "1e300,1e-300"]) == EXIT_TOLERANCE
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+def test_kernel_at_an_overflowing_confluent_pair_is_tolerance_error(m, tmp_path, capsys):
+    # family III at zeta = eta = 1e-200 (1 + i) takes h'_j at the midpoint,
+    # whose terms u (u - r) leave the doubles: one error line, no warning
+    table = tmp_path / "table.json"
+    assert main(["recurrence", "--alpha", "0", "--potential", "0,0,2", "--n", "8",
+                 "--max-degree", "12", "--out", str(table)]) == EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["kernel", "--family", "III", "--table", str(table), "--m", str(m),
+                     "--zeta", "1e-200,1e-200", "--eta", "1e-200,1e-200"]) == EXIT_TOLERANCE
+    assert not caught, [str(w.message) for w in caught]
     _assert_one_error_line(capsys.readouterr().err)
 
 
@@ -451,7 +503,8 @@ def _mostly(valid, odd):
 
 _ALPHAS = _mostly(st.floats(-0.49, 6.0).map(repr),
                   ["-3", "-0.5", "70", "200", "1e6", "nan", "inf", "x", ""])
-_ODD_POINTS = ["0,0", "1e300,1e-300", "1e-300,0", "0.3,1e300", "nan,0.5", "0.5,inf", "0.5", "a,b"]
+_ODD_POINTS = ["0,0", "1e300,1e-300", "1e-300,0", "0.3,1e300", "nan,0.5", "0.5,inf", "0.5", "a,b",
+               "0.83,-2.2e-309", "1e-200,1e-200"]
 _POINTS = _mostly(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0).filter(bool)).map(
     lambda p: f"{p[0]!r},{p[1]!r}"), _ODD_POINTS)
 # r e^{i theta} in the first quadrant, |zeta| from 1e-3 to 1e3: inside one sector or the other
@@ -508,14 +561,18 @@ def sweep_table(tmp_path_factory):
 @given(argv=_ARGV, drop=st.integers(0, 40))
 def test_random_argv_keeps_the_exit_code_contract(sweep_table, argv, drop):
     # any argv ends in an exit code of the contract, at most one line on
-    # stderr, and no nan in what a successful command prints; ``drop`` now
-    # and then removes one flag
+    # stderr, no warning, and no nan in what a successful command prints;
+    # ``drop`` now and then removes one flag.  A numpy warning would print a
+    # line of its own on stderr outside pytest, which captures it instead
     argv = [a.replace("{table}", sweep_table) for a in argv]
     if 0 < drop < len(argv):
         del argv[drop]
     with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()) as err:
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
+    assert not caught, (argv, [str(w.message) for w in caught])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_TOLERANCE, EXIT_BROKEN_PIPE), (argv, err.getvalue())
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     assert code != EXIT_OK or "nan" not in out.getvalue().lower(), (argv, out.getvalue())

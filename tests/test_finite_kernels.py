@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ def test_family_II_pole_on_diagonal(table_n6):
     with pytest.raises(CauchyDomainError, match="w_kernel_times_gap"):
         w_kernel(KernelFamily.II, t, 0, zeta, zeta)
     assert w_kernel_times_gap(KernelFamily.II, t, 0, zeta, zeta).log_abs() > -math.inf
+
+
+def test_subnormal_gap(table_n6):
+    # a gap below the smallest normal double is the pole for W_II, whose 1/gap
+    # would overflow; family I takes its derivative form there, as at a zero
+    # gap, with no warning from the quotient form it replaces
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CauchyDomainError, match="w_kernel_times_gap"):
+            w_kernel(KernelFamily.II, table_n6, 0, 1e-310 + 1j, 1j)
+        at_gap = w_kernel(KernelFamily.I, table_n6, 0, 1.0, 1 + 5e-324j)
+        on_diagonal = w_kernel(KernelFamily.I, table_n6, 0, 1.0, 1.0)
+    assert (at_gap.mantissa, at_gap.log_scale) == (on_diagonal.mantissa, on_diagonal.log_scale)
 
 
 def test_confluence_continuity(table_n6):
