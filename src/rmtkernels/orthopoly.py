@@ -7,11 +7,17 @@ and at large n the weight underflows inside the support, so no one scale
 holds every point.  The step builds the table by a discretized Stieltjes
 procedure on the composite Gauss grid of :mod:`rmtkernels.quadrature`, with
 the weight and the scales in log form so that every sum stays in range though
-norms decay like e^(-c*n), and in the same pass checks the table on a second
-rule, the grid's panels at a higher Gauss order.  The build checks for
-rescaling on a growth budget: only once the steps since the last check may
-have moved the state 200 nats.  It caches its top three degrees at the
-grid nodes on the table, where :meth:`RecurrenceTable.grid_values` reads
+norms decay like e^(-c*n).  Two identities of the Jacobi matrix J (a_k on the
+diagonal, sqrt(b_k) off it) check the finished table independently of the
+grid (Freud, Proc. Roy. Irish Acad. 76A, 1976; Magnus, J. Comput. Appl.
+Math. 57, 1995).  Integrating d/dx[x p_j p_k w] over the line, whose
+boundary terms vanish for a > -1/2, gives with M = (xV')(J)
+n M_kk = 2k + 1 + 2a and n M_{k,k-1} sqrt(b_k) = a_0 + ... + a_{k-1},
+for any V and any a.  Row K of M reads b up to K + deg V / 2, so the pass
+runs deg V / 2 steps past K; those coefficients are not kept.  The build
+checks for rescaling on a growth budget: only once the steps since the last
+check may have moved the state 200 nats.  It caches its top three degrees at
+the grid nodes on the table, where :meth:`RecurrenceTable.grid_values` reads
 them without a second pass over the grid.  :func:`monic_values_scaled`
 evaluates polynomials and derivatives with it off the grid, at a numpy array
 of points or at one point given as a Python number, in Python arithmetic (a
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import WeightDomainError, WeightGrid, build_weight_grid, weighted_rule
+from .quadrature import WeightDomainError, WeightGrid, build_weight_grid
 from .scaled import ScaledComplex
 
 
@@ -66,7 +72,7 @@ class PotentialSpec:
 
     @property
     def degree(self) -> int:
-        return len(np.trim_zeros(np.asarray(self.coeffs), "b")) - 1
+        return max(k for k, c in enumerate(self.coeffs) if c)
 
     def __call__(self, x):
         return _horner(self.coeffs, x)
@@ -96,6 +102,8 @@ class WeightSpec:
 # the table's grid: at least DENSE_PANELS dense panels of Gauss order ORDER
 DENSE_PANELS = 48
 ORDER = 20
+# the largest defect of the Jacobi-matrix identities (_identity_defect) a table passes
+IDENTITY_TOL = 1e-9
 
 
 def eval_weight(w: WeightSpec, x: float) -> ScaledComplex:
@@ -173,89 +181,92 @@ def build_recurrence(w: WeightSpec, max_degree: int) -> RecurrenceTable:
     K = _check_degree(max_degree, math.inf)
     grid = build_weight_grid(w, dense_panels=max(DENSE_PANELS, int(0.8 * K) + 12),
                              order=ORDER, max_degree=K)
-    # the check rule: the grid's panels at ORDER + 4 nodes each, run after the grid's nodes
-    lo, hi, start, stop = grid.panels
-    x0, off, qw, logw = weighted_rule(np.zeros(lo.size), lo, hi, ORDER + 4, w)
-    N = grid.x.size
-    x, qw, logw = (np.concatenate(pair) for pair in
-                   ((grid.x, x0 + off), (grid.qw, qw), (grid.logw, logw)))
-
-    # discretized Stieltjes on the grid's nodes [:N]: with pi_k = cur e^s at
-    # the nodes and the weights W = qw e^(logw + 2s - c), refreshed when s
+    # discretized Stieltjes on the grid's nodes: with pi_k = cur e^s at the
+    # nodes and the weights W = qw e^(logw + 2s - c), refreshed when s
     # changes, S_k = sum W cur^2 is ||pi_k||^2 e^-c and in range.  b_k is the
-    # ratio of two sums under one W.  The check rule's nodes [N:] carry the
-    # table's pi_k along, and its ||pi_k||^2 and <pi_k, pi_{k-1}> against
-    # the grid's norms measure the grid's quadrature error, which no sum on
-    # the grid itself can show (Gautschi, Orthogonal Polynomials, 2004).
-    # The state is checked for rescaling only once the steps since the last
-    # check may have moved it 200 nats: from within [1e-50, 1e50] it stays
-    # within about 1e+-137, so cur^2 cannot overflow.  |x - a_k| + 1 <= reach,
-    # as a_k is a weighted mean of the grid's nodes.
-    # a_k, b_k and log ||pi_k||^2 grow as lists, read by _three_term after
-    # each yield, and become the table's arrays once the pass ends; pi_k^2
-    # and the check rule's pi_k pi_{k-1} go into two buffers
+    # ratio of two sums under one W.  The pass runs deg V / 2 steps past K
+    # for the identities' row K.  The state is checked for rescaling only
+    # once the steps since the last check may have moved it 200 nats: from
+    # within [1e-50, 1e50] it stays within about 1e+-137, so cur^2 cannot
+    # overflow.  |x - a_k| + 1 <= reach, as a_k is a weighted mean of nodes
+    # within the panels.  a_k, b_k and log ||pi_k||^2 grow as lists, read by
+    # _three_term after each yield; the table keeps them to degree K
     a, b, log_norm_sq = [], [], []
-    p2, pp = np.empty(x.size), np.empty(x.size - N)
-    p2g, p2c = p2[:N], p2[N:]
-    reach = 2.0 * float(np.abs(x).max()) + 1.0
+    x, p2 = grid.x, np.empty(grid.x.size)
+    lo, hi, start, stop = grid.panels
+    reach = 2.0 * float(max(-lo[0], hi[-1])) + 1.0  # the panels are sorted and span 0
     checks, budget = set(), 0.0
-    s_w, residual, top, s_top = None, 0.0, {}, None
-    for k, s, cur, prev, _ in _three_term(x, a, b, range(K + 1), checks):
-        if k >= K - 2:  # copies: a view would keep the check rule's nodes alive
-            if s is not s_top:  # the degrees share one copy of a scale no check changed
-                s_top, s_kept = s, s[:N].copy()
-                s_kept.setflags(write=False)
-            top["grid", "pi", k] = cur[:N].copy(), s_kept
-            top["grid", "pi", k][0].setflags(write=False)
+    s_w, top = None, {}
+    for k, s, cur, prev, _ in _three_term(x, a, b, range(K + w.potential.degree // 2 + 1),
+                                          checks):
+        if K - 2 <= k <= K:  # never written again: the step writes only fresh arrays
+            for arr in (cur, s):
+                arr.setflags(write=False)
+            top["grid", "pi", k] = cur, s
         if s is not s_w:
-            e = logw + 2.0 * s
-            c = float(e[:N].max())
-            W = qw * np.exp(e - c)
-            Wg, Wc, s_w = W[:N], W[N:], s
-            Wx = Wg * x[:N]
-            s_prev = float(np.dot(Wg, prev[:N] * prev[:N]))
-        np.multiply(cur, cur, out=p2)
-        sk = float(np.dot(Wg, p2g))
+            e = grid.logw + 2.0 * s
+            c = float(e.max())
+            W = grid.qw * np.exp(e - c)
+            Wx, s_w = W * x, s
+            s_prev = float(np.dot(W, prev * prev))
+        sk = float(np.dot(W, np.multiply(cur, cur, out=p2)))
         if not (sk > 0) or not math.isfinite(sk):
             raise PrecisionError(f"lost positivity of the norm at degree {k}")
         log_norm_sq.append(math.log(sk) + c)
-        a.append(float(np.dot(Wx, p2g)) / sk)
+        a.append(float(np.dot(Wx, p2)) / sk)
         b.append(sk / s_prev if k else 0.0)
-        # between checks sk can fall to 1e-162 (alpha = -0.45, n = 1024): sk * s_prev underflows
-        cross = (abs(np.dot(Wc, np.multiply(cur[N:], prev[N:], out=pp)))
-                 / math.sqrt(sk) / math.sqrt(s_prev) if k else 0)
-        # max returns a nan first argument, so a nan norm term fails the check
-        defect = float(max(abs(np.dot(Wc, p2c) / sk - 1.0), cross))
-        if not defect <= 1e-7:
-            raise PrecisionError(f"orthogonality residual {defect:.3e} at degree {k} on the "
-                                 f"check rule exceeds 1e-7: the grid does not resolve pi_{k}")
-        residual = max(residual, defect)
         s_prev = sk
+        if k == K:  # pi_K^2 w must have decayed before the grid ends on either side
+            edge = max(np.dot(W[i:j], p2[i:j]) for i, j in zip(start[[0, -1]], stop[[0, -1]])) / sk
         bk = b[k] if k else 1.0  # the step to degree k + 1; pi_1 = x - a_0 takes no b
         budget += _log_growth(reach, bk, bk)
         if budget > 200.0:
             checks.add(k + 1)
             budget = 0.0
 
-    # pi_K^2 w must have decayed before the grid ends on either side
-    edge = max(np.dot(Wg[i:j], p2[i:j]) for i, j in zip(start[[0, -1]], stop[[0, -1]])) / sk
     if edge > 1e-15:
         raise PrecisionError(f"the outermost grid panel holds {edge:.3e} of ||pi_{K}||^2")
-    a, b, log_norm_sq = (np.array(v) for v in (a, b, log_norm_sq))
+    residual, k = _identity_defect(w, np.array(a), np.array(b), K)
+    if not residual <= IDENTITY_TOL:  # false for nan too
+        raise PrecisionError(f"orthogonality residual {residual:.3e} at degree {k} of the "
+                             f"Jacobi-matrix identities exceeds {IDENTITY_TOL:.0e}: the grid "
+                             f"does not resolve pi_{k}")
+    a, b, log_norm_sq = (np.array(v[:K + 1]) for v in (a, b, log_norm_sq))
     for arr in (a, b, log_norm_sq):
         arr.setflags(write=False)
 
-    t = RecurrenceTable(
-        weight=w,
-        max_degree=K,
-        a=a,
-        b=b,
-        log_norm_sq=log_norm_sq,
-        grid=grid,
-        orthogonality_residual=residual,
-    )
+    t = RecurrenceTable(weight=w, max_degree=K, a=a, b=b, log_norm_sq=log_norm_sq, grid=grid,
+                        orthogonality_residual=residual)
     t._memo.update(top)
     return t
+
+
+def _identity_defect(w: WeightSpec, a, b, K):
+    """(worst defect, its degree) of the Freud-Magnus identities over degrees 0..K.
+
+    ``a`` and ``b`` reach degree K + deg V / 2, so that no path of J from a
+    row k <= K leaves its truncation.  M = (xV')(J) is built by Horner's rule
+    in bands C[deg V + r, j] = M_{j+r, j}: a column of M J mixes three columns
+    of M with factors of the column alone.
+    """
+    d = w.potential.degree
+    L = K + d // 2 + 1
+    q = [m * c for m, c in enumerate(w.potential.coeffs[:d + 1])]  # xV'(x)
+    s = np.sqrt(b[1:L])  # J_{j-1,j}, j = 1..L-1
+    C = np.zeros((2 * d + 1, L))
+    C[d] = q[d]
+    for qm in q[-2::-1]:  # M <- M J + q_m I
+        new = C * a[:L]
+        new[:-1, 1:] += C[1:, :-1] * s
+        new[1:, :-1] += C[:-1, 1:] * s
+        new[d] += qm
+        C = new
+    rhs = 2.0 * np.arange(K + 1) + 1.0 + 2.0 * w.alpha
+    defect = np.abs(w.n * C[d, :K + 1] - rhs)
+    defect[1:] = np.maximum(defect[1:], np.abs(w.n * C[d + 1, :K] * s[:K] - np.cumsum(a[:K])))
+    defect /= np.maximum(rhs, 1.0)  # at k = 0, O(1) terms sum to 1 + 2a, which vanishes at -1/2
+    worst = int(np.argmax(defect))  # the first nan, if any
+    return float(defect[worst]), worst
 
 
 def eval_monic(t: RecurrenceTable, j: int, z) -> ScaledComplex:

@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rmtkernels
 from rmtkernels import cli
@@ -139,6 +139,19 @@ def test_oracle_inverse_requires_n3(capsys):
     assert main(["oracle", "--check", "inverse", "--n", "2", "--alpha", "0.0",
                  "--potential", "0,0,1"]) == EXIT_USAGE
     assert "n 3" in capsys.readouterr().err
+
+
+def test_oracle_inverse_at_another_n_fails_before_any_work(monkeypatch, capsys):
+    # the size is checked first: no density, no table, and a weight whose
+    # table fails its check (alpha 200) does not turn exit 1 into exit 2
+    def no_work(*args):
+        raise AssertionError("make_joint_density ran")
+
+    monkeypatch.setattr(cli, "make_joint_density", no_work)
+    for alpha in ("0.0", "200"):
+        assert main(["oracle", "--check", "inverse", "--n", "2", "--alpha", alpha,
+                     "--potential", "0,0,1"]) == EXIT_USAGE
+        _assert_one_error_line(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("potential", ["0,0,2", "0,0,0,0,1"])
@@ -283,6 +296,21 @@ def test_tampered_table_rejected(table_file, capsys):
     assert main(["cauchy", "--table", table_file, "--j", "3",
                  "--z", "0.4,0.3"]) == EXIT_USAGE
     assert "stored b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["a", "b", "log_norm_sq"])
+def test_table_with_a_nan_entry_rejected(key, table_file, capsys):
+    # a nan entry compares false with the tolerance, and fails it like a wrong one
+    with open(table_file) as fh:
+        doc = json.load(fh)
+    doc[key][5] = math.nan
+    with open(table_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["cauchy", "--table", table_file, "--j", "3",
+                 "--z", "0.4,0.3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert f"stored {key}" in err
 
 
 def test_oracle_beyond_cap_is_tolerance_error(capsys):
@@ -559,6 +587,10 @@ def sweep_table(tmp_path_factory):
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(argv=_ARGV, drop=st.integers(0, 40))
+# the two warning classes of subnormal and tiny points, in the sweep itself
+@example(argv=["cauchy", "--table={table}", "--j=3", "--z=0.83,-2.2e-309"], drop=0)
+@example(argv=["kernel", "--family=III", "--table={table}", "--m=0", "--zeta=1e-200,1e-200",
+               "--eta=1e-200,1e-200"], drop=0)
 def test_random_argv_keeps_the_exit_code_contract(sweep_table, argv, drop):
     # any argv ends in an exit code of the contract, at most one line on
     # stderr, no warning, and no nan in what a successful command prints;

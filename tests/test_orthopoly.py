@@ -139,6 +139,75 @@ def test_certification_edge_n64():
     assert t.orthogonality_residual < 1e-9
 
 
+# -- the Jacobi-matrix identities that check each table ----------------------
+
+# 2x^2, x^4, an odd quartic, a sextic, an odd quartic with a cubic, a double well
+SIX_POTENTIALS = [PotentialSpec(c) for c in ((0, 0, 2), (0, 0, 0, 0, 1), (0, 0.5, 0, 0, 1),
+                                             (0, 0, 0, 0, 1, 0, 0.2), (0, -1, 0, 0.3, 1),
+                                             (0, 0, -1, 0, 1))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(potential=st.sampled_from(SIX_POTENTIALS), alpha=st.floats(-0.5 + 1e-9, 6.0),
+       n=st.sampled_from([1, 2, 8, 64]), extra=st.sampled_from([0, 8]))
+def test_tables_meet_the_identities_far_inside_the_gate(potential, alpha, n, extra):
+    # default tables read about 1e-13, 30 times inside the gate and more.
+    # Within about 1e-13 of alpha = -1/2 the origin's Gauss-Jacobi rule
+    # itself loses digits (b off by 2e-9 at the last double), which the
+    # identities then report, so the sweep stops 1e-9 short of it
+    t = build_recurrence(WeightSpec(alpha, n, potential), n + extra)
+    assert t.orthogonality_residual <= orthopoly.IDENTITY_TOL / 30
+
+
+def test_identity_bands_match_the_dense_matrix_polynomial():
+    # the banded Horner evaluation against (xV')(J) as a dense matrix, on a
+    # table whose a and b are perturbed so that the defects are not rounding
+    w = WeightSpec(0.3, 8, PotentialSpec((0, -1, 0, 0.3, 1)))
+    K = 16
+    t = build_recurrence(w, K + 2)
+    rng = np.random.default_rng(0)
+    a = t.a * (1 + 1e-6 * rng.standard_normal(K + 3))
+    b = t.b * (1 + 1e-6 * rng.standard_normal(K + 3))
+    J = np.diag(a) + np.diag(np.sqrt(b[1:]), 1) + np.diag(np.sqrt(b[1:]), -1)
+    M = sum(m * c * np.linalg.matrix_power(J, m) for m, c in enumerate(w.potential.coeffs))
+    k = np.arange(K + 1)
+    rhs = 2 * k + 1 + 0.6
+    defect = np.abs(w.n * np.diag(M)[:K + 1] - rhs)
+    off = np.abs(w.n * np.diag(M, -1)[:K] * np.sqrt(b[1:K + 1]) - np.cumsum(a[:K]))
+    defect[1:] = np.maximum(defect[1:], off)
+    defect /= rhs
+    got, at = orthopoly._identity_defect(w, a, b, K)
+    assert at == np.argmax(defect) and got == pytest.approx(defect.max(), rel=1e-9)
+
+
+def test_identities_see_a_shrunken_dense_region(monkeypatch):
+    # the dense region cut to V - min V >= 2.7 (x^4, alpha 0.3, n 64, K 128):
+    # b is off by about 1e-7 and the identities read 8e-8, where a second
+    # Gauss rule on the same panels read 3.7e-8, inside its 1e-7 gate
+    from rmtkernels import quadrature
+
+    dense_radius = quadrature.dense_radius
+    monkeypatch.setattr(quadrature, "dense_radius",
+                        lambda p, direction, level: dense_radius(p, direction, 2.7))
+    with pytest.raises(PrecisionError, match="orthogonality residual .* at degree"):
+        build_recurrence(WeightSpec(0.3, 64, PotentialSpec((0, 0, 0, 0, 1))), 128)
+
+
+@pytest.mark.parametrize("coeff, k, factor", [("b", 9, 1 + 1e-8), ("a", 4, math.nan)])
+def test_identities_see_one_wrong_coefficient(monkeypatch, coeff, k, factor):
+    # one b_k off by 1e-8 relative, or a nan a_k, as the check reads them
+    check = orthopoly._identity_defect
+
+    def wrong(w, a, b, K):
+        arrays = {"a": a.copy(), "b": b.copy()}
+        arrays[coeff][k] *= factor
+        return check(w, arrays["a"], arrays["b"], K)
+
+    monkeypatch.setattr(orthopoly, "_identity_defect", wrong)
+    with pytest.raises(PrecisionError, match="orthogonality residual .* at degree"):
+        build_recurrence(WeightSpec(0.3, 8, PotentialSpec((0, 0.5, 0, 0, 1))), 16)
+
+
 @pytest.mark.parametrize("n", [400, 512, 800])
 def test_closed_form_b_at_large_n(n):
     # V = 2x^2: b_k = (k + 2a [k odd]) / (4n).  From n = 376 the weight
@@ -435,7 +504,7 @@ def test_appell_derivative_identity():
 def test_check_rule_sees_grid_error(monkeypatch, n):
     # Gauss order 2 panels leave b_k off by 6e-5 (n = 8) to 0.1 (n = 64),
     # though the polynomials are orthogonal on that grid by construction;
-    # the check rule at order 6 on the same panels sees it
+    # the Jacobi-matrix identities see it (defects 6e-6 to 3e-2)
     from rmtkernels import orthopoly
 
     monkeypatch.setattr(orthopoly, "ORDER", 2)
@@ -445,17 +514,17 @@ def test_check_rule_sees_grid_error(monkeypatch, n):
 
 @pytest.mark.parametrize("qw", [0.0, math.nan])
 def test_check_rule_rejects_a_void_sum(monkeypatch, qw):
-    # a check sum of zero or nan fails the table, with no math-domain error
+    # a norm sum of zero or nan fails the table, with no math-domain error
     from rmtkernels import orthopoly
 
-    rule = orthopoly.weighted_rule
+    grid = orthopoly.build_weight_grid
 
-    def void(*args):
-        x0, off, weights, logw = rule(*args)
-        return x0, off, np.full_like(weights, qw), logw
+    def void(*args, **kwargs):
+        g = grid(*args, **kwargs)
+        return dataclasses.replace(g, qw=np.full_like(g.qw, qw))
 
-    monkeypatch.setattr(orthopoly, "weighted_rule", void)
-    with pytest.raises(PrecisionError, match="at degree 0"):
+    monkeypatch.setattr(orthopoly, "build_weight_grid", void)
+    with pytest.raises(PrecisionError, match="lost positivity .* at degree 0"):
         build_recurrence(WeightSpec(0.3, 8, V_2X2), 16)
 
 
