@@ -32,21 +32,23 @@ breaks; their difference plus eps times the sum of absolute terms estimates
 the error, and above 1e-6 relative CauchyConvergenceError is raised.
 
 Points are summed in batches: one near-panel test, one weighted_rule call
-per order for the pieces of all points, one recurrence over every refined
-node and every point for every requested degree and j - 1, and for the
-grid part one product of the column qw e^(logw) pi_j q, cached per table
-and degree, with the matrix of 1/(x_k - z_m), each point's near panels
-masked.  pi_j at the grid nodes comes from the table: its top three degrees
-from its Stieltjes pass, any others from one whole-grid recurrence.  The
-refined nodes of both orders are one array, the order-16 nodes first, so
-x - z, the weighted terms and the per-point sums are formed once per
-degree: one np.bincount over ``who``, which bins an order-16 node under
-its point and an order-24 node under its point plus the number of points,
-gives every point's check sum and value sum.  Each point's terms are
-summed on their own, in their order, and each node keeps its own log
-scale, so no point's value depends on the rest of its batch.  A batch is
-checked and returned as arrays of mantissas and log scales; the one-point
-calls wrap theirs in a ScaledComplex.
+for the pieces of all points at the orders (16, 24), one recurrence over
+every refined node and every point for every requested degree and j - 1,
+and for the grid part one product of the column qw e^(logw) pi_j q, cached
+per table and degree, with the matrix of 1/(x_k - z_m), each point's near
+panels masked.  pi_j at the grid nodes comes from the table: its top three
+degrees from its Stieltjes pass, any others from one whole-grid recurrence.
+The refined nodes are one array, piece by piece: each piece's 16 check
+nodes, then its 24 value nodes.  So the rule map, 2a log|x| and -nV are
+evaluated once per batch, and x - z, the weighted terms and the per-point
+sums once per degree: one np.bincount over ``who``, which bins a check
+node under its point and a value node under its point plus the number of
+points, gives every point's check sum and value sum.  Each point's terms
+are summed on their own, in their order (its pieces in order, each
+piece's nodes in order), and each node keeps its own log scale, so no
+point's value depends on the rest of its batch.  A batch is checked and
+returned as arrays of mantissas and log scales; the one-point calls wrap
+theirs in a ScaledComplex.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .scaled import ScaledComplex
 
 _INV_2PI_I = -0.5j / math.pi  # 1/(2 pi i), kept in the mantissa
 _ORDERS = (16, 24)  # Gauss orders of the refined pieces: the check, then the sum
+_VALUE = np.arange(sum(_ORDERS)) >= _ORDERS[0]  # which of a piece's nodes sum the value
 _TOLERANCE = 1e-6  # relative error estimate above which a transform raises
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
@@ -215,20 +218,18 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
         owner += [m] * split[-1][0].size
     local = None
     if split:
-        # every refined node in one array: the order-16 nodes, the check, then
-        # the order-24 ones, the sum; their terms are binned per point, the
-        # check's in bins 0..P-1 and the sum's in bins P..2P-1
-        pieces = [np.concatenate(c) for c in zip(*split)]
-        x0, off, qw, logw = (np.concatenate(c) for c in
-                             zip(*(weighted_rule(*pieces, order, t.weight) for order in _ORDERS)))
-        at = np.concatenate([np.repeat(owner, order) for order in _ORDERS])  # each node's point
-        first = len(owner) * _ORDERS[0]  # the first order-24 node
-        who = at.copy()
-        who[first:] += zs.size
+        # every refined node in one array, piece by piece: each piece's 16
+        # check nodes, then its 24 value nodes; their terms are binned per
+        # point, the check's in bins 0..P-1 and the value's in bins P..2P-1
+        x0, off, qw, logw = weighted_rule(*(np.concatenate(c) for c in zip(*split)),
+                                          _ORDERS, t.weight)
+        owner = np.array(owner)
+        at = np.repeat(owner, _VALUE.size)  # each node's point
+        who = (owner[:, None] + zs.size * _VALUE).ravel()
         # x - z from the offsets, exact where the pieces are narrowest; with f > 1,
         # f/(x - z) can overflow at an |Im z| near 2.2e-308: the sums then fail their check
         with np.errstate(over="ignore"):
-            local = at, who, first, f[at] / (off - (zu[at] - x0)), qw, logw
+            local = at, who, f[at] / (off - (zu[at] - x0)), qw, logw
         xs = np.concatenate([x0 + off, zu])
     else:
         xs = zu
@@ -245,7 +246,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
         total, mass = grid_terms.sum(axis=1), np.abs(grid_terms).sum(axis=1)
         delta = 0.0  # |order-16 sum - order-24 sum| of the pieces
         if local is not None:
-            at, who, first, u, qw, logw = local
+            at, who, u, qw, logw = local
             k = at.size  # the refined nodes lead xs
             # an infinite u, or u (u - r) leaving the doubles near z = 0,
             # makes the sums not finite, and they fail the check below
@@ -255,7 +256,7 @@ def cauchy_transforms(t: RecurrenceTable, degrees, z, derivative: bool = False) 
                 sums = _sums(who, terms, 2 * zs.size)
                 check, fine = sums[:zs.size], sums[zs.size:]
                 total += fine
-                mass += np.bincount(at[first:], np.abs(terms[first:]), zs.size)
+                mass += np.bincount(who, np.abs(terms), 2 * zs.size)[zs.size:]
                 delta = np.abs(check - fine)
         err = delta + _EPS * mass
         bad = ~(err < _TOLERANCE * np.abs(total))  # a sum of exactly 0 is no value either

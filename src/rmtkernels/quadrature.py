@@ -66,27 +66,37 @@ class WeightGrid:
     panels: tuple = ()
 
 
-def weighted_rule(x0, lo, hi, order: int, w):
+def _rule(order, beta: float):
+    """The Gauss rule of (1 + t)^beta of ``order``, or a tuple of orders' rules concatenated."""
+    if not isinstance(order, tuple):
+        return _jacgauss(order, beta)
+    t, g = zip(*(_jacgauss(p, beta) for p in order))
+    return np.concatenate(t), np.concatenate(g)
+
+
+def weighted_rule(x0, lo, hi, order, w):
     """Order-``order`` Gauss rules for the weight ``w`` on the pieces [x0 + lo, x0 + hi].
 
     Returns (x0, offset, qw, logw) per node, ``order`` nodes per piece in the
-    order of the pieces.  Each piece maps a rule on [-1, 1] from t = -1, with
-    qw = half width * the rule's weights and -nV in logw.  A piece with an end
-    at 0 starts there, takes the rule of (1 + t)^(2a) and has 2a log|half
-    width| in logw; the others take exponent 0 and have 2a log|x| in logw.
+    order of the pieces.  A tuple of orders gives each piece those rules'
+    nodes one after the other: for (16, 24), 40 nodes, the order-16 ones
+    first.  Each piece maps a rule on [-1, 1] from t = -1, with qw = half
+    width * the rule's weights and -nV in logw.  A piece with an end at 0
+    starts there, takes the rule of (1 + t)^(2a) and has 2a log|half width|
+    in logw; the others take exponent 0 and have 2a log|x| in logw.
     """
     flip = x0 + hi == 0.0  # a piece that ends at 0 starts there
     jac = flip | (x0 + lo == 0.0)
     # the rules of exponents 0 and 2a, each built only if some piece takes it
-    t, g = _jacgauss(order, 0.0) if (k := np.count_nonzero(jac)) < jac.size else (0.0, 0.0)
+    t, g = _rule(order, 0.0) if (k := np.count_nonzero(jac)) < jac.size else (0.0, 0.0)
     if k:
-        tj, wj = _jacgauss(order, 2.0 * w.alpha)
+        tj, wj = _rule(order, 2.0 * w.alpha)
         t, g = np.where(jac[:, None], tj, t), np.where(jac[:, None], wj, g)
         lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
     half = 0.5 * (hi - lo)[:, None]
     off = lo[:, None] + half * (t + 1.0)
     logw = 2.0 * w.alpha * np.log(np.abs(np.where(jac[:, None], half, x0[:, None] + off)))
-    base, off = np.repeat(x0, order), off.ravel()
+    base, off = np.repeat(x0, off.shape[1]), off.ravel()
     return base, off, (np.abs(half) * g).ravel(), logw.ravel() - w.n * w.potential(base + off)
 
 

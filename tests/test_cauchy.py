@@ -1,8 +1,10 @@
 import cmath
 import dataclasses
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,36 +486,60 @@ def test_plemelj_parity(table_a03_n8):
     )
 
 
-@pytest.mark.parametrize("alpha, n, j, z, power", [
+# h_j (power 1) or h'_j (power 2) for V = 2x^2 and a table to degree n + 1, as
+# (alpha, n, j, z, power); tests/data/cauchy_reference.json holds each one's
+# reference_h at 65 digits.  Rewrite it with
+#     PYTHONPATH=src python tests/test_cauchy.py
+HIGH_PRECISION = {
     # off the support: the signed sum cancelled there, beyond double precision
-    (0.0, 8, 7, -2 + 1j, 1),
-    (0.0, 8, 8, -2 + 1j, 1),
-    (0.0, 32, 32, 3j, 1),
-    (0.0, 32, 32, -2 + 1j, 1),
-    (0.0, 32, 32, 2 + 0.001j, 1),
+    "n8-j7-off-support": (0.0, 8, 7, -2 + 1j, 1),
+    "n8-j8-off-support": (0.0, 8, 8, -2 + 1j, 1),
+    "n32-far-imaginary": (0.0, 32, 32, 3j, 1),
+    "n32-off-support": (0.0, 32, 32, -2 + 1j, 1),
+    "n32-right-of-support": (0.0, 32, 32, 2 + 0.001j, 1),
     # soft edge, and a point whose near panels are not adjacent (a wide tail
     # panel is near while the dense panels between it and z are not)
-    (0.0, 32, 32, 0.9 + 0.05j, 1),
-    (0.0, 32, 32, 0.9 + 0.05j, 2),
-    (0.0, 8, 9, -1.18 + 0.001j, 1),
+    "n32-soft-edge": (0.0, 32, 32, 0.9 + 0.05j, 1),
+    "n32-soft-edge-derivative": (0.0, 32, 32, 0.9 + 0.05j, 2),
+    "n8-nonadjacent-near-panels": (0.0, 8, 9, -1.18 + 0.001j, 1),
     # near the |x|^(2a) kink, and a study point zeta / (n psi(0)), psi(0) = 2/pi,
     # nearer to the kink than to its own foot on the axis
-    (0.3, 32, 31, 0.001 + 0.0005j, 1),
-    (0.3, 64, 64, (-0.4 + 0.6j) * math.pi / 128, 1),
+    "a03-near-kink": (0.3, 32, 31, 0.001 + 0.0005j, 1),
+    "a03-study-point": (0.3, 64, 64, (-0.4 + 0.6j) * math.pi / 128, 1),
     # below the axis, where the transform is the reflection of the one above
-    (0.3, 32, 31, 0.001 - 0.0005j, 1),
-    (0.0, 32, 32, 0.9 - 0.05j, 2),
-], ids=["n8-j7-off-support", "n8-j8-off-support", "n32-far-imaginary", "n32-off-support",
-        "n32-right-of-support", "n32-soft-edge", "n32-soft-edge-derivative",
-        "n8-nonadjacent-near-panels", "a03-near-kink", "a03-study-point",
-        "a03-near-kink-lower", "n32-soft-edge-derivative-lower"])
-def test_matches_high_precision_reference(alpha, n, j, z, power):
-    # 40 digits are not enough off the support (1e-8 at n = 32, z = -2+i)
-    want = reference_h(alpha, n, j, z, 65, power)
-    assert abs(reference_h(alpha, n, j, z, 50, power) - want) < 1e-14 * abs(want)
+    "a03-near-kink-lower": (0.3, 32, 31, 0.001 - 0.0005j, 1),
+    "n32-soft-edge-derivative-lower": (0.0, 32, 32, 0.9 - 0.05j, 2),
+}
+HIGH_PRECISION_FILE = Path(__file__).parent / "data" / "cauchy_reference.json"
+STORED = {k: complex(*v) for k, v in json.loads(HIGH_PRECISION_FILE.read_text()).items()}
+
+
+def high_precision_values() -> dict:
+    """{case: [re, im]} of reference_h at 65 digits, each checked against 50 digits."""
+    out = {}
+    for case, (alpha, n, j, z, power) in HIGH_PRECISION.items():
+        # 40 digits are not enough off the support (1e-8 at n = 32, z = -2+i)
+        want = reference_h(alpha, n, j, z, 65, power)
+        assert abs(reference_h(alpha, n, j, z, 50, power) - want) < 1e-14 * abs(want), case
+        out[case] = [want.real, want.imag]
+    return out
+
+
+@pytest.mark.parametrize("case", list(HIGH_PRECISION))
+def test_matches_high_precision_reference(case):
+    alpha, n, j, z, power = HIGH_PRECISION[case]
+    want = STORED[case]
     t = build_recurrence(WeightSpec(alpha, n, V_2X2), n + 1)
     got = scaled(cauchy_transforms(t, [j], z, derivative=power == 2)[j]).to_complex()
     assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_stored_reference_is_computed_live():
+    # the cheapest case, at both precisions, against its stored value
+    alpha, n, j, z, power = HIGH_PRECISION["n8-j8-off-support"]
+    want = reference_h(alpha, n, j, z, 65, power)
+    assert abs(reference_h(alpha, n, j, z, 50, power) - want) < 1e-14 * abs(want)
+    assert abs(STORED["n8-j8-off-support"] - want) < 1e-14 * abs(want)
 
 
 def test_morera_loop(table_n8):
@@ -528,3 +554,7 @@ def test_morera_loop(table_n8):
             zz = a + (b - a) * x
             total += wq * (b - a) * cauchy_transform(table_n8, 2, zz).to_complex()
     assert abs(total) < 1e-9
+
+
+if __name__ == "__main__":
+    HIGH_PRECISION_FILE.write_text(json.dumps(high_precision_values(), indent=1) + "\n")

@@ -46,6 +46,35 @@ def _legendre_reference(order, mp):
     return nodes[::-1], weights[::-1]
 
 
+def _jacobi_reference(order, beta, mp):
+    """Gauss-Jacobi nodes and weights of (1 + t)^beta at mpmath's precision: Golub-Welsch
+    on the Jacobi matrix of P^(0, beta), by mpmath's symmetric eigensolver."""
+    beta = mp.mpf(beta)
+    jac = mp.zeros(order, order)
+    for k in range(order):
+        s = 2 * k + beta
+        jac[k, k] = beta / (beta + 2) if k == 0 else beta * beta / (s * (s + 2))
+        if k:
+            jac[k, k - 1] = jac[k - 1, k] = mp.sqrt(
+                4 * k * k * (k + beta) ** 2 / (s * s * (s + 1) * (s - 1)))
+    nodes, vectors = mp.eigsy(jac)
+    mu0 = 2 ** (beta + 1) / (beta + 1)
+    return sorted((nodes[i], mu0 * vectors[0, i] ** 2) for i in range(order))
+
+
+@pytest.mark.parametrize("order", [16, 20])
+@pytest.mark.parametrize("beta", [-0.9, -0.99])
+def test_gauss_jacobi_toward_minus_one_matches_40_digits(order, beta):
+    # the origin panels' rule at alpha toward -1/2: its weights mu_0 v_0^2 lose
+    # relative accuracy about like eps mu_0 / w, mu_0 = 2^(beta + 1) / (beta + 1)
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    x, w = _jacgauss(order, beta)
+    ref = _jacobi_reference(order, beta, mp)
+    assert max(abs(mp.mpf(float(a)) - b) for a, (b, _) in zip(x, ref)) < 1e-12
+    assert max(abs(mp.mpf(float(a)) / b - 1) for a, (_, b) in zip(w, ref)) < 1e-12
+
+
 @pytest.mark.parametrize("order", [8, 10, 12, 16, 20, 24, 28, 36, 48])
 def test_gauss_legendre_matches_40_digits(order):
     # every Gauss-Legendre panel takes the Golub-Welsch rule at exponent 0
@@ -149,13 +178,18 @@ def test_potential_is_polyval_bitwise(coeffs):
 
 def test_weighted_rule_broadcasts_bitwise():
     # a batch of pieces, the two at 0 Gauss-Jacobi and the others Gauss-Legendre,
-    # gives each piece the bits of a one-piece call
+    # gives each piece the bits of a one-piece call, and a tuple of orders the
+    # bits of one such call per order, one after the other
     edges = np.array([-2.0, -0.3, -1e-9, 0.0, 0.25, 3.0])
     w = WeightSpec(0.3, 4, PotentialSpec((0.0, 0.0, 2.0)))
-    batch = weighted_rule(np.zeros(5), edges[:-1], edges[1:], 16, w)
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        one = weighted_rule(np.zeros(1), np.array([a]), np.array([b]), 16, w)
-        assert all(np.array_equal(col[16 * i:16 * (i + 1)], v) for col, v in zip(batch, one))
+    for order in (16, (16, 24)):
+        orders = order if isinstance(order, tuple) else (order,)
+        m = sum(orders)
+        batch = weighted_rule(np.zeros(5), edges[:-1], edges[1:], order, w)
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            one = [np.concatenate(c) for c in zip(*(
+                weighted_rule(np.zeros(1), np.array([a]), np.array([b]), p, w) for p in orders))]
+            assert all(np.array_equal(col[m * i:m * (i + 1)], v) for col, v in zip(batch, one))
 
 
 EVEN_K = st.integers(0, 10).map(lambda h: 2 * h)
